@@ -119,10 +119,7 @@ class GroupSpec:
         if self.order**2 > (1 << 23):
             return None
         if self._sum_table is None:
-            d = self.digits.astype(np.int32)
-            self._sum_table = (
-                ((d[:, None, :] + d[None, :, :]) % self.p).astype(np.int64) @ self._powers
-            ).astype(np.int32)
+            self._sum_table = addition_table(self.p, self.n).astype(np.int32)
         return self._sum_table
 
     def basis_vector(self, i: int) -> np.ndarray:
@@ -132,6 +129,21 @@ class GroupSpec:
         v = np.zeros(self.n, dtype=np.int64)
         v[i - 1] = 1
         return v
+
+
+def addition_table(p: int, m: int) -> np.ndarray:
+    """(p^m, p^m) table T with T[i, j] = index of vector_of(i) + vector_of(j)
+    in F_p^m, for any m >= 0 (the table of the trivial group is [[0]]).
+
+    Built one coordinate at a time: with i = i0 + p*i' (little-endian),
+    T_m[i, j] = (i0 + j0) % p + p * T_(m-1)[i', j'].
+    """
+    table = np.zeros((1, 1), dtype=np.int64)
+    digit = np.add.outer(np.arange(p), np.arange(p)) % p
+    for _ in range(m):
+        k = len(table)
+        table = (p * table[:, None, :, None] + digit[None, :, None, :]).reshape(k * p, k * p)
+    return table
 
 
 def index_of(v, spec: GroupSpec) -> int:

@@ -24,6 +24,7 @@ from .core import GroupSpec, GroupSubset
 NONE = "none"
 FOUND = "witness"
 BOUND_ONLY = "bound-only"
+_CLOCK_STRIDE = 4096  # nodes between reads of the clock in SearchBudget.tick
 
 
 class SearchBudget:
@@ -36,19 +37,25 @@ class SearchBudget:
         self.time_limit = time_limit
         self.nodes = 0
         self._deadline = None
+        self._next_clock = _CLOCK_STRIDE
 
     def start(self):
         self.nodes = 0
         self._deadline = time.monotonic() + self.time_limit
+        self._next_clock = _CLOCK_STRIDE
         return self
 
     def tick(self, amount: int = 1) -> bool:
-        """Charge `amount` nodes; True while within budget."""
+        """Charge `amount` nodes; True while within budget.  The clock is
+        read whenever the charged nodes cross the next multiple of 4096, so
+        a large stride such as tick(N) reads it on every call."""
         self.nodes += amount
         if self.nodes > self.node_limit:
             return False
-        if self.nodes % 4096 == 0 and time.monotonic() > self._deadline:
-            return False
+        if self.nodes >= self._next_clock:
+            self._next_clock = (self.nodes // _CLOCK_STRIDE + 1) * _CLOCK_STRIDE
+            if time.monotonic() > self._deadline:
+                return False
         return True
 
     def exhausted(self) -> bool:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import GroupSpec, GroupSubset, ShapeError, dft
+from .core import CapacityError, GroupSpec, GroupSubset, ShapeError, addition_table, dft
 from .factors import AtomLabel, atom_members, label_index_table
 
 
@@ -44,25 +44,41 @@ class MeasureReport:
 
 
 def u2_norm(f, spec: GroupSpec) -> float:
-    """U^2 norm via the correlation form E_h |E_x f(x) conj f(x+h)|^2,
-    computed directly (no Fourier identity)."""
+    """U^2 norm via the correlation form E_h |g(h)|^2 with
+    g(h) = E_x f(x) conj f(x+h), computed directly: it never calls `dft` or
+    an FFT, so comparing it with the Fourier fourth moment is a real check.
+
+    Split each vector as x = (x_hi, x_lo) into its high and low coordinates;
+    with the little-endian index this is F = f.reshape(P, Q).  For a block of
+    high shifts h_hi, the rows of conj F are gathered through the addition
+    table of the high half-group and one batched product gives
+    M[h_hi, x_lo, y_lo] = sum_(x_hi) F[x_hi, x_lo] conj F[x_hi + h_hi, y_lo].
+    Then g(h_hi, h_lo) = (1/N) sum_(x_lo) M[h_hi, x_lo, x_lo + h_lo], gathered
+    through the addition table of the low half-group.  That is O(N^2)
+    multiply-adds in BLAS; each block's temporaries hold at most 2^21
+    elements.  For n = 1 the low half is the trivial group (Q = 1).
+    """
     f = np.asarray(f, dtype=complex)
     if f.shape != (spec.order,):
         raise ShapeError("function table length mismatch")
     N = spec.order
-    table = spec.sum_table()
-    if table is not None:
-        g = (f[None, :] * np.conj(f[table])).mean(axis=1)
-        return float(((np.abs(g) ** 2).mean()) ** 0.25)
-    digits = spec.digits.astype(np.int64)
+    n_lo = spec.n // 2
+    Q = spec.p**n_lo
+    P = N // Q
+    F = f.reshape(P, Q)
+    # a contiguous left operand keeps the broadcast matmul in BLAS
+    Ft = np.ascontiguousarray(F.T)
+    Fc = np.conj(F)
+    hi_table = addition_table(spec.p, spec.n - n_lo)
+    lo_table = addition_table(spec.p, n_lo)
+    rows = np.arange(Q)[:, None]
     total = 0.0
-    block = max(1, (1 << 21) // N)
-    for start in range(0, N, block):
-        hs = digits[start : start + block]
-        idx = ((hs[:, None, :] + digits[None, :, :]) % spec.p) @ spec._powers
-        g = (f[None, :] * np.conj(f[idx])).mean(axis=1)
+    block = max(1, (1 << 21) // (Q * max(P, Q)))
+    for start in range(0, P, block):
+        M = Ft @ Fc[hi_table[start : start + block]]
+        g = M[:, rows, lo_table].sum(axis=1)
         total += float((np.abs(g) ** 2).sum())
-    return float((total / N) ** 0.25)
+    return float((total / N**3) ** 0.25)
 
 
 def u2_norm_fourier(f, spec: GroupSpec) -> float:
@@ -308,39 +324,36 @@ def triad_graphs(d: TriadDescriptor):
     return atoms, [e12, e13, e23]
 
 
-def triad_membership_check(factor, samples: int | None = None, seed: int = 0xF0F2) -> bool:
-    """Sum-label check over triples (x, y, z): the label of x + y + z must
-    equal the sigma combination of the six label pieces of the triple.
-    Exhaustive over all triples when samples is None (vectorized over x)."""
+def triad_membership_check(factor) -> bool:
+    """Sum-label check over all triples (x, y, z): the label of x + y + z
+    must equal the sigma combination of the triple's label pieces, i.e.
+    L(x+y+z) = L(x) + L(y) + L(z) on every linear column and
+    Q(x+y+z) = Q(x) + Q(y) + Q(z) + 2(B(x,y) + B(x,z) + B(y,z)) on every
+    quadratic column, with B(x, y) = x^T M y.
+
+    Exhaustive: for each z, one vectorized pass compares all pairs (x, y),
+    locating x + y + z through the group's sum table.  Raises CapacityError
+    when the group is too large for that table.
+    """
     spec = factor.spec
     p = spec.p
-    N = spec.order
-    lin_cols = factor.linear.label_columns()
-    quad_cols = factor.quad_columns()
+    table = spec.sum_table()
+    if table is None:
+        raise CapacityError(f"exhaustive triple check over {spec} needs the pairwise sum table")
+    # (columns, N) labels and (columns, N, N) cross terms: 2 B(x, y) on the
+    # quadratic columns, 0 on the linear ones.  The table exists only for
+    # N^2 <= 2^23, so p < 2^12 and int16 holds every sum below.
+    labels = factor.label_matrix().T.astype(np.int16)
     digits = spec.digits.astype(np.int64)
-    mats = [M % p for M in factor.matrices]
-    bilin_full = [((digits @ M) @ digits.T) % p for M in mats]
-    if samples is None:
-        zs = range(N)
-    else:
-        rng = np.random.default_rng(seed)
-        zs = rng.integers(0, N, size=samples)
-    for z in zs:
-        perm_z = spec.add_perm(int(z))
-        for y in range(N):
-            sum_idx = perm_z[spec.add_perm(y)]
-            lhs_lin = (lin_cols + lin_cols[y] + lin_cols[int(z)]) % p
-            if not np.array_equal(lhs_lin, lin_cols[sum_idx]):
-                return False
-            for i in range(len(mats)):
-                lhs = (
-                    quad_cols[:, i]
-                    + quad_cols[y, i]
-                    + quad_cols[int(z), i]
-                    + 2 * (bilin_full[i][:, y] + bilin_full[i][:, int(z)] + bilin_full[i][y, int(z)])
-                ) % p
-                if not np.array_equal(lhs, quad_cols[sum_idx, i]):
-                    return False
+    cross = np.zeros((len(labels), spec.order, spec.order), dtype=np.int16)
+    for i, M in enumerate(factor.matrices):
+        cross[factor.ell + i] = (2 * ((digits @ M) @ digits.T)) % p
+    pair = (labels[:, :, None] + labels[:, None, :] + cross) % p
+    for z in range(spec.order):
+        cz = cross[:, :, z]
+        expected = (pair + (labels[:, z, None, None] + cz[:, :, None] + cz[:, None, :])) % p
+        if not np.array_equal(expected, np.take(labels, table[z][table], axis=1)):
+            return False
     return True
 
 
@@ -642,10 +655,7 @@ def hypergraph_decomposition_check(
     total_weight = 0
     for flat in flats:
         d = TriadDescriptor.from_flat(factor, flat)
-        try:
-            res = dev23_measure(A, d, max_part=max_part)
-        except MemoryError:
-            raise
+        res = dev23_measure(A, d, max_part=max_part)
         atoms, graphs = triad_graphs(d)
         tri = triangle_tensor(*graphs)
         weight = int(tri.sum())

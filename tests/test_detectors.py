@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -178,6 +180,16 @@ def test_cap2_quadrics_and_cosets():
     sp = GroupSpec(3, 3)
     H = union_of_cosets(LinearFactor(sp, [sp.basis_vector(1)]), [np.zeros(3, dtype=np.int64)])
     assert cap2_check(H)[0]
+
+
+def test_cap2_time_limit_stops_stride_ticks():
+    # cap2_check charges N nodes per tick, so the clock must be read on
+    # crossing each 4096-node mark rather than only on exact multiples
+    A = quadric(8, 3)
+    start = time.monotonic()
+    ok, cube, st = cap2_check(A, SearchBudget(time_limit=1.0))
+    assert st == BOUND_ONLY and cube is None
+    assert time.monotonic() - start < 10.0
 
 
 def test_cap2_violation_returns_cube():

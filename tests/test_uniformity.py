@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfa.core import GroupSpec, GroupSubset, dft
 from qfa.constructions import gs, trace_sym_space
@@ -41,12 +43,45 @@ def test_u2_constants_and_phases():
 
 
 def test_u2_equals_fourier_fourth_moment():
-    for n in (2, 3, 4, 5):
-        sp = GroupSpec(3, n)
-        f = RNG.uniform(-1, 1, sp.order)
-        lhs = u2_norm(f, sp) ** 4
-        rhs = float((np.abs(dft(f, sp)) ** 4).sum())
-        assert abs(lhs - rhs) < 1e-9
+    sizes = [(3, n) for n in range(1, 9)] + [(5, n) for n in range(1, 5)] + [(7, n) for n in range(1, 4)]
+    for p, n in sizes:
+        sp = GroupSpec(p, n)
+        for f in (
+            RNG.uniform(-1, 1, sp.order),
+            RNG.uniform(-1, 1, sp.order) + 1j * RNG.uniform(-1, 1, sp.order),
+        ):
+            lhs = u2_norm(f, sp) ** 4
+            rhs = float((np.abs(dft(f, sp)) ** 4).sum())
+            assert abs(lhs - rhs) < 1e-9, (p, n)
+
+
+def _u2_brute_force(f, sp):
+    """E_h |E_x f(x) conj f(x+h)|^2, one translation at a time via add_perm."""
+    total = 0.0
+    for h in range(sp.order):
+        g = np.mean(f * np.conj(f[sp.add_perm(h)]))
+        total += abs(g) ** 2
+    return (total / sp.order) ** 0.25
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([(3, 1), (3, 2), (3, 3), (5, 1), (5, 2)]).flatmap(
+        lambda pn: st.tuples(
+            st.just(pn),
+            st.lists(
+                st.complex_numbers(max_magnitude=4, allow_nan=False, allow_infinity=False),
+                min_size=pn[0] ** pn[1],
+                max_size=pn[0] ** pn[1],
+            ),
+        )
+    )
+)
+def test_u2_matches_brute_force_correlation(case):
+    (p, n), values = case
+    sp = GroupSpec(p, n)
+    f = np.array(values, dtype=complex)
+    assert abs(u2_norm(f, sp) - _u2_brute_force(f, sp)) < 1e-9
 
 
 def test_u3_quadratic_phase_and_naive_oracle():
@@ -123,6 +158,18 @@ def test_triad_membership_small():
         mats = trace_sym_space(n, 3)
         F = QuadraticFactor(sp, [sp.basis_vector(1)], [mats[0]])
         assert triad_membership_check(F)
+
+
+@pytest.mark.parametrize("part", ["quadratic", "linear"])
+def test_triad_membership_detects_a_corrupted_label(part):
+    sp = GroupSpec(3, 3)
+    F = QuadraticFactor(sp, [sp.basis_vector(1)], [trace_sym_space(3, 3)[0]])
+    owner = F if part == "quadratic" else F.linear
+    method = "quad_columns" if part == "quadratic" else "label_columns"
+    cols = getattr(owner, method)().copy()
+    cols[5, 0] = (cols[5, 0] + 1) % 3
+    setattr(owner, method, lambda: cols)
+    assert not triad_membership_check(F)
 
 
 def test_dev2_trivial_and_oracle():
