@@ -252,23 +252,6 @@ def sparse_example(n: int, p: int) -> GroupSubset:
     return GroupSubset.from_members(spec, members)
 
 
-def _canonical_dual_lines(spec: GroupSpec) -> list:
-    """One representative per one-dimensional subspace of the dual (first
-    nonzero coordinate normalized to 1)."""
-    out = []
-    seen = set()
-    for v in spec.digits.astype(np.int64):
-        if not v.any():
-            continue
-        lead = int(np.nonzero(v)[0][0])
-        inv = pow(int(v[lead]), spec.p - 2, spec.p)
-        canon = tuple((v * inv) % spec.p)
-        if canon not in seen:
-            seen.add(canon)
-            out.append(np.array(canon, dtype=np.int64))
-    return out
-
-
 def union_of_cosets(H: LinearFactor, reps) -> GroupSubset:
     """The union of the H-atoms (cosets) containing the given representatives."""
     spec = H.spec

@@ -1,5 +1,6 @@
 """Exact arithmetic over F_p^n: vectors, symmetric matrices, group enumeration,
-quadratic/bilinear evaluation, matrix rank, Gauss sums, and the group DFT.
+quadratic/bilinear evaluation, exact elimination (rref), Gauss sums, and the
+group DFT.
 
 All group elements are addressed by their little-endian base-p index,
 idx = sum_i v_i * p**i (coordinate 0 varies fastest).  Every table in this
@@ -198,72 +199,72 @@ def linear_values(v, spec: GroupSpec) -> np.ndarray:
     return (spec.digits.astype(np.int64) @ v) % spec.p
 
 
+def rref(A, p: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form of the matrix A over F_p, and its pivot columns.
+
+    Over a field the RREF is unique, so rank, nullspace, row space and
+    solutions read off it do not depend on the elimination order.
+    """
+    R = np.array(A, dtype=np.int64) % p
+    if R.ndim != 2:
+        raise ShapeError(f"expected a matrix, got shape {R.shape}")
+    pivots: list[int] = []
+    for c in range(R.shape[1]):
+        r = len(pivots)
+        if r == R.shape[0]:
+            break
+        nz = np.flatnonzero(R[r:, c])
+        if not nz.size:
+            continue
+        k = r + int(nz[0])
+        if k != r:
+            R[[r, k]] = R[[k, r]]
+        R[r] = R[r] * pow(int(R[r, c]), p - 2, p) % p
+        col = R[:, c].copy()
+        col[r] = 0
+        R -= np.outer(col, R[r])
+        R %= p
+        pivots.append(c)
+    return R, pivots
+
+
 def matrix_rank(M: np.ndarray, p: int) -> int:
     """Rank over F_p by exact Gaussian elimination."""
-    A = (np.asarray(M, dtype=np.int64) % p).copy()
-    if A.size == 0:
+    if np.size(M) == 0:
         return 0
-    rows, cols = A.shape
-    rank = 0
-    for c in range(cols):
-        pivot = None
-        for r in range(rank, rows):
-            if A[r, c] % p:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        A[[rank, pivot]] = A[[pivot, rank]]
-        inv = pow(int(A[rank, c]), p - 2, p)
-        A[rank] = (A[rank] * inv) % p
-        for r in range(rows):
-            if r != rank and A[r, c]:
-                A[r] = (A[r] - A[r, c] * A[rank]) % p
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+    return len(rref(M, p)[1])
 
 
 def nullspace_basis(rows, p: int, n: int) -> np.ndarray:
-    """Basis (as rows) of {x in F_p^n : R x = 0} for the given row vectors."""
-    rows = [np.asarray(r, dtype=np.int64) % p for r in rows if np.asarray(r).size]
+    """Basis (as rows) of {x in F_p^n : R x = 0} for the given row vectors:
+    one basis vector per free column of the RREF of R."""
+    rows = [np.asarray(r, dtype=np.int64) for r in rows if np.asarray(r).size]
     if not rows:
         return np.eye(n, dtype=np.int64)
-    A = np.stack(rows) % p
-    m = A.shape[0]
-    A = A.copy()
-    pivots = []
-    r = 0
-    for c in range(n):
-        pivot = None
-        for rr in range(r, m):
-            if A[rr, c]:
-                pivot = rr
-                break
-        if pivot is None:
-            continue
-        A[[r, pivot]] = A[[pivot, r]]
-        inv = pow(int(A[r, c]), p - 2, p)
-        A[r] = (A[r] * inv) % p
-        for rr in range(m):
-            if rr != r and A[rr, c]:
-                A[rr] = (A[rr] - A[rr, c] * A[r]) % p
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
+    R, pivots = rref(np.stack(rows), p)
     free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = np.zeros(n, dtype=np.int64)
-        v[fc] = 1
-        for i, pc in enumerate(pivots):
-            v[pc] = (-A[i, fc]) % p
-        basis.append(v)
-    if not basis:
-        return np.zeros((0, n), dtype=np.int64)
-    return np.stack(basis)
+    basis = np.zeros((len(free), n), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = (-R[: len(pivots), free].T) % p
+    return basis
+
+
+def _canonical_lines(vectors, p: int) -> list:
+    """One representative per one-dimensional subspace spanned by the given
+    vectors (first nonzero coordinate normalized to 1), in first-seen order."""
+    seen = set()
+    out = []
+    for v in vectors:
+        v = np.asarray(v, dtype=np.int64) % p
+        if not v.any():
+            continue
+        lead = int(np.nonzero(v)[0][0])
+        inv = pow(int(v[lead]), p - 2, p)
+        canon = tuple((v * inv) % p)
+        if canon not in seen:
+            seen.add(canon)
+            out.append(np.array(canon, dtype=np.int64))
+    return out
 
 
 def gauss_sum(M: np.ndarray, b, spec: GroupSpec) -> complex:

@@ -19,7 +19,7 @@ import time
 
 import numpy as np
 
-from .core import GroupSpec, GroupSubset
+from .core import GroupSpec, GroupSubset, addition_table
 
 NONE = "none"
 FOUND = "witness"
@@ -214,6 +214,13 @@ class Witness:
         raise ValueError(f"unknown witness kind {self.kind!r}")
 
 
+def _check_witness(w: Witness) -> None:
+    """Re-test a witness a search is about to return; an invalid one is a bug
+    in the search, raised explicitly so the check also runs under python -O."""
+    if not w.revalidate():
+        raise AssertionError(f"{w.kind} witness failed revalidation")
+
+
 class DetectResult:
     def __init__(self, status: str, witness=None, nodes: int = 0):
         self.status = status
@@ -297,7 +304,7 @@ def find_op(A: GroupSubset, k: int, budget: SearchBudget | None = None) -> Detec
             },
             k=k,
         )
-        assert w.revalidate()
+        _check_witness(w)
         return DetectResult(FOUND, w, budget.nodes)
     if over[0]:
         return DetectResult(BOUND_ONLY, nodes=budget.nodes)
@@ -408,7 +415,7 @@ def find_hop2(A: GroupSubset, k: int, budget: SearchBudget | None = None) -> Det
             },
             k=k,
         )
-        assert w.revalidate()
+        _check_witness(w)
         return DetectResult(FOUND, w, budget.nodes)
     if over[0]:
         return DetectResult(BOUND_ONLY, nodes=budget.nodes)
@@ -495,7 +502,7 @@ def find_fop2(A: GroupSubset, k: int, budget: SearchBudget | None = None) -> Det
             },
             k=k,
         )
-        assert w.revalidate()
+        _check_witness(w)
         return DetectResult(FOUND, w, budget.nodes)
     if over[0]:
         return DetectResult(BOUND_ONLY, nodes=budget.nodes)
@@ -585,7 +592,7 @@ def vc_dim(A: GroupSubset, kmax: int, budget: SearchBudget | None = None):
             return best_k, best_witness, FOUND
         best_k = k
         best_witness = witness_from(got)
-        assert best_witness.revalidate()
+        _check_witness(best_witness)
     return best_k, best_witness, FOUND
 
 
@@ -648,7 +655,7 @@ def vc2_dim(A: GroupSubset, kmax: int, budget: SearchBudget | None = None):
             },
             k=k,
         )
-        assert best_witness.revalidate()
+        _check_witness(best_witness)
     return best_k, best_witness, FOUND
 
 
@@ -663,13 +670,10 @@ def cap2_check(A: GroupSubset, budget: SearchBudget | None = None):
     N = spec.order
     ind = A.indicator
     shifts = _Shifts(A)
-    sum_tab = None
+    sum_tab = look = None
     if N <= 4096:
-        digits = spec.digits.astype(np.int64)
-        sum_tab = (
-            ((digits[:, None, :] + digits[None, :, :]) % spec.p)
-            @ spec._powers
-        )
+        sum_tab = addition_table(spec.p, spec.n)
+        look = ind[sum_tab]  # look[x, c] = A[x + c]
     for a in range(N):
         arr_a = shifts(a)
         for b in range(N):
@@ -680,15 +684,13 @@ def cap2_check(A: GroupSubset, budget: SearchBudget | None = None):
             base = ind & arr_a & arr_b & shifts(ab)
             if not base.any():
                 continue
-            if sum_tab is not None:
-                look = ind[sum_tab]  # look[x, c] = A[x + c]
-                abc = spec.add_perm(ab)
+            if look is not None:
                 grid = (
                     base[:, None]
                     & look
-                    & look[spec.add_perm(a)]
-                    & look[spec.add_perm(b)]
-                    & ~look[abc]
+                    & look[sum_tab[a]]
+                    & look[sum_tab[b]]
+                    & ~look[sum_tab[ab]]
                 )
                 hits = np.argwhere(grid)
             else:
@@ -716,7 +718,7 @@ def cap2_check(A: GroupSubset, budget: SearchBudget | None = None):
                         "z": [zero.copy(), spec.vector_of(c)],
                     },
                 )
-                assert w.revalidate()
+                _check_witness(w)
                 return False, w, FOUND
     return True, None, FOUND
 
@@ -824,7 +826,7 @@ def plant_tree_encoding(spec: GroupSpec, d: int, seed: int = 0, max_tries: int =
             continue
         A = GroupSubset.from_indices(spec, required)
         w = Witness("TREE", A, {"leaves": leaves, "nodes": nodes, "d": d})
-        assert w.revalidate()
+        _check_witness(w)
         return A, w
     raise RuntimeError(
         f"could not plant a depth-{d} encoding without sum collisions in "
@@ -858,13 +860,13 @@ def hodges_extract(encoding: Witness, k: int) -> Witness | None:
         c = nodes[()]
         b = leaf_below((1,))
         w = Witness("OP", A, {"a": [np.asarray(c)], "b": [np.asarray(b)]}, k=1)
-        assert w.revalidate()
+        _check_witness(w)
         return w
     if k == 2 and d >= 2:
         cs = [np.asarray(nodes[()]), np.asarray(nodes[(1,)])]
         bs = [np.asarray(leaf_below((1, 0))), np.asarray(leaf_below((1, 1)))]
         w = Witness("OP", A, {"a": cs, "b": bs}, k=2)
-        assert w.revalidate()
+        _check_witness(w)
         return w
 
     # Guided search: nodes along all-ones prefixes as c's, hang-off leaves as
@@ -920,7 +922,7 @@ def hodges_extract(encoding: Witness, k: int) -> Witness | None:
         },
         k=k,
     )
-    assert w.revalidate()
+    _check_witness(w)
     return w
 
 
@@ -1129,7 +1131,7 @@ def find_good_copy(red, pattern: str, k: int, side=None, budget: SearchBudget | 
                 },
                 k=k,
             )
-            assert w.revalidate()
+            _check_witness(w)
             return DetectResult(FOUND, w, budget.nodes)
         return DetectResult(BOUND_ONLY if budget.exhausted() else NONE, nodes=budget.nodes)
 
@@ -1183,7 +1185,7 @@ def find_good_copy(red, pattern: str, k: int, side=None, budget: SearchBudget | 
                 },
                 k=k,
             )
-            assert w.revalidate()
+            _check_witness(w)
             return DetectResult(FOUND, w, budget.nodes)
         return DetectResult(BOUND_ONLY if budget.exhausted() else NONE, nodes=budget.nodes)
 
@@ -1243,7 +1245,7 @@ def find_good_copy(red, pattern: str, k: int, side=None, budget: SearchBudget | 
                 },
                 k=d,
             )
-            assert w.revalidate()
+            _check_witness(w)
             return DetectResult(FOUND, w, budget.nodes)
         return DetectResult(BOUND_ONLY if budget.exhausted() else NONE, nodes=budget.nodes)
 

@@ -10,8 +10,10 @@ linear part is the dimension of its span (duplicates are permitted in storage).
 
 from __future__ import annotations
 
+import ast
 import math
-import re
+import operator
+
 import numpy as np
 
 from .core import (
@@ -23,31 +25,85 @@ from .core import (
     linear_values,
     matrix_rank,
     quad_values,
+    rref,
 )
 
 FACTOR_RANK_Q_CAP = 8
 
 
-class RankFunction:
-    """A named strictly increasing map N -> positive reals, e.g. "2*x" or "x**2"."""
+# A formula exponent beyond this, or a power beyond _MAX_FORMULA_BITS bits, is
+# rejected instead of computed: formulas come from the command line.
+_MAX_FORMULA_EXPONENT = 1024
+_MAX_FORMULA_BITS = 1 << 16
 
-    _ALLOWED = re.compile(r"^[0-9x+\-*/(). ]+$")
+_FORMULA_OPS = {
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.Div: operator.truediv,
+    ast.FloorDiv: operator.floordiv,
+    ast.Pow: operator.pow,
+}
+
+
+def _eval_formula(node, x):
+    """Evaluate a parsed formula built from numbers, x, unary +/- and
+    + - * / // **; anything else, and any arithmetic error, is a ValueError."""
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return node.value
+    if isinstance(node, ast.Name) and node.id == "x":
+        return x
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+        v = _eval_formula(node.operand, x)
+        return -v if isinstance(node.op, ast.USub) else v
+    if isinstance(node, ast.BinOp) and type(node.op) in _FORMULA_OPS:
+        a = _eval_formula(node.left, x)
+        b = _eval_formula(node.right, x)
+        if isinstance(node.op, ast.Pow) and (
+            abs(b) > _MAX_FORMULA_EXPONENT
+            or (isinstance(a, int) and a.bit_length() * abs(b) > _MAX_FORMULA_BITS)
+        ):
+            raise ValueError(f"power {a!r}**{b!r} is too large")
+        try:
+            out = _FORMULA_OPS[type(node.op)](a, b)
+        except ArithmeticError as exc:
+            raise ValueError(str(exc)) from exc
+        if isinstance(out, complex):
+            raise ValueError(f"{a!r}**{b!r} is not real")
+        return out
+    raise ValueError(f"unsupported formula element {ast.dump(node)}")
+
+
+class _MonotoneFormula:
+    """A map N -> reals given as a formula in x, e.g. "2*x" or "x**2", checked
+    on 0..32 at construction to be increasing (strictly when `_strict`).
+    Subclasses set `_noun` and `_strict`."""
 
     def __init__(self, formula: str):
-        formula = formula.strip().replace("^", "**")
-        if not self._ALLOWED.match(formula):
-            raise ValueError(f"unsupported rank-function formula: {formula!r}")
+        formula = str(formula).strip().replace("^", "**")
+        try:
+            self._tree = ast.parse(formula, mode="eval").body
+            probe = [self(i) for i in range(0, 33)]
+        except (SyntaxError, ValueError) as exc:
+            noun = self._noun.replace(" ", "-")
+            raise ValueError(f"unsupported {noun} formula: {formula!r}") from exc
         self.formula = formula
-        self._fn = lambda x: eval(formula, {"__builtins__": {}}, {"x": x})
-        probe = [self._fn(i) for i in range(0, 33)]
-        if any(b <= a for a, b in zip(probe, probe[1:])):
-            raise ValueError(f"rank function {formula!r} is not strictly increasing")
+        if any(b < a or (self._strict and b == a) for a, b in zip(probe, probe[1:])):
+            shape = "strictly increasing" if self._strict else "monotone"
+            raise ValueError(f"{self._noun} {formula!r} is not {shape}")
 
     def __call__(self, x):
-        return self._fn(x)
+        return _eval_formula(self._tree, x)
 
     def __repr__(self):
-        return f"RankFunction({self.formula!r})"
+        return f"{type(self).__name__}({self.formula!r})"
+
+
+class RankFunction(_MonotoneFormula):
+    """A named strictly increasing map N -> positive reals, e.g. "2*x" or "x**2"."""
+
+    _noun = "rank function"
+    _strict = True
 
 
 class AtomLabel:
@@ -310,26 +366,9 @@ def refines(B1, B2) -> bool:
 
 
 def _row_space_basis(M: np.ndarray, p: int) -> list:
-    """Basis of the row space of M over F_p (nonzero rows after elimination)."""
-    A = (np.asarray(M, dtype=np.int64) % p).copy()
-    rows, cols = A.shape
-    rank = 0
-    for c in range(cols):
-        pivot = None
-        for r in range(rank, rows):
-            if A[r, c]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        A[[rank, pivot]] = A[[pivot, rank]]
-        inv = pow(int(A[rank, c]), p - 2, p)
-        A[rank] = (A[rank] * inv) % p
-        for r in range(rows):
-            if r != rank and A[r, c]:
-                A[r] = (A[r] - A[r, c] * A[rank]) % p
-        rank += 1
-    return [A[i].copy() for i in range(rank)]
+    """Basis of the row space of M over F_p (the nonzero rows of its RREF)."""
+    R, pivots = rref(M, p)
+    return list(R[: len(pivots)])
 
 
 def make_high_rank(B: QuadraticFactor, r: RankFunction, C: int) -> QuadraticFactor:

@@ -14,39 +14,24 @@ from __future__ import annotations
 
 import itertools
 import math
-import re
 
 import numpy as np
 
-from .core import GroupSpec, GroupSubset, dft, nullspace_basis
+from .core import GroupSpec, GroupSubset, _canonical_lines, dft, nullspace_basis, rref
 from .detectors import Witness
 from .factors import (
     LinearFactor,
     QuadraticFactor,
+    _MonotoneFormula,
     label_index_table,
 )
 
 
-class GrowthFunction:
+class GrowthFunction(_MonotoneFormula):
     """A named monotone non-decreasing integer map (constants allowed)."""
 
-    _ALLOWED = re.compile(r"^[0-9x+\-*/(). ]+$")
-
-    def __init__(self, formula: str):
-        formula = str(formula).strip().replace("^", "**")
-        if not self._ALLOWED.match(formula):
-            raise ValueError(f"unsupported growth-function formula: {formula!r}")
-        self.formula = formula
-        self._fn = lambda x: eval(formula, {"__builtins__": {}}, {"x": x})
-        probe = [self._fn(i) for i in range(0, 33)]
-        if any(b < a for a, b in zip(probe, probe[1:])):
-            raise ValueError(f"growth function {formula!r} is not monotone")
-
-    def __call__(self, x):
-        return self._fn(x)
-
-    def __repr__(self):
-        return f"GrowthFunction({self.formula!r})"
+    _noun = "growth function"
+    _strict = False
 
 
 class AtomicityVerdict:
@@ -192,8 +177,8 @@ def find_uniform_dense_coset(A: GroupSubset, H: Subgroup, eps: float):
 
     Returns (H', y, stats) with codim(H' in H) <= floor(2/eps), density of A
     on H'+y at least the density on H, and local uniformity <= eps; each
-    postcondition is asserted before returning (a violation is a bug, not a
-    caller error).
+    postcondition is checked before returning and a violation raises
+    AssertionError, also under python -O (it is a bug, not a caller error).
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -237,44 +222,24 @@ def find_uniform_dense_coset(A: GroupSubset, H: Subgroup, eps: float):
     codim_in_H = H.dim - cur.dim
     final_density = A.indicator[cur.coset_indices(y)].mean()
     unif = local_uniformity(A, cur, y)
-    assert codim_in_H <= max_steps, "codimension bound violated"
-    assert final_density >= base_density - 1e-12, "density did not increase"
-    assert unif <= eps + 1e-12, "returned coset is not uniform"
+    if codim_in_H > max_steps:
+        raise AssertionError("codimension bound violated")
+    if final_density < base_density - 1e-12:
+        raise AssertionError("density did not increase")
+    if unif > eps + 1e-12:
+        raise AssertionError("returned coset is not uniform")
     return cur, y, {"codim": codim_in_H, "density": float(final_density), "uniformity": unif}
 
 
 def _lift_character(H: Subgroup, t_vec) -> np.ndarray:
     """A vector v in F_p^n whose restriction to H (in basis coordinates)
-    is the character t: v = sum_i t_i * dual-of-basis row i."""
-    spec = H.spec
-    # Solve basis @ v = t_vec for v: basis is (m, n); take any solution.
-    m = H.dim
-    p = spec.p
-    B = H.basis % p
-    aug = np.concatenate([B, np.asarray(t_vec, dtype=np.int64).reshape(m, 1)], axis=1)
-    A = aug.copy()
-    rows, cols = A.shape
-    r = 0
-    piv = []
-    for c in range(cols - 1):
-        pr = None
-        for rr in range(r, rows):
-            if A[rr, c]:
-                pr = rr
-                break
-        if pr is None:
-            continue
-        A[[r, pr]] = A[[pr, r]]
-        inv = pow(int(A[r, c]), p - 2, p)
-        A[r] = (A[r] * inv) % p
-        for rr in range(rows):
-            if rr != r and A[rr, c]:
-                A[rr] = (A[rr] - A[rr, c] * A[r]) % p
-        piv.append(c)
-        r += 1
-    v = np.zeros(spec.n, dtype=np.int64)
-    for i, c in enumerate(piv):
-        v[c] = A[i, cols - 1]
+    is the character t: any solution of H.basis @ v = t.  The basis rows are
+    independent, so the system is consistent and no pivot falls on t."""
+    n = H.spec.n
+    t = np.asarray(t_vec, dtype=np.int64).reshape(H.dim, 1)
+    R, pivots = rref(np.concatenate([H.basis, t], axis=1), H.spec.p)
+    v = np.zeros(n, dtype=np.int64)
+    v[pivots] = R[: len(pivots), n]
     return v
 
 
@@ -566,23 +531,6 @@ def stable_linear_decomposition(
 
 
 # --- brute-force quadratic atomizer ---
-
-
-def _canonical_lines(vectors_iter, p):
-    """One representative per scalar class, first nonzero coordinate 1."""
-    seen = set()
-    out = []
-    for v in vectors_iter:
-        v = np.asarray(v, dtype=np.int64) % p
-        if not v.any():
-            continue
-        lead = int(np.nonzero(v)[0][0])
-        inv = pow(int(v[lead]), p - 2, p)
-        canon = tuple((v * inv) % p)
-        if canon not in seen:
-            seen.add(canon)
-            out.append(np.array(canon, dtype=np.int64))
-    return out
 
 
 def brute_quad_atomize(A: GroupSubset, eps: float, max_complexity: int = 5, max_q: int = 2):

@@ -20,7 +20,7 @@ from . import constructions as cons
 from . import detectors as det
 from . import regularize as reg
 from . import uniformity as unif
-from .core import GroupSpec, GroupSubset, gauss_sum, dft
+from .core import GroupSpec, GroupSubset, _canonical_lines, gauss_sum, dft
 from .factors import (
     AtomLabel,
     LinearFactor,
@@ -169,7 +169,7 @@ def _check_gs_zero_coset(params):
     A = cons.gs(6, 3)
     sp = A.spec
     digits = sp.digits.astype(np.int64)
-    lines = cons._canonical_dual_lines(sp)
+    lines = _canonical_lines(digits, sp.p)
     P = (digits @ np.stack(lines).T) % 3
     lo, hi = 1 / 3, 2 / 3
     if not lo <= A.density() <= hi:  # the complexity-0 factor: L(0) = G

@@ -105,6 +105,20 @@ def test_cli_usage_error_exit_2(capsys):
     assert rc == 2
 
 
+def test_cli_bad_formula_exit_2(tmp_path, capsys):
+    from qfa.factors import QuadraticFactor, write_factor
+
+    ffile = tmp_path / "f.txt"
+    write_factor(QuadraticFactor(GroupSpec(3, 2), [[1, 0]], []), str(ffile))
+    for argv in (
+        ["regularize", "--set", "gs:p=3,n=2", "--psi", "9**9**9"],
+        ["factor", "repair", "--factor", str(ffile), "--target-rank-fn", "1/x"],
+    ):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("qfa: error: unsupported") and "Traceback" not in err
+
+
 def test_cli_concurrent_jobs_match_serial():
     r1 = run_suite("quadric", jobs=1)
     r2 = run_suite("quadric", jobs=4)

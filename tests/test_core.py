@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qfa.core import (
     CapacityError,
@@ -15,6 +18,7 @@ from qfa.core import (
     quad_eval,
     read_matrix,
     read_subset,
+    rref,
     write_matrix,
     write_subset,
 )
@@ -172,6 +176,30 @@ def test_nullspace_basis():
     assert basis[0][2] != 0 and basis[0][0] == 0 and basis[0][1] == 0
     full = nullspace_basis([], 3, 3)
     assert full.shape == (3, 3)
+
+
+matrices_mod_p = st.tuples(st.sampled_from([3, 5]), st.integers(1, 8), st.integers(1, 8)).flatmap(
+    lambda t: st.tuples(st.just(t[0]), arrays(np.int64, t[1:], elements=st.integers(0, t[0] - 1)))
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices_mod_p)
+def test_rref_properties(case):
+    p, A = case
+    R, pivots = rref(A, p)
+    k = len(pivots)
+    assert pivots == sorted(set(pivots))
+    for i, c in enumerate(pivots):
+        assert np.array_equal(R[:, c], np.eye(len(R), dtype=np.int64)[i])
+        assert not R[i, :c].any()
+    assert not R[k:].any()
+    R2, pivots2 = rref(R, p)
+    assert np.array_equal(R2, R) and pivots2 == pivots
+    assert matrix_rank(np.vstack([A, R]), p) == k == matrix_rank(A, p)
+    null = nullspace_basis(list(A), p, A.shape[1])
+    assert not ((A @ null.T) % p).any()
+    assert matrix_rank(null, p) + k == A.shape[1]
 
 
 def test_group_bits_env_override(monkeypatch):

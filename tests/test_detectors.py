@@ -62,6 +62,18 @@ def test_op_witness_in_layered_set():
     assert find_op(gs(3, 3), 2).status == FOUND
 
 
+def test_witness_check_survives_optimize(run_optimized):
+    out = run_optimized(
+        "from qfa import detectors as det\n"
+        "from qfa.constructions import gs\n"
+        "assert False, 'asserts are live'\n"
+        "det.Witness.revalidate = lambda self: False\n"
+        "det.find_op(gs(3, 3), 2)\n"
+    )
+    assert out.returncode != 0
+    assert "AssertionError: OP witness failed revalidation" in out.stderr
+
+
 def test_op_budget_exhaustion_reports_bound_only():
     A = gs(4, 3)
     res = find_op(A, 4, SearchBudget(node_limit=10))

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -227,6 +228,13 @@ def test_rank_function_validation():
         RankFunction("5")  # constant: not strictly increasing
     with pytest.raises(ValueError):
         RankFunction("__import__('os')")
+    for formula in ("9**9**9", "(9**1000)**1000", "x**x**x", "1/x", "(-x)**0.5", "x +"):
+        t0 = time.monotonic()
+        with pytest.raises(ValueError, match="unsupported rank-function formula"):
+            RankFunction(formula)
+        assert time.monotonic() - t0 < 1.0
+    assert RankFunction("x^2 // 2 + x")(4) == 12
+    assert repr(RankFunction(" 2*x ")) == "RankFunction('2*x')"
 
 
 def test_factor_file_roundtrip(tmp_path):

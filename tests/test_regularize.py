@@ -1,5 +1,10 @@
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qfa.core import GroupSpec, GroupSubset
 from qfa.constructions import gs, quadric, trace_sym_space, union_of_atoms, union_of_cosets
@@ -8,6 +13,7 @@ from qfa.regularize import (
     FactorChain,
     GrowthFunction,
     Subgroup,
+    _lift_character,
     aqale_check,
     atomicity_check,
     brute_quad_atomize,
@@ -98,6 +104,19 @@ def test_uniform_coset_random_inputs_postconditions():
         A = GroupSubset(sp, RNG.random(sp.order) < RNG.uniform(0.1, 0.9))
         # the three postconditions are asserted inside
         find_uniform_dense_coset(A, Subgroup(sp, []), eps)
+
+
+def test_uniform_coset_postconditions_survive_optimize(run_optimized):
+    out = run_optimized(
+        "from qfa import regularize as reg\n"
+        "from qfa.core import GroupSpec, GroupSubset\n"
+        "assert False, 'asserts are live'\n"
+        "reg.local_uniformity = lambda A, H, y: 1.0\n"
+        "sp = GroupSpec(3, 3)\n"
+        "reg.find_uniform_dense_coset(GroupSubset.full(sp), reg.Subgroup(sp, []), 0.5)\n"
+    )
+    assert out.returncode != 0
+    assert "AssertionError: returned coset is not uniform" in out.stderr
 
 
 def test_uniform_coset_inside_proper_subgroup():
@@ -275,3 +294,20 @@ def test_growth_function_validation():
     assert GrowthFunction("2*x")(4) == 8
     with pytest.raises(ValueError):
         GrowthFunction("-x")
+    for formula in ("9**9**9", "1/x", "x**x**x", "0**-1"):
+        t0 = time.monotonic()
+        with pytest.raises(ValueError, match="unsupported growth-function formula"):
+            GrowthFunction(formula)
+        assert time.monotonic() - t0 < 1.0
+    assert GrowthFunction("x//2")(5) == 2
+    assert repr(GrowthFunction("x^2")) == "GrowthFunction('x**2')"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.sampled_from([3, 5]), st.integers(1, 8), st.integers(0, 8))
+def test_lift_character_restricts_to_t(data, p, n, m):
+    entries = st.integers(0, p - 1)
+    H = Subgroup(GroupSpec(p, n), list(data.draw(arrays(np.int64, (m, n), elements=entries))))
+    t = data.draw(arrays(np.int64, H.dim, elements=entries))
+    v = _lift_character(H, t)
+    assert np.array_equal((H.basis @ v) % p, t)
