@@ -9,7 +9,14 @@ from __future__ import annotations
 import numpy as np
 
 from .core import GroupSpec, GroupSubset, ShapeError, as_sym_matrix, quad_values
-from .factors import LinearFactor, QuadraticFactor, atom_members, label_index_table, matrix_family_rank
+from .factors import (
+    LinearFactor,
+    QuadraticFactor,
+    _least_rank_combo,
+    atom_members,
+    label_index_table,
+    matrix_family_rank,
+)
 
 
 def first_nonzero(x) -> int:
@@ -187,15 +194,8 @@ def trace_sym_space(n: int, p: int, validate: bool = True) -> list:
             rank = matrix_family_rank(mats, p)
         else:
             rng = np.random.default_rng(0xF0F2)
-            rank = n
-            for _ in range(2000):
-                lam = rng.integers(0, p, size=n)
-                if not lam.any():
-                    continue
-                combo = np.tensordot(lam, np.stack(mats), axes=1) % p
-                from .core import matrix_rank
-
-                rank = min(rank, matrix_rank(combo, p))
+            lams = np.stack([rng.integers(0, p, size=n) for _ in range(2000)])
+            rank = min(n, _least_rank_combo(mats, p, lams[lams.any(axis=1)])[0])
         if rank != n:
             raise RuntimeError(f"trace construction failed rank validation: rank {rank} != {n}")
     return mats

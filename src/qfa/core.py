@@ -107,10 +107,6 @@ class GroupSpec:
         x = self.digits[x_index].astype(np.int64)
         return ((self.digits.astype(np.int64) + x) % self.p) @ self._powers
 
-    def neg_perm(self) -> np.ndarray:
-        """Permutation a with a[s] = index_of(-vector_of(s))."""
-        return ((-self.digits.astype(np.int64)) % self.p) @ self._powers
-
     def sum_index(self, i: int, j: int) -> int:
         return self.index_of(self.digits[i].astype(np.int64) + self.digits[j])
 
@@ -199,33 +195,61 @@ def linear_values(v, spec: GroupSpec) -> np.ndarray:
     return (spec.digits.astype(np.int64) @ v) % spec.p
 
 
-def rref(A, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form of the matrix A over F_p, and its pivot columns.
+def rref(A, p: int):
+    """Reduced row echelon form over F_p of a matrix, or of each matrix in a
+    (B, m, k) stack, with the pivot columns.
 
-    Over a field the RREF is unique, so rank, nullspace, row space and
-    solutions read off it do not depend on the elimination order.
+    A matrix gives (R, pivots) with pivots a list of columns; a stack gives
+    the (B, m, k) stack of forms and a (B, k) boolean pivot mask.  One
+    Gauss-Jordan loop runs over the columns of the whole stack: at column c,
+    each matrix with a nonzero entry at or below its current rank takes the
+    first such row as its pivot, and every such matrix gets one vectorized
+    swap, scale and eliminate.  Over a field the RREF is unique, so rank,
+    nullspace, row space and solutions read off it do not depend on the
+    elimination order.
     """
     R = np.array(A, dtype=np.int64) % p
-    if R.ndim != 2:
-        raise ShapeError(f"expected a matrix, got shape {R.shape}")
-    pivots: list[int] = []
-    for c in range(R.shape[1]):
-        r = len(pivots)
-        if r == R.shape[0]:
-            break
-        nz = np.flatnonzero(R[r:, c])
-        if not nz.size:
+    if R.ndim not in (2, 3):
+        raise ShapeError(f"expected a matrix or a stack of matrices, got shape {R.shape}")
+    S = R if R.ndim == 3 else R[None]
+    B, m, k = S.shape
+    rank = np.zeros(B, dtype=np.int64)
+    pivot = np.zeros((B, k), dtype=bool)
+    below = np.arange(m)[None, :] >= rank[:, None]
+    for c in range(k):
+        cand = below & (S[:, :, c] != 0)
+        b = np.flatnonzero(cand.any(axis=1))
+        if not b.size:
             continue
-        k = r + int(nz[0])
-        if k != r:
-            R[[r, k]] = R[[k, r]]
-        R[r] = R[r] * pow(int(R[r, c]), p - 2, p) % p
-        col = R[:, c].copy()
-        col[r] = 0
-        R -= np.outer(col, R[r])
-        R %= p
-        pivots.append(c)
-    return R, pivots
+        r = rank[b]
+        first = cand[b].argmax(axis=1)
+        lead = S[b, first]
+        S[b, first] = S[b, r]
+        lead = lead * _inverse_mod(lead[:, c], p)[:, None] % p
+        S[b, r] = lead
+        col = S[b, :, c]
+        col[np.arange(b.size), r] = 0
+        S[b] = (S[b] - col[:, :, None] * lead[:, None, :]) % p
+        pivot[b, c] = True
+        rank[b] += 1
+        below[b, r] = False
+        if (rank == m).all():
+            break
+    if R.ndim == 3:
+        return S, pivot
+    return S[0], np.flatnonzero(pivot[0]).tolist()
+
+
+def _inverse_mod(a: np.ndarray, p: int) -> np.ndarray:
+    """Elementwise a^(p-2) mod p: the inverse of each nonzero entry of a."""
+    out, e = np.ones_like(a), p - 2
+    while True:
+        if e & 1:
+            out = out * a % p
+        e >>= 1
+        if not e:
+            return out
+        a = a * a % p
 
 
 def matrix_rank(M: np.ndarray, p: int) -> int:

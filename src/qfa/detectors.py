@@ -1056,16 +1056,6 @@ def affine_embedding_exists(H_pair, G_pair, budget: SearchBudget | None = None):
 # --- good copies in reduced pairs ---
 
 
-def _reduced_cols(red, labels):
-    """Ternary classification over the label space for each left label:
-    2 = dense, 1 = sparse, 0 = error; entry [i][s] classifies label_i + s."""
-    spec = red.label_spec
-    cls = np.zeros(spec.order, dtype=np.int8)
-    cls[red.A1] = 2
-    cls[red.A0] = 1
-    return [cls[spec.add_perm(int(i))] for i in labels]
-
-
 def find_good_copy(red, pattern: str, k: int, side=None, budget: SearchBudget | None = None):
     """Search a reduced pair for a good copy of H(k) or U(k), or a good
     encoding of T(k), with the right side (leaves) inside `side`.

@@ -201,9 +201,6 @@ class QuadraticFactor:
     def complexity(self) -> tuple:
         return (self.linear.complexity, self.q)
 
-    def is_trivial(self) -> bool:
-        return self.ell == 0 and self.q == 0
-
     def quad_columns(self) -> np.ndarray:
         if not self.matrices:
             return np.zeros((self.spec.order, 0), dtype=np.int64)
@@ -305,19 +302,45 @@ def atom_sizes(B) -> dict:
     return out
 
 
-def _nontrivial_combos(q: int, p: int):
-    """Coefficient tuples with first nonzero entry 1 (one per scalar class)."""
-    lam = np.zeros(q, dtype=np.int64)
+def _nontrivial_combos(q: int, p: int) -> np.ndarray:
+    """(count, q) array of coefficient tuples with first nonzero entry 1 (one
+    per scalar class): by leading position, then little-endian in the tail."""
+    blocks = []
     for lead in range(q):
-        lam[:] = 0
-        lam[lead] = 1
         tail = q - lead - 1
-        for rest in range(p**tail):
-            r = rest
-            for j in range(tail):
-                lam[lead + 1 + j] = r % p
-                r //= p
-            yield lam.copy()
+        rest = np.arange(p**tail, dtype=np.int64)
+        lam = np.zeros((rest.size, q), dtype=np.int64)
+        lam[:, lead] = 1
+        for j in range(tail):
+            lam[:, lead + 1 + j] = rest // p**j % p
+        blocks.append(lam)
+    return np.concatenate(blocks) if blocks else np.zeros((0, q), dtype=np.int64)
+
+
+# Combinations ranked per rref call: bounds the stack's temporaries.
+_RANK_BLOCK = 512
+
+
+def _least_rank_combo(mats, p: int, lams=None) -> tuple:
+    """(rank, lam) of the first combination sum_j lam_j M_j of least F_p-rank,
+    over the rows of lams (default: every nontrivial combination, in
+    _nontrivial_combos order).  Each block of combinations is formed by one
+    tensordot and ranked by one stacked rref; the scan stops after the first
+    block that holds a rank-0 combination, since none can be lower."""
+    stack = np.stack([np.asarray(M, dtype=np.int64) % p for M in mats])
+    if lams is None:
+        lams = _nontrivial_combos(len(mats), p)
+    best, best_lam = math.inf, None
+    for start in range(0, len(lams), _RANK_BLOCK):
+        block = lams[start : start + _RANK_BLOCK]
+        _, pivots = rref(np.tensordot(block, stack, axes=1) % p, p)
+        ranks = pivots.sum(axis=1)
+        i = int(ranks.argmin())
+        if ranks[i] < best:
+            best, best_lam = int(ranks[i]), block[i]
+        if best == 0:
+            break
+    return best, best_lam
 
 
 def factor_rank(B) -> float:
@@ -340,14 +363,7 @@ def matrix_family_rank(mats, p: int) -> float:
         return math.inf
     if q > FACTOR_RANK_Q_CAP:
         raise CapacityError(f"factor rank search capped at q <= {FACTOR_RANK_Q_CAP}, got {q}")
-    stack = np.stack([np.asarray(M, dtype=np.int64) % p for M in mats])
-    best = math.inf
-    for lam in _nontrivial_combos(q, p):
-        combo = np.tensordot(lam, stack, axes=1) % p
-        best = min(best, matrix_rank(combo, p))
-        if best == 0:
-            break
-    return best
+    return _least_rank_combo(mats, p)[0]
 
 
 def refines(B1, B2) -> bool:
@@ -391,16 +407,8 @@ def make_high_rank(B: QuadraticFactor, r: RankFunction, C: int) -> QuadraticFact
         c = lf.complexity + len(mats)
         if not mats:
             break
-        target = r(c)
-        worst_rank, worst_lam = math.inf, None
-        for lam in _nontrivial_combos(len(mats), spec.p):
-            combo = np.tensordot(lam, np.stack(mats), axes=1) % spec.p
-            rk = matrix_rank(combo, spec.p)
-            if rk < worst_rank:
-                worst_rank, worst_lam = rk, lam
-                if rk == 0:
-                    break
-        if worst_rank >= target:
+        worst_rank, worst_lam = _least_rank_combo(mats, spec.p)
+        if worst_rank >= r(c):
             break
         combo = np.tensordot(worst_lam, np.stack(mats), axes=1) % spec.p
         drop = max(j for j in range(len(mats)) if worst_lam[j] != 0)
@@ -494,14 +502,7 @@ def pullback_factor(B: QuadraticFactor, R: LinearFactor, verify: bool = True):
             pairs = []
             break
         if math.isfinite(rho):
-            worst_rank, worst_lam = math.inf, None
-            for lam in _nontrivial_combos(len(pairs), p):
-                combo = np.tensordot(lam, np.stack(mats), axes=1) % p
-                rk = matrix_rank(combo, p)
-                if rk < worst_rank:
-                    worst_rank, worst_lam = rk, lam
-                    if rk == 0:
-                        break
+            worst_rank, worst_lam = _least_rank_combo(mats, p)
             if worst_rank >= rho:
                 break
             combo = np.tensordot(worst_lam, np.stack(mats), axes=1) % p
@@ -570,17 +571,25 @@ def write_factor(B, path: str) -> None:
 
 
 def read_factor(path: str):
+    """Read write_factor's format; a malformed or short file is a ValueError
+    naming the file and the line."""
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    p, n, ell, q = (int(t) for t in lines[0].split())
+        lines = [(no, ln.strip()) for no, ln in enumerate(fh, start=1) if ln.strip()]
+    end = lines[-1][0] + 1 if lines else 1
+    if not lines or len(lines[0][1].split()) != 4:
+        raise ValueError(f"{path}:{lines[0][0] if lines else 1}: expected header 'p n ell q'")
+    p, n, ell, q = (int(t) for t in lines[0][1].split())
     spec = GroupSpec(p, n)
     pos = 1
 
     def take_vector():
         nonlocal pos
-        row = [int(ch) for ch in lines[pos]]
+        if pos == len(lines):
+            raise ValueError(f"{path}:{end}: file ends before the rows its header 'p n ell q' promises")
+        lineno, text = lines[pos]
+        row = [int(ch) for ch in text]
         if len(row) != n:
-            raise ValueError(f"{path}: expected {n} digits at line {pos + 1}")
+            raise ValueError(f"{path}:{lineno}: expected {n} digits")
         pos += 1
         return np.array(row, dtype=np.int64)
 

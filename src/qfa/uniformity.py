@@ -181,15 +181,32 @@ class SumGraph2:
 
     def matrix(self, X_idx, Y_idx) -> np.ndarray:
         """Dense edge matrix over index lists X, Y."""
-        spec = self.spec
-        dX = spec.digits[np.asarray(X_idx)].astype(np.int64)
-        dY = spec.digits[np.asarray(Y_idx)].astype(np.int64)
-        out = np.zeros((len(dX), len(dY)), dtype=bool)
-        block = max(1, (1 << 22) // max(1, len(dY)))
-        for s in range(0, len(dX), block):
-            idx = ((dX[s : s + block, None, :] + dY[None, :, :]) % spec.p) @ spec._powers
-            out[s : s + block] = self.A.indicator[idx]
+        X = np.asarray(X_idx, dtype=np.int64)
+        Y = np.asarray(Y_idx, dtype=np.int64)
+        out = np.empty((len(X), len(Y)), dtype=bool)
+        block = max(1, (1 << 22) // max(1, len(Y)))
+        for s in range(0, len(X), block):
+            out[s : s + block] = self.A.indicator[_sum_index_grid(self.spec, X[s : s + block], Y)]
         return out
+
+
+def _sum_index_grid(spec: GroupSpec, X, Y) -> np.ndarray:
+    """Index of x + y for every x in X and y in Y, of shape X.shape + Y.shape.
+
+    With k = n // 2 and Q = p^k, write x = (x_top * Q + x_hi) * Q + x_lo:
+    x_hi and x_lo are halves of k coordinates, whose sums are read through
+    the addition table of F_p^k (at most N entries), and x_top is the last
+    coordinate when n is odd, read through the p x p table of F_p.  Table
+    rows are gathered for X first, so X should be the smaller argument."""
+    p, k = spec.p, spec.n // 2
+    Q = p**k
+    table = addition_table(p, k)
+    Xt, Xh, Xl = X // (Q * Q), X // Q % Q, X % Q
+    Yt, Yh, Yl = Y // (Q * Q), Y // Q % Q, Y % Q
+    out = table[Xh][..., Yh] * Q + table[Xl][..., Yl]
+    if spec.n % 2:
+        out += (addition_table(p, 1) * (Q * Q))[Xt][..., Yt]
+    return out
 
 
 class SumGraph3:
@@ -207,14 +224,6 @@ class SumGraph3:
         """Edge matrix over X x Y for a fixed third coordinate."""
         shifted = GroupSubset(self.spec, self.A.indicator[self.spec.add_perm(z_index)])
         return SumGraph2(shifted).matrix(X_idx, Y_idx)
-
-
-def sum_graph2(A: GroupSubset) -> SumGraph2:
-    return SumGraph2(A)
-
-
-def sum_graph3(A: GroupSubset) -> SumGraph3:
-    return SumGraph3(A)
 
 
 # --- triads ---
@@ -292,14 +301,17 @@ def sigma(d: TriadDescriptor) -> AtomLabel:
 
 
 def _bilin_matrix(factor, X_idx, Y_idx) -> np.ndarray:
-    """(q, |X|, |Y|) stack of bilinear values x^T M y over the parts."""
+    """(q, |X|, |Y|) stack of bilinear values x^T M y mod p over the parts.
+
+    The products run in float64 BLAS, reduced mod p after the first one; this
+    is exact because every partial sum is at most n (p-1)^2 < 2^53."""
     spec = factor.spec
-    dX = spec.digits[np.asarray(X_idx)].astype(np.int64)
-    dY = spec.digits[np.asarray(Y_idx)].astype(np.int64)
-    vals = []
-    for M in factor.matrices:
-        vals.append(((dX @ (M % spec.p)) @ dY.T) % spec.p)
-    return np.stack(vals) if vals else np.zeros((0, len(dX), len(dY)), dtype=np.int64)
+    dX = spec.digits[np.asarray(X_idx, dtype=np.int64)].astype(np.float64)
+    dY = spec.digits[np.asarray(Y_idx, dtype=np.int64)].astype(np.float64)
+    if not factor.matrices:
+        return np.zeros((0, len(dX), len(dY)), dtype=np.int64)
+    Ms = np.stack(factor.matrices).astype(np.float64)
+    return (((dX @ Ms) % spec.p) @ dY.T).astype(np.int64) % spec.p
 
 
 def beta_graph(factor, X_idx, Y_idx, b_label) -> np.ndarray:
@@ -484,14 +496,15 @@ def dev23_measure(A: GroupSubset, d: TriadDescriptor, max_part: int = 256) -> De
 
 
 def _sum_membership_tensor(A: GroupSubset, X_idx, Y_idx, Z_idx) -> np.ndarray:
-    spec = A.spec
-    dX = spec.digits[np.asarray(X_idx)].astype(np.int64)
-    dY = spec.digits[np.asarray(Y_idx)].astype(np.int64)
-    dZ = spec.digits[np.asarray(Z_idx)].astype(np.int64)
-    out = np.zeros((len(dX), len(dY), len(dZ)), dtype=bool)
-    for k, z in enumerate(dZ):
-        idx = ((dX[:, None, :] + dY[None, :, :] + z) % spec.p) @ spec._powers
-        out[:, :, k] = A.indicator[idx]
+    """(|X|, |Y|, |Z|) membership of x + y + z in A."""
+    X = np.asarray(X_idx, dtype=np.int64)
+    XY = _sum_index_grid(A.spec, X, np.asarray(Y_idx, dtype=np.int64))
+    Z = np.asarray(Z_idx, dtype=np.int64)
+    out = np.empty(XY.shape + Z.shape, dtype=bool)
+    block = max(1, (1 << 22) // max(1, XY.size))
+    for s in range(0, len(Z), block):
+        idx = _sum_index_grid(A.spec, Z[s : s + block], XY)
+        out[:, :, s : s + block] = A.indicator[idx].transpose(1, 2, 0)
     return out
 
 

@@ -119,6 +119,15 @@ def test_cli_bad_formula_exit_2(tmp_path, capsys):
         assert err.startswith("qfa: error: unsupported") and "Traceback" not in err
 
 
+def test_cli_short_factor_file_exit_2(tmp_path, capsys):
+    for name, text in (("empty.txt", ""), ("header.txt", "3 2 1 0\n")):
+        ffile = tmp_path / name
+        ffile.write_text(text)
+        assert main(["factor", "rank", "--factor", str(ffile)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"qfa: error: {ffile}:") and "Traceback" not in err
+
+
 def test_cli_concurrent_jobs_match_serial():
     r1 = run_suite("quadric", jobs=1)
     r2 = run_suite("quadric", jobs=4)

@@ -202,6 +202,31 @@ def test_rref_properties(case):
     assert matrix_rank(null, p) + k == A.shape[1]
 
 
+stacks_mod_p = st.tuples(
+    st.sampled_from([3, 5]), st.integers(1, 6), st.integers(1, 8), st.integers(1, 8)
+).flatmap(lambda t: st.tuples(st.just(t[0]), arrays(np.int64, t[1:], elements=st.integers(0, t[0] - 1))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(stacks_mod_p)
+def test_rref_stack_matches_slices(case):
+    p, A = case
+    R, pivot = rref(A, p)
+    assert R.shape == A.shape and pivot.shape == (A.shape[0], A.shape[2])
+    assert pivot.dtype == bool
+    for i in range(A.shape[0]):
+        Ri, pivots_i = rref(A[i], p)
+        assert np.array_equal(R[i], Ri)
+        assert np.flatnonzero(pivot[i]).tolist() == pivots_i
+
+
+def test_rref_rejects_other_ranks():
+    with pytest.raises(ShapeError):
+        rref(np.zeros(3, dtype=np.int64), 3)
+    with pytest.raises(ShapeError):
+        rref(np.zeros((2, 2, 2, 2), dtype=np.int64), 3)
+
+
 def test_group_bits_env_override(monkeypatch):
     monkeypatch.setenv("QFA_MAX_GROUP_BITS", "8")
     with pytest.raises(CapacityError):

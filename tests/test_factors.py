@@ -27,6 +27,7 @@ from qfa.factors import (
     same_partition,
     write_factor,
 )
+from qfa.factors import _nontrivial_combos
 
 RNG = np.random.default_rng(0xF0F2)
 
@@ -123,6 +124,109 @@ def test_make_high_rank_examples():
     assert out.q == 0
     assert out.linear.complexity <= 1
     assert refines(out, low)
+
+
+def naive_combos(q, p):
+    """Every coefficient tuple whose first nonzero entry is 1, in the order
+    leading position first, then the tail little-endian."""
+    out = []
+    for lead in range(q):
+        tail = q - lead - 1
+        for rest in range(p**tail):
+            lam = [0] * q
+            lam[lead] = 1
+            for j in range(tail):
+                lam[lead + 1 + j] = rest // p**j % p
+            out.append(lam)
+    return out
+
+
+def naive_rref(M, p):
+    """(rows of the reduced row echelon form, rank) over F_p, on Python lists."""
+    rows = [[int(v) % p for v in row] for row in M]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][c], p - 2, p)
+        rows[rank] = [v * inv % p for v in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][c]:
+                f = rows[r][c]
+                rows[r] = [(a - f * b) % p for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rows, rank
+
+
+def naive_worst_combo(mats, p):
+    """(rank, lam) of the first combination of least rank, one at a time."""
+    best, best_lam = math.inf, None
+    for lam in naive_combos(len(mats), p):
+        combo = sum(c * np.asarray(M, dtype=np.int64) for c, M in zip(lam, mats)) % p
+        rk = naive_rref(combo, p)[1]
+        if rk < best:
+            best, best_lam = rk, lam
+    return best, best_lam
+
+
+def random_family(rng, p):
+    n, q = int(rng.integers(2, 6)), int(rng.integers(1, 5))
+    mats = []
+    for _ in range(q):
+        V = rng.integers(0, p, size=(int(rng.integers(0, n + 1)), n))
+        mats.append((V.T * rng.integers(1, p, size=len(V))) @ V % p)
+    if q > 1 and rng.random() < 0.4:
+        mats[-1] = (int(rng.integers(0, p)) * mats[0] + int(rng.integers(0, p)) * mats[1]) % p
+    return n, mats
+
+
+def test_matrix_family_rank_matches_naive_oracle():
+    for q in range(5):
+        for p in (3, 5):
+            assert _nontrivial_combos(q, p).tolist() == naive_combos(q, p)
+    rng = np.random.default_rng(7)
+    for trial in range(120):
+        p = (3, 5)[trial % 2]
+        _, mats = random_family(rng, p)
+        assert matrix_family_rank(mats, p) == naive_worst_combo(mats, p)[0]
+
+
+def naive_make_high_rank(B, r):
+    """make_high_rank's repair loop, with the worst combination found by the
+    one-at-a-time oracle and the row space read off the list RREF."""
+    p = B.spec.p
+    lin, mats = list(B.linear.vectors), list(B.matrices)
+    while mats:
+        c = (naive_rref(lin, p)[1] if lin else 0) + len(mats)
+        worst, lam = naive_worst_combo(mats, p)
+        if worst >= r(c):
+            break
+        combo = sum(x * M for x, M in zip(lam, mats)) % p
+        del mats[max(j for j in range(len(mats)) if lam[j])]
+        rows, rank = naive_rref(combo, p)
+        lin.extend(np.array(row, dtype=np.int64) for row in rows[:rank])
+    return lin, mats
+
+
+def test_make_high_rank_matches_naive_worst_combination():
+    rng = np.random.default_rng(11)
+    repaired = 0
+    for trial in range(150):
+        p = (3, 5)[trial % 2]
+        n, mats = random_family(rng, p)
+        sp = GroupSpec(p, n)
+        lin = [rng.integers(0, p, size=n) for _ in range(int(rng.integers(0, 2)))]
+        B = QuadraticFactor(sp, lin, mats)
+        r = RankFunction(("x", "x + 1", "2*x")[trial % 3])
+        want_lin, want_mats = naive_make_high_rank(B, r)
+        got = make_high_rank(B, r, 20)
+        assert len(got.linear.vectors) == len(want_lin) and got.q == len(want_mats)
+        assert all(np.array_equal(a, b) for a, b in zip(got.linear.vectors, want_lin))
+        assert all(np.array_equal(a, b) for a, b in zip(got.matrices, want_mats))
+        repaired += got.q < B.q
+    assert repaired > 30
 
 
 def test_make_high_rank_fuzz():

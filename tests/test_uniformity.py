@@ -125,6 +125,28 @@ def test_sum_graphs():
     assert full.slab(idx, idx, 0).all()
 
 
+def test_sum_graph_kernels_match_digit_arithmetic():
+    # odd and even n, so both the split halves and the odd coordinate are read
+    from qfa.uniformity import _bilin_matrix, _sum_membership_tensor
+
+    for p, nmax in ((3, 7), (5, 4), (7, 3)):
+        for n in range(1, nmax + 1):
+            sp = GroupSpec(p, n)
+            A = GroupSubset(sp, RNG.random(sp.order) < 0.5)
+            X, Y, Z = (RNG.integers(0, sp.order, size=k) for k in (9, 11, 5))
+            D = sp.digits.astype(np.int64)
+            add = lambda *idx: sp.indices_of(sum(D[i] for i in idx))
+            want = np.array([[A.indicator[add(x, y)] for y in Y] for x in X])
+            assert np.array_equal(SumGraph2(A).matrix(X, Y), want)
+            want3 = np.array([[[A.indicator[add(x, y, z)] for z in Z] for y in Y] for x in X])
+            assert np.array_equal(_sum_membership_tensor(A, X, Y, Z), want3)
+            M = (lambda m: (m + m.T) % p)(RNG.integers(0, p, size=(n, n)))
+            F = QuadraticFactor(sp, [], [M])
+            want_b = np.array([[D[x] @ M @ D[y] % p for y in Y] for x in X])
+            got = _bilin_matrix(F, X, Y)
+            assert got.dtype == np.int64 and np.array_equal(got[0], want_b)
+
+
 def test_sum_graph_density_transfer_linear():
     # density of the pair graph on (H+g1) x (H+g2) equals the density of A
     # on H + g1 + g2, exactly
