@@ -78,11 +78,13 @@ class GroupSpec:
 
     @property
     def digits(self) -> np.ndarray:
-        """(order, n) table: row i holds the coordinates of the vector with index i."""
+        """(order, n) table: row i holds the coordinates of the vector with
+        index i, in the smallest signed dtype that holds p - 1 (int8 for
+        p <= 127)."""
         if self._digits is None:
             idx = np.arange(self.order, dtype=np.int64)
             cols = [(idx // self._powers[i]) % self.p for i in range(self.n)]
-            self._digits = np.stack(cols, axis=1).astype(np.int8)
+            self._digits = np.stack(cols, axis=1).astype(np.min_scalar_type(1 - self.p))
             self._digits.setflags(write=False)
         return self._digits
 
@@ -141,6 +143,25 @@ def addition_table(p: int, m: int) -> np.ndarray:
         k = len(table)
         table = (p * table[:, None, :, None] + digit[None, :, None, :]).reshape(k * p, k * p)
     return table
+
+
+def _sum_index_grid(spec: GroupSpec, X, Y) -> np.ndarray:
+    """Index of x + y for every x in X and y in Y, of shape X.shape + Y.shape.
+
+    With k = n // 2 and Q = p^k, write x = (x_top * Q + x_hi) * Q + x_lo:
+    x_hi and x_lo are halves of k coordinates, whose sums are read through
+    the addition table of F_p^k (at most N entries), and x_top is the last
+    coordinate when n is odd, read through the p x p table of F_p.  Table
+    rows are gathered for X first, so X should be the smaller argument."""
+    p, k = spec.p, spec.n // 2
+    Q = p**k
+    table = addition_table(p, k)
+    Xt, Xh, Xl = X // (Q * Q), X // Q % Q, X % Q
+    Yt, Yh, Yl = Y // (Q * Q), Y // Q % Q, Y % Q
+    out = table[Xh][..., Yh] * Q + table[Xl][..., Yl]
+    if spec.n % 2:
+        out += (addition_table(p, 1) * (Q * Q))[Xt][..., Yt]
+    return out
 
 
 def index_of(v, spec: GroupSpec) -> int:

@@ -10,6 +10,14 @@ search here enumerates one side of a configuration and matches the other side
 against precomputed level sets of the required column patterns.  Searches pin
 the first element of each translatable role at 0; a NONE verdict is reported
 only when the pruned search provably covered the whole space.
+
+find_fop2, vc2_dim and cap2_check share one grid kernel: a block of translate
+tuples reads all of its patterns A[a + b_i + c_j] from GroupSpec.sum_table()
+(or _sum_index_grid in groups too large for it) in a few gathers.  Its first
+hit in lexicographic order is the one a tuple-at-a-time loop would find, so the
+witness is that loop's, and SearchBudget.charge bills the block exactly as the
+loop's ticks would, also when node_limit falls inside it.  Blocks hold about
+2^22 entries, and the clock is read once per block.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ import time
 
 import numpy as np
 
-from .core import GroupSpec, GroupSubset, addition_table
+from .core import GroupSpec, GroupSubset, _sum_index_grid
 
 NONE = "none"
 FOUND = "witness"
@@ -57,6 +65,18 @@ class SearchBudget:
             if time.monotonic() > self._deadline:
                 return False
         return True
+
+    def charge(self, per: int, count: int, hit: int | None = None) -> bool:
+        """Charge `count` tuples of `per` nodes as tick(per) per tuple up to
+        tuple `hit` would: per * (hit + 1) for a hit, else per * count.  When
+        node_limit falls inside the block, charge per * (room + 1), up to the
+        tick that would have failed, and return False."""
+        room = max(0, (self.node_limit - self.nodes) // per)
+        used = count if hit is None else hit + 1
+        if used > room:
+            self.nodes += per * (room + 1)
+            return False
+        return self.tick(per * used)
 
     def exhausted(self) -> bool:
         return self.nodes > self.node_limit or time.monotonic() > self._deadline
@@ -435,6 +455,81 @@ def hop2_witness_from_reindexed(A: GroupSubset, xs, ys, zs, k: int) -> Witness:
     return w
 
 
+_BLOCK = 1 << 22  # entries per block of the translate-grid kernel
+
+
+class _Grid:
+    """add(x, y): index of x + y for a (P, 1) column x and a (1, m) row or
+    (P, 1) column y; rows(s)[..., a] = A[s + a].  Both read sum_table(), via
+    look[c, a] = A[a + c], when the group has one, else _sum_index_grid; a
+    group without the table has N^2 > _BLOCK, so its blocks hold P = 1."""
+
+    def __init__(self, A: GroupSubset):
+        self.spec, self.ind, self.N = A.spec, A.indicator, A.spec.order
+        self.tab = A.spec.sum_table()
+        self.look = None if self.tab is None else self.ind[self.tab]
+        self.all = np.arange(self.N)
+
+    def add(self, x, y):
+        if self.tab is not None:
+            return self.tab[x, y]
+        return _sum_index_grid(self.spec, x[:, 0], y[0])
+
+    def sums(self, v: int) -> np.ndarray:  # index of v + s for every s
+        return self.add(np.array([[v]]), self.all[None, :])[0]
+
+    def rows(self, s):
+        if self.look is not None:
+            return self.look[s]
+        return self.ind[_sum_index_grid(self.spec, s.ravel(), self.all)].reshape(*s.shape, self.N)
+
+
+def _grid_blocks(N: int, r: int, width: int):
+    """itertools.product(range(N), repeat=r) in blocks (pre, last): each row
+    of `pre` followed by each value in `last`, in lexicographic order.  Blocks
+    double from one prefix up to about _BLOCK / width tuples, so an early hit
+    stays cheap.  For r = 0 the empty tuple gets a placeholder last = [0]."""
+    most, n_last = max(1, _BLOCK // width), N if r else 1
+    prefixes = itertools.product(range(N), repeat=max(r - 1, 0))
+    g = 1
+    while chunk := list(itertools.islice(prefixes, g)):
+        pre = np.array(chunk, dtype=np.int64).reshape(len(chunk), max(r - 1, 0))
+        for s in range(0, n_last, most):
+            yield pre, np.arange(s, min(s + most, n_last))
+        g = min(2 * g, max(1, most // N))
+
+
+def _grid_search(A: GroupSubset, k: int, codes, per: int, budget: SearchBudget):
+    """First tuple (b_2..b_k, c_2..c_k), in lexicographic order, whose pattern
+    row pats[a] = sum_{i,j} A[a + b_i + c_j] << (i*k + j), with b_1 = c_1 = 0,
+    contains every code.  Returns (over, hit) with hit = (bs, cs, pats) or
+    None.  Each tuple costs `per` nodes, charged once per block."""
+    grid = _Grid(A)
+    N, K = grid.N, 1 << (k * k)
+    dtype = np.min_scalar_type(K - 1)
+    zero = np.zeros((1, 1), dtype=np.int64)
+    for pre, last in _grid_blocks(N, 2 * k - 2, max(N, K)):
+        # pats[prefix, last, a]: b_i and c_j are (P, 1) columns, c_k a (1, m) row
+        b = [zero] + [pre[:, [t]] for t in range(k - 1)]
+        c = [zero] + [pre[:, [t]] for t in range(k - 1, 2 * k - 3)] + [last[None, :]] * (k > 1)
+        pats = np.zeros((len(pre), len(last), N), dtype=dtype)
+        for i, j in itertools.product(range(k), repeat=2):
+            s = grid.add(b[i], c[j]) if i and j else (c[j] if j else b[i])
+            pats |= grid.rows(s).astype(dtype) << (i * k + j)
+        pats = pats.reshape(-1, N)
+        present = np.zeros((len(pats), K), dtype=bool)
+        present[np.arange(len(pats))[:, None], pats] = True
+        ok = present[:, codes].all(axis=1)
+        hit = int(ok.argmax()) if ok.any() else None
+        if not budget.charge(per, len(ok), hit):
+            return True, None
+        if hit is not None:
+            m = len(last)
+            rest = (pre[hit // m].tolist() + [int(last[hit % m])])[: 2 * k - 2]
+            return False, ((0, *rest[: k - 1]), (0, *rest[k - 1 :]), pats[hit])
+    return False, None
+
+
 def find_fop2(A: GroupSubset, k: int, budget: SearchBudget | None = None) -> DetectResult:
     """Search for the k-functional order property.
 
@@ -447,66 +542,28 @@ def find_fop2(A: GroupSubset, k: int, budget: SearchBudget | None = None) -> Det
     budget = (budget or SearchBudget()).start()
     if k > 2 and spec.order ** (2 * (k - 1)) > budget.node_limit:
         return DetectResult(BOUND_ONLY, nodes=0)
-    shifts = _Shifts(A)
     N = spec.order
-    targets = []
-    for mbar in itertools.product(range(1, k + 1), repeat=k):
-        pat = 0
-        bit = 0
-        for i in range(k):
-            for kk in range(1, k + 1):
-                if kk <= mbar[i]:
-                    pat |= 1 << bit
-                bit += 1
-        targets.append((mbar, pat))
-
-    over = [False]
-    for rest in itertools.product(range(N), repeat=2 * k - 2):
-        if not budget.tick():
-            over[0] = True
-            break
-        xs = (0,) + rest[: k - 1]
-        zs = (0,) + rest[k - 1 :]
-        pats = np.zeros(N, dtype=np.int64)
-        bit = 0
-        ok = True
-        for i in range(k):
-            for kk in range(k):
-                s = spec.sum_index(xs[i], zs[kk])
-                pats |= shifts(s).astype(np.int64) << bit
-                bit += 1
-        realizer = {}
-        for mbar, pat in targets:
-            hit = np.nonzero(pats == pat)[0]
-            if hit.size == 0:
-                ok = False
-                break
-            realizer[mbar] = int(hit[0])
-        if not ok:
-            continue
-        yfam = {}
-        for f_vals in itertools.product(range(1, k + 1), repeat=k * k):
-            f = dict(zip(itertools.product(range(1, k + 1), repeat=2), f_vals))
-            ys = []
-            for j in range(1, k + 1):
-                mbar = tuple(f[(i, j)] for i in range(1, k + 1))
-                ys.append(spec.vector_of(realizer[mbar]))
-            yfam[f_vals] = ys
-        w = Witness(
-            "FOP2",
-            A,
-            {
-                "x": [spec.vector_of(i) for i in xs],
-                "z": [spec.vector_of(i) for i in zs],
-                "y": yfam,
-            },
-            k=k,
-        )
-        _check_witness(w)
-        return DetectResult(FOUND, w, budget.nodes)
-    if over[0]:
-        return DetectResult(BOUND_ONLY, nodes=budget.nodes)
-    return DetectResult(NONE, nodes=budget.nodes)
+    targets = {
+        mbar: sum(1 << (i * k + kk) for i in range(k) for kk in range(mbar[i]))
+        for mbar in itertools.product(range(1, k + 1), repeat=k)
+    }
+    if len(targets) > N:
+        # k^k distinct columns need k^k distinct y: every tuple fails
+        over = not budget.charge(1, N ** (2 * k - 2))
+        return DetectResult(BOUND_ONLY if over else NONE, nodes=budget.nodes)
+    over, hit = _grid_search(A, k, list(targets.values()), 1, budget)
+    if hit is None:
+        return DetectResult(BOUND_ONLY if over else NONE, nodes=budget.nodes)
+    xs, zs, pats = hit
+    realizer = {mbar: spec.vector_of(int(np.argmax(pats == pat))) for mbar, pat in targets.items()}
+    yfam = {}
+    for f_vals in itertools.product(range(1, k + 1), repeat=k * k):
+        # f_vals lists f(i, j) row by row, so slot j + 1 needs the column f_vals[j::k]
+        yfam[f_vals] = [realizer[f_vals[j::k]] for j in range(k)]
+    roles = {"x": [spec.vector_of(i) for i in xs], "z": [spec.vector_of(i) for i in zs], "y": yfam}
+    w = Witness("FOP2", A, roles, k=k)
+    _check_witness(w)
+    return DetectResult(FOUND, w, budget.nodes)
 
 
 def _bitmask_columns(A: GroupSubset):
@@ -604,57 +661,24 @@ def vc2_dim(A: GroupSubset, kmax: int, budget: SearchBudget | None = None):
     size = len(A)
     if size == 0 or size == N:
         return 0, None, FOUND
-    shifts = _Shifts(A)
-
     best_k, best_witness = 0, None
     for k in range(1, kmax + 1):
         if 2 ** (k * k) > N:
             return best_k, best_witness, FOUND
-        found = None
-        over = False
         # b_1 = c_1 = 0 by the two translation symmetries
-        for rest in itertools.product(range(N), repeat=2 * (k - 1)):
-            if not budget.tick(4):
-                over = True
-                break
-            bs = (0,) + rest[: k - 1]
-            cs = (0,) + rest[k - 1 :]
-            pats = np.zeros(N, dtype=np.int64)
-            bit = 0
-            for i in range(k):
-                for j in range(k):
-                    s = spec.sum_index(bs[i], cs[j])
-                    pats |= shifts(s).astype(np.int64) << bit
-                    bit += 1
-            present = np.unique(pats)
-            if present.size == 2 ** (k * k):
-                found = (bs, cs, pats)
-                break
+        over, hit = _grid_search(A, k, np.arange(2 ** (k * k)), 4, budget)
         if over:
             return best_k, best_witness, BOUND_ONLY
-        if found is None:
+        if hit is None:
             return best_k, best_witness, FOUND
-        bs, cs, pats = found
-        aS = {}
-        for bits in range(2 ** (k * k)):
-            S = frozenset(
-                (i + 1, j + 1)
-                for i in range(k)
-                for j in range(k)
-                if bits >> (i * k + j) & 1
-            )
-            aS[S] = spec.vector_of(int(np.nonzero(pats == bits)[0][0]))
-        best_k = k
-        best_witness = Witness(
-            "VC2",
-            A,
-            {
-                "b": [spec.vector_of(i) for i in bs],
-                "c": [spec.vector_of(i) for i in cs],
-                "a": aS,
-            },
-            k=k,
-        )
+        bs, cs, pats = hit
+        aS = {
+            frozenset((t // k + 1, t % k + 1) for t in range(k * k) if bits >> t & 1):
+            spec.vector_of(int(np.argmax(pats == bits)))
+            for bits in range(2 ** (k * k))
+        }
+        roles = {"b": [spec.vector_of(i) for i in bs], "c": [spec.vector_of(i) for i in cs], "a": aS}
+        best_k, best_witness = k, Witness("VC2", A, roles, k=k)
         _check_witness(best_witness)
     return best_k, best_witness, FOUND
 
@@ -663,61 +687,37 @@ def cap2_check(A: GroupSubset, budget: SearchBudget | None = None):
     """True iff every cube with seven corner sums in A has the eighth in A.
 
     Returns (verdict, cube_witness_or_None, status).  The search enumerates
-    base corner x and offsets a, b, c; the corners are x + e1*a + e2*b + e3*c.
+    offsets a, b (N nodes per pair), then corner x and offset c; the corners
+    are x + e1*a + e2*b + e3*c.  With D = A & (A - a) and E = A & ~(A - a),
+    the (x, c) grid of (a, b) is D[x] & D[x+b] & D[y] & E[y+b] at y = x + c,
+    nonempty iff both factors are, so a block tests b's against all y in D.
     """
     spec = A.spec
     budget = (budget or SearchBudget()).start()
     N = spec.order
-    ind = A.indicator
-    shifts = _Shifts(A)
-    sum_tab = look = None
-    if N <= 4096:
-        sum_tab = addition_table(spec.p, spec.n)
-        look = ind[sum_tab]  # look[x, c] = A[x + c]
+    grid = _Grid(A)
     for a in range(N):
-        arr_a = shifts(a)
-        for b in range(N):
-            if not budget.tick(N):
+        shifted = grid.ind[grid.sums(a)]
+        D, E = grid.ind & shifted, grid.ind & ~shifted
+        ys = np.flatnonzero(D)[None, :]
+        step = max(1, _BLOCK // max(1, ys.size))
+        for b0 in range(0, N, step):
+            bs = np.arange(b0, min(b0 + step, N))
+            hit = None
+            if ys.size and E.any():
+                s = grid.add(bs[:, None], ys)
+                ok = D[s].any(axis=1) & E[s].any(axis=1)
+                hit = int(ok.argmax()) if ok.any() else None
+            if not budget.charge(N, len(bs), hit):
                 return True, None, BOUND_ONLY
-            arr_b = shifts(b)
-            ab = spec.sum_index(a, b)
-            base = ind & arr_a & arr_b & shifts(ab)
-            if not base.any():
-                continue
-            if look is not None:
-                grid = (
-                    base[:, None]
-                    & look
-                    & look[sum_tab[a]]
-                    & look[sum_tab[b]]
-                    & ~look[sum_tab[ab]]
-                )
-                hits = np.argwhere(grid)
-            else:
-                hits = []
-                for c in range(N):
-                    bad = (
-                        base
-                        & shifts(c)
-                        & shifts(spec.sum_index(a, c))
-                        & shifts(spec.sum_index(b, c))
-                        & ~shifts(spec.sum_index(ab, c))
-                    )
-                    if bad.any():
-                        hits = [(int(np.nonzero(bad)[0][0]), c)]
-                        break
-            if len(hits):
-                x, c = int(hits[0][0]), int(hits[0][1])
-                zero = np.zeros(spec.n, dtype=np.int64)
-                w = Witness(
-                    "CUBE",
-                    A,
-                    {
-                        "x": [spec.vector_of(x), spec.vector_of(spec.sum_index(x, a))],
-                        "y": [zero, spec.vector_of(b)],
-                        "z": [zero.copy(), spec.vector_of(c)],
-                    },
-                )
+            if hit is not None:
+                # the first (x, c) of the grid in row-major order
+                b = b0 + hit
+                x = int(np.argmax(D & D[grid.sums(b)]))
+                c = int(np.argmax((D & E[grid.sums(b)])[grid.sums(x)]))
+                zero, vec = np.zeros(spec.n, dtype=np.int64), spec.vector_of
+                corners = {"x": [vec(x), vec(int(grid.sums(x)[a]))], "y": [zero, vec(b)]}
+                w = Witness("CUBE", A, {**corners, "z": [zero.copy(), vec(c)]})
                 _check_witness(w)
                 return False, w, FOUND
     return True, None, FOUND

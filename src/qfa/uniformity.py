@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import CapacityError, GroupSpec, GroupSubset, ShapeError, addition_table, dft
+from .core import (
+    CapacityError, GroupSpec, GroupSubset, ShapeError, _sum_index_grid, addition_table, dft,
+)
 from .factors import AtomLabel, atom_members, label_index_table
 
 
@@ -188,25 +190,6 @@ class SumGraph2:
         for s in range(0, len(X), block):
             out[s : s + block] = self.A.indicator[_sum_index_grid(self.spec, X[s : s + block], Y)]
         return out
-
-
-def _sum_index_grid(spec: GroupSpec, X, Y) -> np.ndarray:
-    """Index of x + y for every x in X and y in Y, of shape X.shape + Y.shape.
-
-    With k = n // 2 and Q = p^k, write x = (x_top * Q + x_hi) * Q + x_lo:
-    x_hi and x_lo are halves of k coordinates, whose sums are read through
-    the addition table of F_p^k (at most N entries), and x_top is the last
-    coordinate when n is odd, read through the p x p table of F_p.  Table
-    rows are gathered for X first, so X should be the smaller argument."""
-    p, k = spec.p, spec.n // 2
-    Q = p**k
-    table = addition_table(p, k)
-    Xt, Xh, Xl = X // (Q * Q), X // Q % Q, X % Q
-    Yt, Yh, Yl = Y // (Q * Q), Y // Q % Q, Y % Q
-    out = table[Xh][..., Yh] * Q + table[Xl][..., Yl]
-    if spec.n % 2:
-        out += (addition_table(p, 1) * (Q * Q))[Xt][..., Yt]
-    return out
 
 
 class SumGraph3:

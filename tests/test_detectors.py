@@ -1,7 +1,11 @@
+import hashlib
+import json
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfa.core import GroupSpec, GroupSubset
 from qfa.constructions import gs, quadric, trace_sym_space, union_of_cosets
@@ -202,6 +206,108 @@ def test_cap2_time_limit_stops_stride_ticks():
     ok, cube, st = cap2_check(A, SearchBudget(time_limit=1.0))
     assert st == BOUND_ONLY and cube is None
     assert time.monotonic() - start < 10.0
+
+
+def test_cap2_time_limit_at_large_n():
+    # the grid kernel reads the clock once per block of about 2^22 entries
+    A = quadric(8, 3)
+    for budget in (SearchBudget(time_limit=1.0), SearchBudget(node_limit=10**15, time_limit=1.0)):
+        start = time.monotonic()
+        _, cube, status = cap2_check(A, budget)
+        assert status == BOUND_ONLY and cube is None
+        assert time.monotonic() - start < 3.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 200), st.integers(1, 9), st.integers(0, 40), st.data())
+def test_search_budget_charge_matches_tick_loop(limit, per, count, data):
+    # a search stops at its first failed charge, so a block starts within the limit
+    start = data.draw(st.integers(0, limit))
+    hit = data.draw(st.one_of(st.none(), st.integers(0, count - 1))) if count else None
+    block, loop = SearchBudget(node_limit=limit).start(), SearchBudget(node_limit=limit).start()
+    block.nodes = loop.nodes = start
+    ok = True
+    for t in range(count if hit is None else hit + 1):
+        if not loop.tick(per):
+            ok = False
+            break
+    assert block.charge(per, count, hit) == ok
+    assert block.nodes == loop.nodes
+
+
+def test_grid_searches_charge_nodes_like_scalar_loops():
+    # node counts of a loop that ticks once per tuple, measured before the grid kernel
+    res = find_fop2(quadric(3, 3), 2, SearchBudget(node_limit=100))
+    assert (res.status, res.nodes) == (BOUND_ONLY, 101)
+    res = find_fop2(quadric(3, 3), 2)
+    assert (res.status, res.nodes) == (NONE, 729)
+    q43 = quadric(4, 3)
+    budget = SearchBudget()
+    assert vc2_dim(q43, 2, budget)[::2] == (1, FOUND) and budget.nodes == 26_248
+    budget = SearchBudget(node_limit=1000)
+    assert vc2_dim(q43, 2, budget)[::2] == (1, BOUND_ONLY) and budget.nodes == 1_004
+    budget = SearchBudget()
+    assert cap2_check(q43, budget)[::2] == (True, FOUND) and budget.nodes == 531_441
+
+
+def _grid_search_rows(A, node_limits=(50_000_000, 2_000)):
+    """(name, node_limit, status, k, nodes, witness JSON) for the three
+    grid-kernel searches under each node limit."""
+
+    def vc2(b):
+        k, w, status = vc2_dim(A, 2, b)
+        return status, k, w
+
+    def fop2(k):
+        def run(b):
+            res = find_fop2(A, k, b)
+            return res.status, k, res.witness
+
+        return run
+
+    def cap2(b):
+        ok, w, status = cap2_check(A, b)
+        return status, ok, w
+
+    rows = []
+    for name, run in (("vc2_dim", vc2), ("find_fop2 k=1", fop2(1)), ("find_fop2 k=2", fop2(2)), ("cap2_check", cap2)):
+        for limit in node_limits:
+            budget = SearchBudget(node_limit=limit, time_limit=600.0)
+            status, k, w = run(budget)
+            rows.append([name, limit, status, k, budget.nodes, w.to_jsonable() if w else None])
+    return rows
+
+
+def test_search_fingerprint_matches_scalar_loops():
+    # The digest was computed with the tuple-at-a-time loops that preceded the
+    # grid kernel, over the benchmark's search subsets at seed 11: identical
+    # verdicts, statuses, node counts and witnesses, also when a node limit
+    # cuts a block.
+    rng = np.random.default_rng(11)
+    digest = hashlib.sha256()
+    for p, n in ((3, 2), (3, 3), (3, 4), (5, 2), (5, 3)):
+        spec = GroupSpec(p, n)
+        for density in (1 / 3, 1 / 2, 2 / 3):
+            size = round(density * spec.order)
+            for _ in range(8):
+                ind = np.zeros(spec.order, dtype=bool)
+                ind[rng.permutation(spec.order)[:size]] = True
+                for row in _grid_search_rows(GroupSubset(spec, ind)):
+                    digest.update(json.dumps(row, sort_keys=True).encode())
+    assert digest.hexdigest() == "98af73e367a26be3bbbe954904897344ba7c05179257156d95d9120fb030f271"
+
+
+def test_grid_kernel_without_sum_table_matches():
+    # groups too large for GroupSpec.sum_table read sums from _sum_index_grid
+    limits = (50_000_000, 1_000, 37)
+    for p, n in ((3, 2), (3, 3), (5, 2), (3, 4)):
+        plain = GroupSpec(p, n)
+        for _ in range(3):
+            ind = RNG.random(plain.order) < RNG.uniform(0.3, 0.7)
+            want = _grid_search_rows(GroupSubset(plain, ind), limits)
+            bare = GroupSpec(p, n)
+            bare.sum_table = lambda: None
+            assert _grid_search_rows(GroupSubset(bare, ind), limits) == want
 
 
 def test_cap2_violation_returns_cube():

@@ -1,9 +1,19 @@
-"""Cross-section of the library at p = 5, guarding against anything
-accidentally specialized to p = 3."""
+"""Cross-section of the library at p = 5, plus digit arithmetic past
+p = 127, guarding against anything accidentally specialized to p = 3 or to
+int8 digits."""
 
 import numpy as np
 
-from qfa.core import GroupSpec, GroupSubset, dft, gauss_sum, idft, matrix_rank
+from qfa.core import (
+    GroupSpec,
+    GroupSubset,
+    dft,
+    gauss_sum,
+    idft,
+    linear_values,
+    matrix_rank,
+    quad_values,
+)
 from qfa.constructions import gs, qgs, quadric, trace_sym_space
 from qfa.detectors import FOUND, NONE, cap2_check, find_hop2, find_op, vc2_dim
 from qfa.factors import (
@@ -92,3 +102,22 @@ def test_uniform_coset_engine():
     A = GroupSubset(sp, RNG.random(sp.order) < 0.5)
     _, _, stats = find_uniform_dense_coset(A, Subgroup(sp, []), 0.3)
     assert stats["uniformity"] <= 0.3
+
+
+def test_wide_prime_digits_do_not_wrap():
+    # digits are int8 up to p = 127 and widen past it
+    assert GroupSpec(127, 1).digits.dtype == np.int8
+    sp = GroupSpec(131, 2)
+    assert sp.digits.dtype == np.int16
+    assert GroupSpec(131, 1).vector_of(130).tolist() == [130]
+    assert sp.vector_of(130 + 131 * 129).tolist() == [130, 129]
+    vecs = [(v % 131, v // 131) for v in range(sp.order)]
+    M = np.array([[3, 100], [100, 128]])
+    want = [(3 * a * a + 200 * a * b + 128 * b * b) % 131 for a, b in vecs]
+    assert quad_values(M, sp).tolist() == want
+    assert linear_values([7, 130], sp).tolist() == [(7 * a + 130 * b) % 131 for a, b in vecs]
+    x = 125 + 131 * 130
+    sums = [(a + 125) % 131 + 131 * ((b + 130) % 131) for a, b in vecs]
+    assert sp.add_perm(x).tolist() == sums
+    for j in RNG.integers(0, sp.order, 50):
+        assert sp.sum_index(x, int(j)) == sums[j]

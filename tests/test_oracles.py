@@ -134,23 +134,22 @@ def vc2_oracle(A, k):
 
 
 def cap2_oracle(A):
+    """Every cube over all N^6 choices of x = (x0, x1), y = (y0, y1) and
+    z = (z0, z1), one broadcast axis each: corner (i, j, w) is the gather
+    A[tab[tab[x_i, y_j], z_w]] on add_perm digit sums, over all cubes at once."""
     spec = A.spec
     N = spec.order
     tab = np.stack([spec.add_perm(i) for i in range(N)])
-    for x in itertools.product(range(N), repeat=2):
-        for y in itertools.product(range(N), repeat=2):
-            for z in itertools.product(range(N), repeat=2):
-                corners = {
-                    (i, j, w): bool(A.indicator[tab[tab[x[i], y[j]], z[w]]])
-                    for i in (0, 1)
-                    for j in (0, 1)
-                    for w in (0, 1)
-                }
-                if all(v for kk, v in corners.items() if kk != (1, 1, 1)) and not corners[
-                    (1, 1, 1)
-                ]:
-                    return False
-    return True
+    axes = [np.arange(N).reshape((1,) * t + (N,) + (1,) * (5 - t)) for t in range(6)]
+    x, y, z = axes[0:2], axes[2:4], axes[4:6]
+    seven = np.ones((N,) * 6, dtype=bool)
+    for i, j, w in itertools.product((0, 1), repeat=3):
+        corner = A.indicator[tab[tab[x[i], y[j]], z[w]]]
+        if (i, j, w) == (1, 1, 1):
+            eighth = corner
+        else:
+            seven &= corner
+    return not (seven & ~eighth).any()
 
 
 def test_op_search_matches_oracle():
