@@ -138,8 +138,8 @@ def addition_table(p: int, m: int) -> np.ndarray:
     T_m[i, j] = (i0 + j0) % p + p * T_(m-1)[i', j'].
     """
     table = np.zeros((1, 1), dtype=np.int64)
-    digit = np.add.outer(np.arange(p), np.arange(p)) % p
     for _ in range(m):
+        digit = np.add.outer(np.arange(p), np.arange(p)) % p
         k = len(table)
         table = (p * table[:, None, :, None] + digit[None, :, None, :]).reshape(k * p, k * p)
     return table
@@ -200,20 +200,22 @@ def bilin_eval(M: np.ndarray, x, y, p: int) -> int:
 
 
 def quad_values(M: np.ndarray, spec: GroupSpec) -> np.ndarray:
-    """x^T M x mod p for every x in the group, indexed little-endian."""
+    """x^T M x mod p for every x in the group, indexed little-endian: an
+    (order,) array for one (n, n) matrix, (B, order) for a (B, n, n) stack."""
     X = spec.digits.astype(np.int64)
     M = np.asarray(M, dtype=np.int64)
-    if M.shape != (spec.n, spec.n):
+    if M.shape[-2:] != (spec.n, spec.n) or M.ndim not in (2, 3):
         raise ShapeError(f"matrix shape {M.shape} does not match dimension {spec.n}")
-    return np.einsum("ij,jk,ik->i", X, M % spec.p, X) % spec.p
+    return np.einsum("ij,...jk,ik->...i", X, M % spec.p, X) % spec.p
 
 
 def linear_values(v, spec: GroupSpec) -> np.ndarray:
-    """x . v mod p for every x in the group."""
+    """x . v mod p for every x in the group: an (order,) array for one
+    vector, (B, order) for a (B, n) stack."""
     v = np.asarray(v, dtype=np.int64) % spec.p
-    if v.shape != (spec.n,):
+    if v.shape[-1:] != (spec.n,) or v.ndim not in (1, 2):
         raise ShapeError(f"vector shape {v.shape} does not match dimension {spec.n}")
-    return (spec.digits.astype(np.int64) @ v) % spec.p
+    return (spec.digits.astype(np.int64) @ v.T).T % spec.p
 
 
 def rref(A, p: int):
@@ -312,15 +314,22 @@ def _canonical_lines(vectors, p: int) -> list:
     return out
 
 
-def gauss_sum(M: np.ndarray, b, spec: GroupSpec) -> complex:
-    """E_x omega^(x^T M x + b^T x) with omega = exp(2*pi*i/p).
+def gauss_sum(M: np.ndarray, b, spec: GroupSpec):
+    """E_x omega^(x^T M x + b^T x) with omega = exp(2*pi*i/p), as a complex
+    for one (n, n) matrix and shift, or as a (B,) array for a (B, n, n)
+    stack of matrices with a (B, n) stack of shifts.
 
-    |result| <= p^(-rank(M)/2) up to floating error (classical estimate).
+    A stack takes one quad_values pass and one bincount, whose bins are
+    offset by p per matrix.  |result| <= p^(-rank(M)/2) up to floating
+    error (classical estimate).
     """
-    vals = (quad_values(M, spec) + linear_values(b, spec)) % spec.p
-    counts = np.bincount(vals, minlength=spec.p).astype(np.float64)
-    roots = np.exp(2j * np.pi * np.arange(spec.p) / spec.p)
-    return complex(np.dot(counts, roots) / spec.order)
+    p = spec.p
+    vals = (quad_values(M, spec) + linear_values(b, spec)) % p
+    rows = vals.reshape(-1, spec.order)
+    counts = np.bincount((rows + p * np.arange(len(rows))[:, None]).ravel(), minlength=len(rows) * p)
+    roots = np.exp(2j * np.pi * np.arange(p) / p)
+    out = np.dot(counts.reshape(vals.shape[:-1] + (p,)).astype(np.float64), roots) / spec.order
+    return complex(out) if vals.ndim == 1 else out
 
 
 def dft(f: np.ndarray, spec: GroupSpec) -> np.ndarray:

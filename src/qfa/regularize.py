@@ -12,12 +12,15 @@ target conclusion shapes, with honest FAIL states when a budget ran out.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
 import numpy as np
 
-from .core import GroupSpec, GroupSubset, _canonical_lines, dft, nullspace_basis, rref
+from .core import (
+    GroupSpec, GroupSubset, _canonical_lines, _sum_index_grid, dft, nullspace_basis, rref,
+)
 from .detectors import Witness
 from .factors import (
     LinearFactor,
@@ -90,9 +93,7 @@ def aqale_check(B: QuadraticFactor, A: GroupSubset, eps: float, delta: float):
     table = label_index_table(B)
     verdict = AtomicityVerdict(A, table, eps, delta)
     p = spec.p
-    bad_lin = set()
-    for idx in np.nonzero(verdict.error)[0]:
-        bad_lin.add(int(idx) % p**ell)
+    bad_lin = {int(idx) % p**ell for idx in np.flatnonzero(verdict.error)}
     passed = len(bad_lin) <= delta * p**ell
     return passed, sorted(bad_lin), verdict
 
@@ -120,12 +121,13 @@ def refinement_stability_check(coarse, fine, A: GroupSubset, eps: float, mu: flo
 
 class Subgroup:
     """A subgroup of F_p^n given by dual generators (the zero atom of the
-    linear factor they define)."""
+    linear factor they define) and basis rows spanning it, which fix the
+    order of coset enumeration (default: the nullspace basis of the duals)."""
 
-    def __init__(self, spec: GroupSpec, duals=()):
+    def __init__(self, spec: GroupSpec, duals=(), basis=None):
         self.spec = spec
         self.duals = [np.asarray(v, dtype=np.int64) % spec.p for v in duals]
-        self.basis = nullspace_basis(self.duals, spec.p, spec.n)
+        self.basis = nullspace_basis(self.duals, spec.p, spec.n) if basis is None else basis
 
     @property
     def codim(self) -> int:
@@ -138,16 +140,19 @@ class Subgroup:
     def factor(self) -> LinearFactor:
         return LinearFactor(self.spec, self.duals)
 
+    @functools.cached_property
+    def _span(self) -> np.ndarray:
+        """Indices of H's elements in little-endian basis-coordinate order."""
+        span = np.zeros(1, dtype=np.int64)
+        for b in self.basis:
+            steps = self.spec.indices_of(np.outer(np.arange(self.spec.p), b))
+            span = _sum_index_grid(self.spec, steps, span).ravel()
+        return span
+
     def coset_indices(self, y) -> np.ndarray:
-        """Indices of the coset y + H, enumerated by the basis coordinates."""
-        spec = self.spec
-        m = self.dim
-        if m == 0:
-            return np.array([spec.index_of(np.asarray(y) % spec.p)], dtype=np.int64)
-        lab = GroupSpec(spec.p, m)
-        coords = lab.digits.astype(np.int64)
-        vecs = (coords @ self.basis + np.asarray(y, dtype=np.int64)) % spec.p
-        return spec.indices_of(vecs)
+        """Indices of the coset y + H, enumerated by the basis coordinates;
+        for an (m, n) stack of y, one row per coset."""
+        return _sum_index_grid(self.spec, self.spec.indices_of(y), self._span)
 
     def localized(self, A: GroupSubset, y):
         """(local spec, indicator of (A - y) on H in basis coordinates)."""
@@ -202,23 +207,14 @@ def find_uniform_dense_coset(A: GroupSubset, H: Subgroup, eps: float):
         t_vec = lab.vector_of(t_star)
         sub_coords = nullspace_basis([t_vec], spec.p, cur.dim)
         new_basis = (sub_coords @ cur.basis) % spec.p
-        # direction with t.w = 1 inside the current coordinates
-        for cand in range(1, lab.order):
-            wv = lab.vector_of(cand)
-            if int(np.dot(wv, t_vec)) % spec.p == 1:
-                w_dir = (wv @ cur.basis) % spec.p
-                break
-        best_j, best_density = 0, -1.0
-        new_sub = Subgroup(spec, [])
-        new_sub.basis = new_basis
-        new_sub.duals = cur.duals + [_lift_character(cur, t_vec)]
-        for j in range(spec.p):
-            yj = (y + j * w_dir) % spec.p
-            dj = A.indicator[new_sub.coset_indices(yj)].mean()
-            if dj > best_density + 1e-15:
-                best_density, best_j = dj, j
-        y = (y + best_j * w_dir) % spec.p
-        cur = new_sub
+        # direction with t.w = 1 inside the current coordinates: the first
+        # such w in index order is t_i^-1 e_i at t's first nonzero entry i
+        i = int(np.flatnonzero(t_vec)[0])
+        w_dir = pow(int(t_vec[i]), spec.p - 2, spec.p) * cur.basis[i] % spec.p
+        cur = Subgroup(spec, cur.duals + [_lift_character(cur, t_vec)], new_basis)
+        # the p cosets y + j w + H', densest first (argmax keeps the first max)
+        ys = (y + np.outer(np.arange(spec.p), w_dir)) % spec.p
+        y = ys[int(np.argmax(A.indicator[cur.coset_indices(ys)].mean(axis=1)))]
     codim_in_H = H.dim - cur.dim
     final_density = A.indicator[cur.coset_indices(y)].mean()
     unif = local_uniformity(A, cur, y)

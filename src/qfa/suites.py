@@ -20,7 +20,7 @@ from . import constructions as cons
 from . import detectors as det
 from . import regularize as reg
 from . import uniformity as unif
-from .core import GroupSpec, GroupSubset, _canonical_lines, gauss_sum, dft
+from .core import GroupSpec, GroupSubset, _canonical_lines, dft, gauss_sum, rref
 from .factors import (
     AtomLabel,
     LinearFactor,
@@ -175,16 +175,15 @@ def _check_gs_zero_coset(params):
     lo, hi = 1 / 3, 2 / 3
     if not lo <= A.density() <= hi:  # the complexity-0 factor: L(0) = G
         return _ok(False, measured=A.density(), note="trivial factor")
-    for i in range(len(lines)):
-        mask = P[:, i] == 0
-        d = A.indicator[mask].mean()
-        if not (lo <= d <= hi):
-            return _ok(False, measured=float(d), note=f"line {i}")
-    for i, j in itertools.combinations(range(len(lines)), 2):
-        mask = (P[:, i] == 0) & (P[:, j] == 0)
-        d = A.indicator[mask].mean()
-        if not (lo <= d <= hi):
-            return _ok(False, measured=float(d), note=f"plane {i},{j}")
+    Z = (P == 0).astype(np.float64)  # counts are integers <= 729: exact in float64
+    ind = A.indicator.astype(np.float64)
+    i, j = np.triu_indices(len(lines), 1)  # row-major: the combinations order
+    line_d = ind @ Z / Z.sum(axis=0)
+    plane_d = ((Z.T * ind) @ Z / (Z.T @ Z))[i, j]
+    for d, name in ((line_d, lambda t: f"line {t}"), (plane_d, lambda t: f"plane {i[t]},{j[t]}")):
+        bad = np.flatnonzero((d < lo) | (d > hi))
+        if bad.size:
+            return _ok(False, measured=float(d[bad[0]]), note=name(bad[0]))
     return _ok(True, measured=0.5, bound=hi)
 
 
@@ -295,16 +294,15 @@ def _check_qgs_aqale(params):
 def _check_gauss_bound(params):
     rng = np.random.default_rng(params.get("seed", DEFAULT_SEED))
     sp = GroupSpec(3, 6)
-    from .core import matrix_rank
-
-    worst = 0.0
+    Ms, bs = [], []
     for _ in range(1000):
         M = rng.integers(0, 3, size=(6, 6))
-        M = (M + M.T) % 3
-        b = rng.integers(0, 3, size=6)
-        g = gauss_sum(M, b, sp)
-        slack = abs(g) - 3.0 ** (-matrix_rank(M, 3) / 2)
-        worst = max(worst, slack)
+        Ms.append((M + M.T) % 3)
+        bs.append(rng.integers(0, 3, size=6))
+    Ms = np.stack(Ms)
+    ranks = rref(Ms, 3)[1].sum(axis=1)
+    slack = np.abs(gauss_sum(Ms, np.stack(bs), sp)) - 3.0 ** (-ranks / 2)
+    worst = max(0.0, float(slack.max()))
     return _ok(worst <= 1e-9, measured=float(worst), bound=1e-9)
 
 
@@ -576,15 +574,14 @@ def _check_chain_validity(params):
 
 
 def _check_sparse_span(params):
-    from .core import matrix_rank
-
     A = cons.sparse_example(8, 3)
     members = A.members()
     for r in range(1, 9):
-        for combo in itertools.combinations(range(len(members)), r):
-            X = members[list(combo)]
-            if matrix_rank(X, 3) < np.sqrt(len(combo)) - 1e-12:
-                return _ok(False, note=f"subset {combo}")
+        combos = list(itertools.combinations(range(len(members)), r))
+        ranks = rref(members[combos], 3)[1].sum(axis=1)
+        bad = np.flatnonzero(ranks < np.sqrt(r) - 1e-12)
+        if bad.size:
+            return _ok(False, note=f"subset {combos[bad[0]]}")
     return _ok(True)
 
 

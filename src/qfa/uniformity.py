@@ -9,12 +9,14 @@ with the naive multi-fold sums is covered by oracle tests.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .core import (
     CapacityError, GroupSpec, GroupSubset, ShapeError, _sum_index_grid, addition_table, dft,
 )
-from .factors import AtomLabel, atom_members, label_index_table
+from .factors import AtomLabel, label_index_table
 
 
 class MeasureReport:
@@ -52,15 +54,19 @@ def u2_norm(f, spec: GroupSpec) -> float:
 
     Split each vector as x = (x_hi, x_lo) into its high and low coordinates;
     with the little-endian index this is F = f.reshape(P, Q).  For a block of
-    high shifts h_hi, the rows of conj F are gathered through the addition
-    table of the high half-group and one batched product gives
-    M[h_hi, x_lo, y_lo] = sum_(x_hi) F[x_hi, x_lo] conj F[x_hi + h_hi, y_lo].
-    Then g(h_hi, h_lo) = (1/N) sum_(x_lo) M[h_hi, x_lo, x_lo + h_lo], gathered
+    high shifts h_hi, the rows of conj F are gathered at the sums
+    x_hi + h_hi in the high half-group (by `_sum_index_grid`, or by
+    (h + x) % p when n = 1) and one matrix product gives
+    M[x_lo, h_hi, y_lo] = sum_(x_hi) F[x_hi, x_lo] conj F[x_hi + h_hi, y_lo].
+    Then g(h_hi, h_lo) = (1/N) sum_(x_lo) M[x_lo, h_hi, x_lo + h_lo], gathered
     through the addition table of the low half-group.  That is O(N^2)
-    multiply-adds in BLAS; each block's temporaries hold at most 2^21
-    elements.  For n = 1 the low half is the trivial group (Q = 1).
+    multiply-adds in BLAS; no table has more than N entries, and each
+    block's temporaries hold at most 2^20 elements.  For n = 1 the low half
+    is the trivial group (Q = 1).  A real f stays real, which needs a
+    quarter of the multiply-adds.
     """
-    f = np.asarray(f, dtype=complex)
+    f = np.asarray(f)
+    f = f.astype(np.result_type(f.dtype, np.float64))
     if f.shape != (spec.order,):
         raise ShapeError("function table length mismatch")
     N = spec.order
@@ -68,17 +74,21 @@ def u2_norm(f, spec: GroupSpec) -> float:
     Q = spec.p**n_lo
     P = N // Q
     F = f.reshape(P, Q)
-    # a contiguous left operand keeps the broadcast matmul in BLAS
     Ft = np.ascontiguousarray(F.T)
     Fc = np.conj(F)
-    hi_table = addition_table(spec.p, spec.n - n_lo)
+    hi_spec = GroupSpec(spec.p, spec.n - n_lo)
     lo_table = addition_table(spec.p, n_lo)
     rows = np.arange(Q)[:, None]
     total = 0.0
-    block = max(1, (1 << 21) // (Q * max(P, Q)))
+    block = max(1, (1 << 20) // (Q * max(P, Q)))
     for start in range(0, P, block):
-        M = Ft @ Fc[hi_table[start : start + block]]
-        g = M[:, rows, lo_table].sum(axis=1)
+        hs = np.arange(start, min(start + block, P))
+        if spec.n == 1:
+            sums = np.add.outer(hs, np.arange(P)) % spec.p
+        else:
+            sums = _sum_index_grid(hi_spec, hs, np.arange(P))
+        M = (Ft @ Fc[sums.T].reshape(P, -1)).reshape(Q, len(hs), Q)
+        g = M[rows, :, lo_table].sum(axis=0)
         total += float((np.abs(g) ** 2).sum())
     return float((total / N**3) ** 0.25)
 
@@ -114,7 +124,7 @@ def u3_norm_naive(f, spec: GroupSpec) -> float:
     f = np.asarray(f, dtype=complex)
     N = spec.order
     if N > 100:
-        raise MemoryError("naive U^3 oracle limited to tiny groups")
+        raise CapacityError("naive U^3 oracle limited to tiny groups")
     tab = np.zeros((N, N), dtype=np.int64)
     for i in range(N):
         tab[i] = spec.add_perm(i)
@@ -240,23 +250,11 @@ class TriadDescriptor:
         """Ternary layout (a1 b1, a2 b2, a3 b3, b12, b13, b23) or binary
         (a1 b1, a2 b2, b12)."""
         flat = np.asarray(flat, dtype=np.int64)
-        ell, q = factor.ell, factor.q
-        if flat.size == 3 * ell + 6 * q:
-            pos = 0
-            a_parts, b_parts = [], []
-            for _ in range(3):
-                a_parts.append(flat[pos : pos + ell]); pos += ell
-                b_parts.append(flat[pos : pos + q]); pos += q
-            cross = [flat[pos + i * q : pos + (i + 1) * q] for i in range(3)]
-            return cls(factor, a_parts, b_parts, cross)
-        if flat.size == 2 * ell + 3 * q:
-            pos = 0
-            a_parts, b_parts = [], []
-            for _ in range(2):
-                a_parts.append(flat[pos : pos + ell]); pos += ell
-                b_parts.append(flat[pos : pos + q]); pos += q
-            cross = [flat[pos : pos + q]]
-            return cls(factor, a_parts, b_parts, cross)
+        ell, w = factor.ell, factor.ell + factor.q
+        for parts, cross in ((3, 3), (2, 1)):
+            if flat.size == parts * w + cross * factor.q:
+                atoms = flat[: parts * w].reshape(parts, w)
+                return cls(factor, atoms[:, :ell], atoms[:, ell:], flat[parts * w :].reshape(cross, -1))
         raise ShapeError("flat descriptor has the wrong length")
 
     def atom_labels(self):
@@ -264,23 +262,24 @@ class TriadDescriptor:
             AtomLabel(a, b) for a, b in zip(self.a_parts, self.b_parts)
         ]
 
+    @functools.cached_property
+    def _label_table(self) -> np.ndarray:
+        return label_index_table(self.factor)
+
+    def atom(self, label: AtomLabel) -> GroupSubset:
+        """Members of the factor's atom with this (reduced) label; every atom
+        of one descriptor is read off one label-table pass."""
+        return GroupSubset(self.factor.spec, self._label_table == label.index(self.factor.spec.p))
+
     def atoms(self):
-        return [atom_members(self.factor, lab) for lab in self.atom_labels()]
+        return [self.atom(lab) for lab in self.atom_labels()]
 
 
 def sigma(d: TriadDescriptor) -> AtomLabel:
     """The label of the atom containing all sums across the configuration:
     linear parts add; quadratic parts add with the cross terms doubled."""
     p = d.factor.spec.p
-    lin = np.zeros(d.factor.ell, dtype=np.int64)
-    for a in d.a_parts:
-        lin = (lin + a) % p
-    quad = np.zeros(d.factor.q, dtype=np.int64)
-    for b in d.b_parts:
-        quad = (quad + b) % p
-    for b in d.b_cross:
-        quad = (quad + 2 * b) % p
-    return AtomLabel(lin, quad)
+    return AtomLabel(sum(d.a_parts) % p, (sum(d.b_parts) + 2 * sum(d.b_cross)) % p)
 
 
 def _bilin_matrix(factor, X_idx, Y_idx) -> np.ndarray:
@@ -378,19 +377,17 @@ def dev2_measure(edges: np.ndarray) -> tuple:
 
 
 def dev2_naive(edges: np.ndarray) -> float:
-    """Four-fold loop oracle for tiny parts."""
+    """Four-fold sum oracle for tiny parts: the literal summand
+    g[x0, y0] g[x0, y1] g[x1, y0] g[x1, y1] over the full (x0, x1, y0, y1)
+    index grid, one broadcast product."""
     nx, ny = edges.shape
     if nx > 24 or ny > 24:
-        raise MemoryError("naive dev2 oracle limited to parts <= 24")
+        raise CapacityError("naive dev2 oracle limited to parts <= 24")
     d = edges.mean() if edges.size else 0.0
     g = edges.astype(np.float64) - d
-    total = 0.0
-    for x0 in range(nx):
-        for x1 in range(nx):
-            for y0 in range(ny):
-                for y1 in range(ny):
-                    total += g[x0, y0] * g[x0, y1] * g[x1, y0] * g[x1, y1]
-    return total / (nx**2 * ny**2) if edges.size else 0.0
+    x0, x1, y0, y1 = np.ix_(range(nx), range(nx), range(ny), range(ny))
+    total = (g[x0, y0] * g[x0, y1] * g[x1, y0] * g[x1, y1]).sum()
+    return float(total) / (nx**2 * ny**2) if edges.size else 0.0
 
 
 def oct_sum(h: np.ndarray) -> float:
@@ -407,22 +404,16 @@ def oct_sum(h: np.ndarray) -> float:
 
 
 def oct_naive(h: np.ndarray) -> float:
-    """Six-fold loop oracle for tiny parts."""
+    """Six-fold sum oracle for tiny parts: the literal eight-corner summand
+    over the full (u0, u1, v0, v1, w0, w1) index grid, one broadcast product."""
     U, V, W = h.shape
     if max(U, V, W) > 8:
-        raise MemoryError("naive oct oracle limited to parts <= 8")
-    total = 0.0
-    for u0 in range(U):
-        for u1 in range(U):
-            for v0 in range(V):
-                for v1 in range(V):
-                    for w0 in range(W):
-                        for w1 in range(W):
-                            total += (
-                                h[u0, v0, w0] * h[u0, v0, w1] * h[u0, v1, w0] * h[u0, v1, w1]
-                                * h[u1, v0, w0] * h[u1, v0, w1] * h[u1, v1, w0] * h[u1, v1, w1]
-                            )
-    return total
+        raise CapacityError("naive oct oracle limited to parts <= 8")
+    u0, u1, v0, v1, w0, w1 = np.ix_(range(U), range(U), range(V), range(V), range(W), range(W))
+    return float((
+        h[u0, v0, w0] * h[u0, v0, w1] * h[u0, v1, w0] * h[u0, v1, w1]
+        * h[u1, v0, w0] * h[u1, v0, w1] * h[u1, v1, w0] * h[u1, v1, w1]
+    ).sum())
 
 
 class Dev23Result:
@@ -502,7 +493,7 @@ def oct_measure(A: GroupSubset, d: TriadDescriptor, max_part: int = 256):
         raise MemoryError(f"part sizes {U},{V},{W} exceed the cap {max_part}")
     if min(U, V, W) == 0:
         return 0.0, 0.0
-    target = atom_members(d.factor, sigma(d))
+    target = d.atom(sigma(d))
     alpha = (len(A.intersect(target)) / len(target)) if len(target) else 0.0
     tri = triangle_tensor(e12, e13, e23)
     member = _sum_membership_tensor(A, atoms[0], atoms[1], atoms[2])
@@ -514,7 +505,7 @@ def oct_measure(A: GroupSubset, d: TriadDescriptor, max_part: int = 256):
 def density_transfer_check(A: GroupSubset, d: TriadDescriptor, tolerance: float = 0.0) -> MeasureReport:
     """|density of the sum graph on the configuration - density of A on the
     sigma atom|, as a report (bound set by the caller via tolerance)."""
-    target = atom_members(d.factor, sigma(d))
+    target = d.atom(sigma(d))
     alpha = (len(A.intersect(target)) / len(target)) if len(target) else 0.0
     atoms, graphs = triad_graphs(d)
     if d.kind == 2:

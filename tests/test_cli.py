@@ -174,6 +174,53 @@ def test_report_verdicts_on_synthetic_results():
     assert "[FAIL]" in text
 
 
+def test_gs_zero_coset_check_names_a_failing_plane(monkeypatch):
+    import itertools
+
+    import numpy as np
+
+    from qfa import constructions as cons
+    from qfa import suites
+    from qfa.core import _canonical_lines
+
+    A = cons.gs(6, 3)
+    digits = A.spec.digits.astype(np.int64)
+    zero = (digits @ np.stack(_canonical_lines(digits, 3)).T) % 3 == 0
+    plane = zero[:, 3] & zero[:, 40]
+    bad = A.indicator.copy()
+    bad[np.flatnonzero(plane & ~bad)[:15]] = True  # 55 of the plane's 81 points
+
+    def first_failure():
+        # the loop the check replaces: lines first, then planes in order
+        for i in range(zero.shape[1]):
+            if not 1 / 3 <= bad[zero[:, i]].mean() <= 2 / 3:
+                return f"line {i}"
+        for i, j in itertools.combinations(range(zero.shape[1]), 2):
+            if not 1 / 3 <= bad[zero[:, i] & zero[:, j]].mean() <= 2 / 3:
+                return f"plane {i},{j}"
+
+    assert first_failure() == "plane 3,40"
+    monkeypatch.setattr(cons, "gs", lambda n, p: GroupSubset(A.spec, bad))
+    res = suites._check_gs_zero_coset({})
+    assert (res.status, res.note, res.measured) == ("FAIL", "plane 3,40", 55 / 81)
+
+
+def test_sparse_span_check_names_a_low_rank_subset(monkeypatch):
+    import numpy as np
+
+    from qfa import constructions as cons
+    from qfa import suites
+
+    spec = GroupSpec(3, 8)
+    e = spec.basis_vector
+    # in index order: e1, e2, e1 + e2, 2 e2, e3, ..., e8; members 1 and 3 span
+    # one line, rank 1 < sqrt(2), and no earlier pair or single fails
+    rows = [e(1), e(2), e(1) + e(2), 2 * e(2)] + [e(i) for i in range(3, 9)]
+    monkeypatch.setattr(cons, "sparse_example", lambda n, p: GroupSubset.from_members(spec, rows))
+    res = suites._check_sparse_span({})
+    assert (res.status, res.note) == ("FAIL", "subset (1, 3)")
+
+
 def test_cli_detect_tree_counts(capsys):
     rc = main(["detect", "tree", "--set", "quadric:p=3,n=2,c=0", "--k", "1"])
     assert rc == 0

@@ -105,6 +105,29 @@ def test_gauss_bound_random():
         assert abs(gauss_sum(M, b, spec)) <= 3.0 ** (-matrix_rank(M, 3) / 2) + 1e-9
 
 
+gauss_stacks = st.tuples(st.sampled_from([3, 5]), st.integers(1, 4), st.integers(1, 5)).flatmap(
+    lambda t: st.tuples(
+        st.just(t[0]),
+        arrays(np.int64, (t[2], t[1], t[1]), elements=st.integers(0, t[0] - 1)),
+        arrays(np.int64, (t[2], t[1]), elements=st.integers(0, t[0] - 1)),
+    )
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(gauss_stacks)
+def test_gauss_sum_stack_matches_slices(case):
+    p, M, b = case
+    spec = GroupSpec(p, M.shape[1])
+    M = (M + M.transpose(0, 2, 1)) % p
+    got = gauss_sum(M, b, spec)
+    assert got.shape == (len(M),)
+    for i in range(len(M)):
+        one = gauss_sum(M[i], b[i], spec)
+        assert isinstance(one, complex)
+        assert abs(got[i] - one) <= 1e-12
+
+
 def test_dft_point_mass_and_constant():
     spec = GroupSpec(3, 3)
     f = np.zeros(spec.order)

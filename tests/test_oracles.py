@@ -46,27 +46,18 @@ def op_oracle(A, k):
 
 
 def hop2_oracle(A, k):
+    """Every (x, y, z) in (N^k)^3 at once, one broadcast axis per
+    coordinate: the staircase holds where each A[tab[tab[x_u, y_v], z_w]],
+    read on add_perm digit sums, equals u < v + w (1-based)."""
     spec = A.spec
     N = spec.order
     tab = np.stack([spec.add_perm(i) for i in range(N)])
-    for x in itertools.product(range(N), repeat=k):
-        for y in itertools.product(range(N), repeat=k):
-            for z in itertools.product(range(N), repeat=k):
-                ok = True
-                for u in range(1, k + 1):
-                    for v in range(1, k + 1):
-                        for w in range(1, k + 1):
-                            inside = A.indicator[tab[tab[x[u - 1], y[v - 1]], z[w - 1]]]
-                            if inside != (u < v + w):
-                                ok = False
-                                break
-                        if not ok:
-                            break
-                    if not ok:
-                        break
-                if ok:
-                    return True
-    return False
+    axes = [np.arange(N).reshape((1,) * t + (N,) + (1,) * (3 * k - 1 - t)) for t in range(3 * k)]
+    x, y, z = axes[:k], axes[k : 2 * k], axes[2 * k :]
+    ok = np.ones((N,) * (3 * k), dtype=bool)
+    for u, v, w in itertools.product(range(1, k + 1), repeat=3):
+        ok &= A.indicator[tab[tab[x[u - 1], y[v - 1]], z[w - 1]]] == (u < v + w)
+    return bool(ok.any())
 
 
 def fop2_oracle(A, k):
@@ -100,37 +91,22 @@ def fop2_oracle(A, k):
 
 
 def vc2_oracle(A, k):
+    """Every (b, c) in N^k x N^k and every offset a at once, one broadcast
+    axis each: bit (i, j) of a's pattern is A[tab[tab[b_i, c_j], a]] on
+    add_perm digit sums, and (b, c) is shattered when its N offsets show
+    all 2^(k^2) patterns."""
     spec = A.spec
     N = spec.order
     tab = np.stack([spec.add_perm(i) for i in range(N)])
-    subsets = list(
-        itertools.chain.from_iterable(
-            itertools.combinations(
-                [(i, j) for i in range(1, k + 1) for j in range(1, k + 1)], r
-            )
-            for r in range(k * k + 1)
-        )
-    )
-    for b in itertools.product(range(N), repeat=k):
-        for c in itertools.product(range(N), repeat=k):
-            shattered = True
-            for S in subsets:
-                Sset = set(S)
-                hit = False
-                for a in range(N):
-                    if all(
-                        A.indicator[tab[tab[b[i - 1], c[j - 1]], a]] == ((i, j) in Sset)
-                        for i in range(1, k + 1)
-                        for j in range(1, k + 1)
-                    ):
-                        hit = True
-                        break
-                if not hit:
-                    shattered = False
-                    break
-            if shattered:
-                return True
-    return False
+    axes = [np.arange(N).reshape((1,) * t + (N,) + (1,) * (2 * k - t)) for t in range(2 * k + 1)]
+    b, c, a = axes[:k], axes[k : 2 * k], axes[2 * k]
+    pattern = np.zeros((N,) * (2 * k + 1), dtype=np.int64)
+    for i, j in itertools.product(range(k), repeat=2):
+        pattern |= A.indicator[tab[tab[b[i], c[j]], a]].astype(np.int64) << (i * k + j)
+    rows = pattern.reshape(-1, N)
+    seen = np.zeros((len(rows), 2 ** (k * k)), dtype=bool)
+    seen[np.arange(len(rows))[:, None], rows] = True
+    return bool(seen.all(axis=1).any())
 
 
 def cap2_oracle(A):
@@ -190,6 +166,22 @@ def test_vc2_search_matches_oracle():
         k, w, st = vc2_dim(A, 2)
         assert st == FOUND
         assert (k >= 2) == vc2_oracle(A, 2), A.indices().tolist()
+
+
+def test_vc2_search_matches_oracle_on_window_sets():
+    # With b = (0, 1) and c = (0, 2), the patterns of a are the windows
+    # A[a..a+3]: the first set shows all 16 of them, the other two all but
+    # 0000 and all but 1111, and no other (b, c) does better.  At N = 9 no
+    # set can show 16 patterns, so these are the only positive cases.
+    spec = GroupSpec(17, 1)
+    for members, want in (
+        ([0, 1, 2, 3, 5, 7, 8, 11], True),
+        ([0, 1, 2, 3, 5, 7, 9, 10, 13], False),
+        ([0, 1, 2, 4, 6, 7, 10], False),
+    ):
+        A = GroupSubset.from_indices(spec, members)
+        assert vc2_oracle(A, 2) == want
+        assert (vc2_dim(A, 2)[0] >= 2) == want
 
 
 def test_cap2_matches_oracle():

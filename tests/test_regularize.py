@@ -303,6 +303,45 @@ def test_growth_function_validation():
     assert repr(GrowthFunction("x^2")) == "GrowthFunction('x**2')"
 
 
+def _coset_reference(H, y):
+    """y + H enumerated by the basis coordinates, by digit arithmetic; one
+    row per y for a stack of them."""
+    sp = H.spec
+    coords = GroupSpec(sp.p, H.dim).digits.astype(np.int64) if H.dim else np.zeros((1, 0), dtype=np.int64)
+    return sp.indices_of((coords @ H.basis + np.asarray(y)[..., None, :]) % sp.p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.sampled_from([3, 5]), st.integers(1, 5), st.integers(0, 5))
+def test_coset_indices_match_digit_arithmetic(data, p, n, m):
+    entries = st.integers(0, p - 1)
+    H = Subgroup(GroupSpec(p, n), list(data.draw(arrays(np.int64, (m, n), elements=entries))))
+    ys = data.draw(arrays(np.int64, (3, n), elements=entries))
+    assert np.array_equal(H.coset_indices(ys[0]), _coset_reference(H, ys[0]))
+    assert np.array_equal(H.coset_indices(ys), _coset_reference(H, ys))
+
+
+def test_coset_indices_along_uniform_coset_walk(monkeypatch):
+    calls = []
+    coset_indices = Subgroup.coset_indices
+
+    def checked(self, y):
+        got = coset_indices(self, y)
+        assert np.array_equal(got, _coset_reference(self, y))
+        calls.append(self.dim)
+        return got
+
+    monkeypatch.setattr(Subgroup, "coset_indices", checked)
+    sp = GroupSpec(3, 6)
+    rng = np.random.default_rng(7)
+    for t in range(6):
+        # a noisy coset of codimension 2, so that the walk refines
+        coset = ((sp.digits @ rng.integers(0, 3, (sp.n, 2))) % 3 == 0).all(axis=1)
+        A = GroupSubset(sp, coset ^ (rng.random(sp.order) < 0.02 * t))
+        find_uniform_dense_coset(A, Subgroup(sp, []), (0.05, 0.1)[t % 2])
+    assert min(calls) < sp.n - 1  # some walk refined at least twice
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data(), st.sampled_from([3, 5]), st.integers(1, 8), st.integers(0, 8))
 def test_lift_character_restricts_to_t(data, p, n, m):

@@ -1,9 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfa.core import GroupSpec, GroupSubset, dft
+from qfa.core import CapacityError, GroupSpec, GroupSubset, ShapeError, dft
 from qfa.constructions import gs, trace_sym_space
 from qfa.factors import AtomLabel, LinearFactor, QuadraticFactor, atom_members, label_index_table
 from qfa.uniformity import (
@@ -53,6 +55,21 @@ def test_u2_equals_fourier_fourth_moment():
             lhs = u2_norm(f, sp) ** 4
             rhs = float((np.abs(dft(f, sp)) ** 4).sum())
             assert abs(lhs - rhs) < 1e-9, (p, n)
+
+
+def test_u2_builds_no_table_larger_than_the_group():
+    import tracemalloc
+
+    sp = GroupSpec(61, 3)  # the p^(2*ceil(n/2)) addition table would be 106 MB
+    f = np.random.default_rng(3).uniform(-1, 1, sp.order)
+    tracemalloc.start()
+    try:
+        got = u2_norm(f, sp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
+    assert abs(got**4 - float((np.abs(dft(f, sp)) ** 4).sum())) < 1e-12
 
 
 def _u2_brute_force(f, sp):
@@ -163,6 +180,30 @@ def test_sum_graph_density_transfer_linear():
             assert abs(m.mean() - A.indicator[coset].mean()) < 1e-12
 
 
+def test_descriptor_from_flat_layout():
+    sp = GroupSpec(3, 3)
+    F = QuadraticFactor(sp, [sp.basis_vector(1)], [np.eye(3, dtype=np.int64), np.ones((3, 3), dtype=np.int64)])
+    flat = np.arange(15) % 3  # (a1 b1, a2 b2, a3 b3, b12, b13, b23) with ell = 1, q = 2
+    d = TriadDescriptor.from_flat(F, flat)
+    assert [a.tolist() for a in d.a_parts] == [[0], [0], [0]]
+    assert [b.tolist() for b in d.b_parts] == [[1, 2], [1, 2], [1, 2]]
+    assert [b.tolist() for b in d.b_cross] == [[0, 1], [2, 0], [1, 2]]
+    d = TriadDescriptor.from_flat(F, flat[:8])  # (a1 b1, a2 b2, b12)
+    assert d.kind == 2 and [b.tolist() for b in d.b_cross] == [[0, 1]]
+    with pytest.raises(ShapeError):
+        TriadDescriptor.from_flat(F, flat[:9])
+
+
+def test_descriptor_atoms_match_atom_members():
+    sp = GroupSpec(3, 5)
+    mats = trace_sym_space(5, 3)
+    F = QuadraticFactor(sp, [sp.basis_vector(1)], [mats[0]])
+    for flat in np.random.default_rng(5).integers(0, 3, size=(8, 9)):
+        d = TriadDescriptor.from_flat(F, flat)
+        assert d.atoms() == [atom_members(F, lab) for lab in d.atom_labels()]
+        assert d.atom(sigma(d)) == atom_members(F, sigma(d))
+
+
 def test_sigma_examples():
     sp = GroupSpec(3, 5)
     mats = trace_sym_space(5, 3)
@@ -206,6 +247,48 @@ def test_oct_oracle():
     for _ in range(3):
         h = RNG.uniform(-1, 1, (6, 5, 7))
         assert abs(oct_sum(h) - oct_naive(h)) < 1e-8
+
+
+def _dev2_loop(edges):
+    nx, ny = edges.shape
+    g = edges.astype(np.float64) - edges.mean()
+    total = 0.0
+    for x0 in range(nx):
+        for x1 in range(nx):
+            for y0 in range(ny):
+                for y1 in range(ny):
+                    total += g[x0, y0] * g[x0, y1] * g[x1, y0] * g[x1, y1]
+    return total / (nx**2 * ny**2)
+
+
+def _oct_loop(h):
+    U, V, W = h.shape
+    total = 0.0
+    for u0, u1, v0, v1, w0, w1 in itertools.product(range(U), range(U), range(V), range(V), range(W), range(W)):
+        total += (
+            h[u0, v0, w0] * h[u0, v0, w1] * h[u0, v1, w0] * h[u0, v1, w1]
+            * h[u1, v0, w0] * h[u1, v0, w1] * h[u1, v1, w0] * h[u1, v1, w1]
+        )
+    return total
+
+
+def test_naive_oracles_equal_literal_loops():
+    rng = np.random.default_rng(6)
+    for shape in itertools.product((1, 2, 4), repeat=3):
+        h = rng.uniform(-1, 1, shape)
+        assert abs(oct_naive(h) - _oct_loop(h)) < 1e-12
+        e = rng.random(shape[:2]) < 0.5
+        assert abs(dev2_naive(e) - _dev2_loop(e)) < 1e-12
+
+
+def test_naive_oracle_caps_raise_capacity_error():
+    with pytest.raises(CapacityError):
+        dev2_naive(np.zeros((25, 3), dtype=bool))
+    with pytest.raises(CapacityError):
+        oct_naive(np.zeros((3, 9, 3)))
+    sp = GroupSpec(3, 5)
+    with pytest.raises(CapacityError):
+        u3_norm_naive(np.ones(sp.order), sp)
 
 
 def test_beta_graph_dev2_trace_factor():
