@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import time
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfa.core import GroupSpec, GroupSubset
+from qfa.core import CapacityError, GroupSpec, GroupSubset
 from qfa.constructions import gs, quadric, trace_sym_space, union_of_cosets
 from qfa.detectors import (
     BOUND_ONLY,
@@ -308,6 +309,132 @@ def test_grid_kernel_without_sum_table_matches():
             bare = GroupSpec(p, n)
             bare.sum_table = lambda: None
             assert _grid_search_rows(GroupSubset(bare, ind), limits) == want
+
+
+def _jsonable(w):
+    return w.to_jsonable() if w is not None else None
+
+
+def _dfs_search_rows(A, node_limits=(50_000_000, 2_000)):
+    """(name, node_limit, status, value, nodes, witness JSON) for the
+    staircase and shattering searches under each node limit."""
+    rows = []
+    for name, k, run in (("find_op", 2, find_op), ("find_op", 3, find_op), ("find_hop2", 1, find_hop2), ("find_hop2", 2, find_hop2)):
+        for limit in node_limits:
+            budget = SearchBudget(node_limit=limit)
+            res = run(A, k, budget)
+            rows.append([name, limit, res.status, k, budget.nodes, _jsonable(res.witness)])
+    for limit in node_limits:
+        budget = SearchBudget(node_limit=limit)
+        k, w, status = vc_dim(A, 3, budget)
+        rows.append(["vc_dim", limit, status, k, budget.nodes, _jsonable(w)])
+    return rows
+
+
+def _fingerprint_reduced_pairs():
+    """(reduced pair, side) for the pairs the good-copy tests build, plus a
+    few random sets at eps 0.4 and 0.3."""
+    from qfa.constructions import qgs
+
+    A, F = qgs(6, 3)
+    yield reduced_pair(A, QuadraticFactor(F.spec, [], F.matrices[:4]), 0.01), None
+    _, F = qgs(4, 3)
+    yield reduced_pair(GroupSubset(F.spec), QuadraticFactor(F.spec, [], F.matrices[:2]), 0.01), None
+    sp = GroupSpec(3, 6)
+    B = QuadraticFactor(sp, [sp.basis_vector(1), sp.basis_vector(2)], [trace_sym_space(6, 3)[0]])
+    rp = reduced_pair(gs(6, 3), B, 0.05)
+    yield rp, None
+    yield rp, np.ones(rp.label_spec.order, dtype=bool)
+    sp = GroupSpec(3, 4)
+    B = QuadraticFactor(sp, [], [trace_sym_space(4, 3)[0]])
+    rng = np.random.default_rng(9)
+    for _ in range(4):
+        yield reduced_pair(GroupSubset(sp, rng.random(sp.order) < 0.5), B, 0.4), None
+    sp = GroupSpec(3, 3)
+    F = QuadraticFactor(sp, [sp.basis_vector(1)], [np.eye(3, dtype=np.int64)])
+    rng = np.random.default_rng(11)
+    for _ in range(4):
+        yield reduced_pair(GroupSubset(sp, rng.random(sp.order) < rng.uniform(0.15, 0.85)), F, 0.3), None
+
+
+def _good_copy_rows():
+    rows = []
+    for rp, side in _fingerprint_reduced_pairs():
+        for pattern, ks in (("H", (1, 2, 3)), ("U", (1, 2)), ("T", (1, 2))):
+            for k in ks:
+                for limit in (50_000_000, 2_000, 30):
+                    budget = SearchBudget(node_limit=limit)
+                    res = find_good_copy(rp, pattern, k, side, budget)
+                    rows.append([pattern, k, limit, res.status, budget.nodes, _jsonable(res.witness)])
+        rows.append(["count H", [count_good_copies_H(rp, k, side) for k in (1, 2)]])
+    return rows
+
+
+def _tree_rows():
+    """_find_tree_encoding and count_tree_encodings on local sets of gs(6, 3)
+    in cosets of a few subgroups, and affine embeddings into small sets."""
+    from qfa.regularize import Subgroup, _find_tree_encoding
+
+    sp = GroupSpec(3, 6)
+    A = gs(6, 3)
+    rows = []
+    for duals in ([], [sp.basis_vector(1)], [sp.basis_vector(1), sp.basis_vector(2)], [np.array([1, 1, 0, 0, 0, 0])]):
+        H = Subgroup(sp, duals)
+        for y in (np.zeros(6, dtype=np.int64), sp.basis_vector(1), sp.basis_vector(6)):
+            lab, ind = H.localized(A, y)
+            loc = GroupSubset(lab, ind)
+            for d in (1, 2):
+                found = _find_tree_encoding(loc, d)
+                if found is not None:
+                    found = [sorted((str(key), h) for key, h in found[role].items()) for role in ("nodes", "leaves")]
+                rows.append([len(duals), y.tolist(), d, found])
+    rng = np.random.default_rng(13)
+    for p, n in ((3, 2), (3, 3), (5, 2)):
+        sp = GroupSpec(p, n)
+        for _ in range(3):
+            A = GroupSubset(sp, rng.random(sp.order) < rng.uniform(0.2, 0.8))
+            Lm = GroupSubset(sp, rng.random(sp.order) < 0.8)
+            Nm = GroupSubset(sp, rng.random(sp.order) < 0.8)
+            for d, limit in itertools.product((1, 2), (50_000_000, 40)):
+                budget = SearchBudget(node_limit=limit)
+                try:
+                    count = count_tree_encodings(A, d, Lm, Nm, budget)
+                except (MemoryError, CapacityError):  # a budget overrun
+                    count = "over"
+                rows.append(["count tree", d, limit, count, budget.nodes])
+            H = GroupSpec(p, 1)
+            for members in ([1], [0, 1], list(range(p - 1))):
+                got = affine_embedding_exists((H, GroupSubset.from_indices(H, members)), (sp, A))
+                rows.append(["embed", members, None if got is None else [got[0].tolist(), got[1].tolist()]])
+    return rows
+
+
+def test_dfs_searches_fingerprint_matches_hand_written_bodies():
+    # The digests were computed with the separate DFS bodies that preceded
+    # the shared engine on bitset columns (numpy masks in find_op, find_hop2,
+    # find_good_copy and _find_tree_encoding): identical statuses, values,
+    # node counts and witnesses, also when a node limit cuts the search.
+    rng = np.random.default_rng(11)
+    digest = hashlib.sha256()
+    for p, n in ((3, 2), (3, 3), (3, 4), (5, 2), (5, 3)):
+        spec = GroupSpec(p, n)
+        for density in (1 / 3, 1 / 2, 2 / 3):
+            size = round(density * spec.order)
+            for _ in range(8):
+                ind = np.zeros(spec.order, dtype=bool)
+                ind[rng.permutation(spec.order)[:size]] = True
+                for row in _dfs_search_rows(GroupSubset(spec, ind)):
+                    digest.update(json.dumps(row, sort_keys=True).encode())
+    digests = {
+        "search": digest.hexdigest(),
+        "good copy": hashlib.sha256(json.dumps(_good_copy_rows(), sort_keys=True).encode()).hexdigest(),
+        "tree": hashlib.sha256(json.dumps(_tree_rows(), sort_keys=True).encode()).hexdigest(),
+    }
+    assert digests == {
+        "search": "0f97e8e637d6b0811cca0f3bea6a08f2385affa7a4d422e75a3de74fae077b3c",
+        "good copy": "0a3a38e339fbf9fd6bcb9465f81e3a4a3b6023cba100a72302883bba2726e7e0",
+        "tree": "83c1e6fe0c8a34b8e96e2460986854a68e58bec8c4ade647370c82b287a8c2ea",
+    }
 
 
 def test_cap2_violation_returns_cube():
