@@ -11,23 +11,38 @@ against precomputed level sets of the required column patterns.  Searches pin
 the first element of each translatable role at 0; a NONE verdict is reported
 only when the pruned search provably covered the whole space.
 
+The staircase, shattering and tree searches (find_op, find_hop2, vc_dim,
+find_good_copy and the tree search behind regularize.find_dense_subspace) run
+on one DFS engine, _dfs.  Each slot of a pattern keeps a candidate mask, a
+Python-int bitset over the group; picking a translate c ANDs c's column (bit
+s is A[c + s]) or its complement into each slot's mask, and a search prunes
+when a mask empties.  The engine owns the loop over candidates, the one
+SearchBudget.tick() per candidate and the first-hit return, and raises
+_Exhausted, a CapacityError, when the budget runs out.  A search differs only
+in its candidate rule, its refine rule (_pattern for staircases and trees,
+_shatter for shattered sets) and its leaf.  The columns, and those of the
+tree and good-copy counts, come from _Columns, which builds each one on first
+use from GroupSpec.sum_table() (or _sum_index_grid in groups too large for
+it) and keeps it for the search.
+
 find_fop2, vc2_dim and cap2_check share one grid kernel: a block of translate
-tuples reads all of its patterns A[a + b_i + c_j] from GroupSpec.sum_table()
-(or _sum_index_grid in groups too large for it) in a few gathers.  Its first
-hit in lexicographic order is the one a tuple-at-a-time loop would find, so the
-witness is that loop's, and SearchBudget.charge bills the block exactly as the
-loop's ticks would, also when node_limit falls inside it.  Blocks hold about
-2^22 entries, and the clock is read once per block.
+tuples reads all of its patterns A[a + b_i + c_j] from the same _Grid in a few
+gathers.  Its first hit in lexicographic order is the one a tuple-at-a-time
+loop would find, so the witness is that loop's, and SearchBudget.charge bills
+the block exactly as the loop's ticks would, also when node_limit falls
+inside it.  Blocks hold about 2^22 entries, and the clock is read once per
+block.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 
 import numpy as np
 
-from .core import GroupSpec, GroupSubset, _sum_index_grid
+from .core import CapacityError, GroupSpec, GroupSubset, _sum_index_grid, matrix_rank
 
 NONE = "none"
 FOUND = "witness"
@@ -112,6 +127,9 @@ class Witness:
         A = self.subset
         spec = A.spec
         k = self.k
+        role_lists = {"OP": "ab", "HOP2": "xyz", "FOP2": "xz", "VC": "a", "VC2": "bc"}.get(self.kind, "")
+        if any(len(self.data[role]) != k for role in role_lists):
+            return False  # a k-witness lists exactly k elements per role
 
         def member(*vs):
             total = np.zeros(spec.n, dtype=np.int64)
@@ -139,6 +157,8 @@ class Witness:
             if len(yfam) != k ** (k * k):
                 return False  # must cover every selector function
             for f_flat, ys in yfam.items():
+                if len(ys) != k:
+                    return False
                 f = dict(zip(itertools.product(range(1, k + 1), repeat=2), f_flat))
                 for i in range(1, k + 1):
                     for j in range(1, k + 1):
@@ -251,20 +271,189 @@ class DetectResult:
         return f"DetectResult({self.status}, nodes={self.nodes})"
 
 
-class _Shifts:
-    """Cache of shifted indicator arrays: arr(x)[s] = A[x + s]."""
+_BLOCK = 1 << 22  # entries per block of the translate-grid kernel
 
-    def __init__(self, A: GroupSubset):
-        self.A = A
-        self.spec = A.spec
-        self._cache = {}
 
-    def __call__(self, x_index: int) -> np.ndarray:
-        arr = self._cache.get(x_index)
-        if arr is None:
-            arr = self.A.indicator[self.spec.add_perm(x_index)]
-            self._cache[x_index] = arr
-        return arr
+class _Grid:
+    """Sums and membership reads of an indicator `ind` over the group.
+    add(x, y): index of x + y for a (P, 1) column x and a (1, m) row or
+    (P, 1) column y; sums(v)[s] = index of v + s; rows(s)[..., a] =
+    ind[s + a].  All read sum_table(), via look[c, a] = ind[a + c], when the
+    group has one, else _sum_index_grid; a group without the table has
+    N^2 > _BLOCK, so the grid kernel's blocks hold P = 1."""
+
+    def __init__(self, spec: GroupSpec, ind: np.ndarray):
+        self.spec, self.ind, self.N = spec, ind, spec.order
+        self.tab = spec.sum_table()
+        self.all = np.arange(self.N)
+
+    @functools.cached_property
+    def look(self):
+        return None if self.tab is None else self.ind[self.tab]
+
+    def add(self, x, y):
+        if self.tab is not None:
+            return self.tab[x, y]
+        return _sum_index_grid(self.spec, x[:, 0], y[0])
+
+    def sums(self, v: int) -> np.ndarray:
+        if self.tab is not None:
+            return self.tab[v]
+        return _sum_index_grid(self.spec, np.array([v]), self.all)[0]
+
+    def rows(self, s):
+        if self.look is not None:
+            return self.look[s]
+        return self.ind[_sum_index_grid(self.spec, s.ravel(), self.all)].reshape(*s.shape, self.N)
+
+
+class _Columns(dict):
+    """cols[h] = (neg, pos, neg | pos), the Python-int bitsets whose bit s
+    is neg_ind[h + s] and grid.ind[h + s]; neg_ind defaults to ~grid.ind.
+    A slot's want w in {0, 1, 2} picks cols[h][w].  Each column is built on
+    first use and kept for the search."""
+
+    def __init__(self, grid: _Grid, neg_ind: np.ndarray | None = None):
+        super().__init__()
+        self.grid = grid
+        self.neg_ind = ~grid.ind if neg_ind is None else neg_ind
+
+    def __missing__(self, h: int) -> tuple:
+        row = self.grid.sums(h)
+        neg, pos = _bitset(self.neg_ind[row]), _bitset(self.grid.ind[row])
+        col = self[h] = (neg, pos, neg | pos)
+        return col
+
+
+def _bitset(ind: np.ndarray) -> int:
+    """The Python int whose bit s is ind[s]."""
+    return int.from_bytes(np.packbits(ind, bitorder="little").tobytes(), "little")
+
+
+def _low(mask: int) -> int:
+    """Index of the lowest set bit of a nonzero mask."""
+    return (mask & -mask).bit_length() - 1
+
+
+def _bits(mask: int):
+    """Indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+class _Exhausted(CapacityError):
+    """A search ran out of its SearchBudget."""
+
+
+def _dfs(depth: int, masks: list, candidates, refine, leaf, budget: SearchBudget):
+    """Depth-first search for `depth` picks.  candidates(picks) lists the
+    options for the next pick in order; refine(picks, c, masks) returns the
+    slot masks after picking c, or None to prune; leaf(picks, masks) returns
+    a hit or None.  Each candidate costs one budget.tick().  Returns the
+    first hit, or None once the space is covered; raises _Exhausted when a
+    tick fails, also from a search nested in a leaf."""
+    picks = []
+
+    def go(masks):
+        if len(picks) == depth:
+            return leaf(picks, masks)
+        for c in candidates(picks):
+            if not budget.tick():
+                raise _Exhausted("search budget exhausted")
+            new = refine(picks, c, masks)
+            if new is not None:
+                picks.append(c)
+                hit = go(new)
+                picks.pop()
+                if hit is not None:
+                    return hit
+        return None
+
+    return go(masks)
+
+
+def _search(run, *args):
+    """(status, hit) of run(*args), a search whose last argument is its
+    budget: BOUND_ONLY when the budget ran out, NONE when the search covered
+    its space, else FOUND with its first hit."""
+    try:
+        hit = run(*args)
+    except _Exhausted:
+        return BOUND_ONLY, None
+    return (NONE if hit is None else FOUND), hit
+
+
+def _every(N: int):
+    """Candidate rule: all N translates, at every depth."""
+    return lambda picks: range(N)
+
+
+def _take(picks, masks):
+    """Leaf of a search whose first leaf is its hit: (picks, slot masks)."""
+    return list(picks), masks
+
+
+def _pattern(want, cols):
+    """Refine rule of a fixed pattern: after r picks, the next pick c ANDs
+    cols[c][want[r][j]] into slot j (neg, pos or either side)."""
+
+    def refine(picks, c, masks):
+        col = cols[c]
+        new = []
+        for m, w in zip(masks, want[len(picks)]):
+            m &= col[w]
+            if not m:
+                return None
+            new.append(m)
+        return new
+
+    return refine
+
+
+def _staircase(k: int, first: int) -> list:
+    """want table of the k-staircase for rows first..k: row i puts slot j
+    (both 1-based) on the pos side iff i <= j."""
+    return [[int(i <= j) for j in range(1, k + 1)] for i in range(first, k + 1)]
+
+
+def _shatter(cols):
+    """Refine rule of shattering: every slot splits into its neg and its pos
+    part, so after r picks slot `bits` holds the candidates that are on the
+    pos side exactly of the picks i with bit i - 1 set."""
+
+    def refine(picks, c, masks):
+        neg, pos, _ = cols[c]
+        lo, hi = [], []
+        for m in masks:
+            m0, m1 = m & neg, m & pos
+            if not (m0 and m1):
+                return None
+            lo.append(m0)
+            hi.append(m1)
+        return lo + hi
+
+    return refine
+
+
+def _tree_keys(d: int):
+    """Node keys (0/1 tuples shorter than d, by length) and leaf keys."""
+    sigmas = [s for m in range(d) for s in itertools.product((0, 1), repeat=m)]
+    return sigmas, list(itertools.product((0, 1), repeat=d))
+
+
+def _tree_search(N: int, cols, side: int, d: int, budget: SearchBudget):
+    """First encoding of the depth-d tree pattern: nodes h_sigma picked in
+    key order, and leaves g_eta in `side` with h + g on the pos side where
+    sigma^1 <= eta, on the neg side where sigma^0 <= eta, and on either side
+    off the branches.  Returns ({sigma: h}, {eta: g}) or None."""
+    sigmas, etas = _tree_keys(d)
+    want = [[e[len(s)] if e[: len(s)] == s else 2 for e in etas] for s in sigmas]
+    hit = _dfs(len(sigmas), [side] * len(etas), _every(N), _pattern(want, cols), _take, budget)
+    if hit is None or not all(hit[1]):  # at d = 0 an empty side has no leaf
+        return None
+    return dict(zip(sigmas, hit[0])), {e: _low(m) for e, m in zip(etas, hit[1])}
 
 
 def find_op(A: GroupSubset, k: int, budget: SearchBudget | None = None) -> DetectResult:
@@ -276,170 +465,65 @@ def find_op(A: GroupSubset, k: int, budget: SearchBudget | None = None) -> Detec
     budget = (budget or SearchBudget()).start()
     if k < 1:
         raise ValueError("k must be >= 1")
-    shifts = _Shifts(A)
-    N = spec.order
-    # masks[j] = candidates for b_(j+1) consistent with rows chosen so far;
-    # row 1 is pinned at 0 and 1 <= j+1 always holds, so every mask starts at A.
-    arr0 = shifts(0)
-    init = [arr0.copy() for _ in range(k)]
-    over = [False]
-
-    def dfs(row, masks, chosen):
-        # row is the 1-based index of the next a to choose
-        if row > k:
-            bs = [int(np.nonzero(m)[0][0]) for m in masks]
-            return chosen, bs
-        for a in range(N):
-            if not budget.tick():
-                over[0] = True
-                return None
-            arr = shifts(a)
-            new = []
-            ok = True
-            for j in range(k):
-                m = masks[j] & (arr if row <= j + 1 else ~arr)
-                if not m.any():
-                    ok = False
-                    break
-                new.append(m)
-            if ok:
-                got = dfs(row + 1, new, chosen + [a])
-                if got is not None:
-                    return got
-            if over[0]:
-                return None
-        return None
-
-    if not all(m.any() for m in init):
+    if not A.indicator.any():
         return DetectResult(NONE, nodes=budget.nodes)
-    got = dfs(2, init, [0])
-    if got is not None:
-        a_idx, b_idx = got
-        w = Witness(
-            "OP",
-            A,
-            {
-                "a": [spec.vector_of(i) for i in a_idx],
-                "b": [spec.vector_of(i) for i in b_idx],
-            },
-            k=k,
-        )
-        _check_witness(w)
-        return DetectResult(FOUND, w, budget.nodes)
-    if over[0]:
-        return DetectResult(BOUND_ONLY, nodes=budget.nodes)
-    return DetectResult(NONE, nodes=budget.nodes)
+    cols = _Columns(_Grid(spec, A.indicator))
+    # slot j holds the candidates for b_j; a_1 = 0 is on the pos side of every slot
+    stairs = _pattern(_staircase(k, 2), cols)
+    status, hit = _search(_dfs, k - 1, [cols[0][1]] * k, _every(spec.order), stairs, _take, budget)
+    if status != FOUND:
+        return DetectResult(status, nodes=budget.nodes)
+    vec = spec.vector_of
+    w = Witness("OP", A, {"a": [vec(0)] + [vec(i) for i in hit[0]], "b": [vec(_low(m)) for m in hit[1]]}, k=k)
+    _check_witness(w)
+    return DetectResult(FOUND, w, budget.nodes)
 
 
 def find_hop2(A: GroupSubset, k: int, budget: SearchBudget | None = None) -> DetectResult:
     """Search for x,y,z tuples with x_u + y_v + z_w in A iff u < v + w.
 
-    x_1 and y_1 are pinned at 0; for a fixed x-tuple the membership column of
-    (y, z) depends only on y + z, so the z side is enumerated over level sets
-    of the staircase patterns and each remaining y is an intersection of
-    shifted level sets.  NONE is exhaustive.
+    x_1 and y_1 are pinned at 0.  The x-level is the staircase of find_op:
+    slot t - 1 ends up holding the s whose column A[x_u + s] is the pattern
+    u < t.  For a fixed x-tuple the membership column of (y, z) depends only
+    on y + z, so z_w ranges over slot w, and y_v's mask ANDs the columns at
+    x_u + z_w (or their complements) for every u.  NONE is exhaustive.
     """
     spec = A.spec
     budget = (budget or SearchBudget()).start()
-    shifts = _Shifts(A)
-    N = spec.order
-    # level-set masks for staircase thresholds t = 2..k+1 (pattern u < t)
-    thresholds = list(range(2, k + 2))
-    over = [False]
-
-    def solve_yz(masks):
-        # masks[t-2][s] == True iff column of s equals staircase with threshold t
-        zs = [None] * k
-        ymasks = [np.ones(N, dtype=bool) for _ in range(k)]  # y_2..y_k at 1..k-1
-
-        def zdfs(w, ymasks):
-            if w > k:
-                ys = [0] + [int(np.nonzero(m)[0][0]) for m in ymasks[1:]]
-                return ys, list(zs)
-            t = min(1 + w, k + 1)
-            cand = np.nonzero(masks[t - 2])[0]
-            for z in cand:
-                if not budget.tick():
-                    over[0] = True
-                    return None
-                perm = spec.add_perm(int(z))
-                new = [ymasks[0]]
-                ok = True
-                for v in range(2, k + 1):
-                    tv = min(v + w, k + 1)
-                    m = ymasks[v - 1] & masks[tv - 2][perm]
-                    if not m.any():
-                        ok = False
-                        break
-                    new.append(m)
-                if ok:
-                    zs[w - 1] = int(z)
-                    got = zdfs(w + 1, new)
-                    if got is not None:
-                        return got
-                if over[0]:
-                    return None
-            return None
-
-        return zdfs(1, ymasks)
-
-    arr0 = shifts(0)
-
-    def xdfs(row, masks, chosen):
-        if row > k:
-            got = solve_yz(masks)
-            if got is None:
-                return None
-            ys, zs = got
-            return chosen, ys, zs
-        for x in range(N):
-            if not budget.tick():
-                over[0] = True
-                return None
-            arr = shifts(x)
-            new = []
-            ok = True
-            for t in thresholds:
-                m = masks[t - 2] & (arr if row < t else ~arr)
-                if not m.any():
-                    ok = False
-                    break
-                new.append(m)
-            if ok:
-                got = xdfs(row + 1, new, chosen + [x])
-                if got is not None:
-                    return got
-            if over[0]:
-                return None
-        return None
-
-    init = []
-    feasible = True
-    for t in thresholds:
-        m = arr0 if 1 < t else ~arr0
-        init.append(m.copy())
-        if not m.any():
-            feasible = False
-    if not feasible:
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if not A.indicator.any():
         return DetectResult(NONE, nodes=budget.nodes)
-    got = xdfs(2, init, [0])
-    if got is not None:
-        xs, ys, zs = got
-        w = Witness(
-            "HOP2",
-            A,
-            {
-                "x": [spec.vector_of(i) for i in xs],
-                "y": [spec.vector_of(i) for i in ys],
-                "z": [spec.vector_of(i) for i in zs],
-            },
-            k=k,
-        )
-        _check_witness(w)
-        return DetectResult(FOUND, w, budget.nodes)
-    if over[0]:
-        return DetectResult(BOUND_ONLY, nodes=budget.nodes)
-    return DetectResult(NONE, nodes=budget.nodes)
+    grid = _Grid(spec, A.indicator)
+    cols = _Columns(grid)
+    full = (1 << spec.order) - 1
+
+    def yz_leaf(xpicks, levels):
+        xs = [0, *xpicks]
+        xcol = np.array(xs)[:, None]
+
+        def refine(zs, z, ymasks):  # ymasks hold y_2..y_k
+            w = len(zs) + 1
+            shifted = [cols[s] for s in grid.add(xcol, np.array([[z]])).ravel().tolist()]
+            new = []
+            for v, m in enumerate(ymasks, 2):
+                for u, col in enumerate(shifted, 1):
+                    m &= col[u < v + w]
+                if not m:
+                    return None
+                new.append(m)
+            return new
+
+        hit = _dfs(k, [full] * (k - 1), lambda zs: _bits(levels[len(zs)]), refine, _take, budget)
+        return None if hit is None else (xs, [0, *map(_low, hit[1])], hit[0])
+
+    stairs = _pattern(_staircase(k, 2), cols)
+    status, hit = _search(_dfs, k - 1, [cols[0][1]] * k, _every(spec.order), stairs, yz_leaf, budget)
+    if status != FOUND:
+        return DetectResult(status, nodes=budget.nodes)
+    w = Witness("HOP2", A, {role: [spec.vector_of(i) for i in idx] for role, idx in zip("xyz", hit)}, k=k)
+    _check_witness(w)
+    return DetectResult(FOUND, w, budget.nodes)
 
 
 def hop2_witness_from_reindexed(A: GroupSubset, xs, ys, zs, k: int) -> Witness:
@@ -453,35 +537,6 @@ def hop2_witness_from_reindexed(A: GroupSubset, xs, ys, zs, k: int) -> Witness:
         k=k,
     )
     return w
-
-
-_BLOCK = 1 << 22  # entries per block of the translate-grid kernel
-
-
-class _Grid:
-    """add(x, y): index of x + y for a (P, 1) column x and a (1, m) row or
-    (P, 1) column y; rows(s)[..., a] = A[s + a].  Both read sum_table(), via
-    look[c, a] = A[a + c], when the group has one, else _sum_index_grid; a
-    group without the table has N^2 > _BLOCK, so its blocks hold P = 1."""
-
-    def __init__(self, A: GroupSubset):
-        self.spec, self.ind, self.N = A.spec, A.indicator, A.spec.order
-        self.tab = A.spec.sum_table()
-        self.look = None if self.tab is None else self.ind[self.tab]
-        self.all = np.arange(self.N)
-
-    def add(self, x, y):
-        if self.tab is not None:
-            return self.tab[x, y]
-        return _sum_index_grid(self.spec, x[:, 0], y[0])
-
-    def sums(self, v: int) -> np.ndarray:  # index of v + s for every s
-        return self.add(np.array([[v]]), self.all[None, :])[0]
-
-    def rows(self, s):
-        if self.look is not None:
-            return self.look[s]
-        return self.ind[_sum_index_grid(self.spec, s.ravel(), self.all)].reshape(*s.shape, self.N)
 
 
 def _grid_blocks(N: int, r: int, width: int):
@@ -504,7 +559,7 @@ def _grid_search(A: GroupSubset, k: int, codes, per: int, budget: SearchBudget):
     row pats[a] = sum_{i,j} A[a + b_i + c_j] << (i*k + j), with b_1 = c_1 = 0,
     contains every code.  Returns (over, hit) with hit = (bs, cs, pats) or
     None.  Each tuple costs `per` nodes, charged once per block."""
-    grid = _Grid(A)
+    grid = _Grid(A.spec, A.indicator)
     N, K = grid.N, 1 << (k * k)
     dtype = np.min_scalar_type(K - 1)
     zero = np.zeros((1, 1), dtype=np.int64)
@@ -540,6 +595,8 @@ def find_fop2(A: GroupSubset, k: int, budget: SearchBudget | None = None) -> Det
     """
     spec = A.spec
     budget = (budget or SearchBudget()).start()
+    if k < 1:
+        raise ValueError("k must be >= 1")
     if k > 2 and spec.order ** (2 * (k - 1)) > budget.node_limit:
         return DetectResult(BOUND_ONLY, nodes=0)
     N = spec.order
@@ -566,17 +623,6 @@ def find_fop2(A: GroupSubset, k: int, budget: SearchBudget | None = None) -> Det
     return DetectResult(FOUND, w, budget.nodes)
 
 
-def _bitmask_columns(A: GroupSubset):
-    """Python-int bitmasks: cols[a] has bit b set iff A[a + b]."""
-    spec = A.spec
-    shifts = _Shifts(A)
-    cols = []
-    for a in range(spec.order):
-        packed = np.packbits(shifts(a), bitorder="little").tobytes()
-        cols.append(int.from_bytes(packed, "little"))
-    return cols
-
-
 def vc_dim(A: GroupSubset, kmax: int, budget: SearchBudget | None = None):
     """Largest k <= kmax admitting a shattered translate family, with witness.
 
@@ -589,66 +635,22 @@ def vc_dim(A: GroupSubset, kmax: int, budget: SearchBudget | None = None):
     size = len(A)
     if size == 0 or size == N:
         return 0, None, FOUND
-    cols = _bitmask_columns(A)
-    neg = [(~c) & ((1 << N) - 1) for c in cols]
+    cols = _Columns(_Grid(spec, A.indicator))
+
+    def after_last(picks):  # the family's elements in increasing order
+        return range(picks[-1] + 1 if picks else 0, N)
 
     best_k, best_witness = 0, None
-    over = [False]
-
-    def witness_from(elems):
-        k = len(elems)
-        bS = {}
-        for S in itertools.chain.from_iterable(
-            itertools.combinations(range(1, k + 1), r) for r in range(k + 1)
-        ):
-            mask = (1 << N) - 1
-            for i in range(1, k + 1):
-                mask &= cols[elems[i - 1]] if i in S else neg[elems[i - 1]]
-            bS[frozenset(S)] = spec.vector_of((mask & -mask).bit_length() - 1)
-        return Witness(
-            "VC", A, {"a": [spec.vector_of(e) for e in elems], "b": bS}, k=k
-        )
-
-    def dfs(k, start, elems, masks):
-        # masks: one candidate bitset per subset pattern of the chosen elements
-        if len(elems) == k:
-            return list(elems)
-        for a in range(start, N):
-            if not budget.tick():
-                over[0] = True
-                return None
-            ca, na = cols[a], neg[a]
-            new = []
-            ok = True
-            for m in masks:
-                m1 = m & ca
-                if not m1:
-                    ok = False
-                    break
-                m0 = m & na
-                if not m0:
-                    ok = False
-                    break
-                new.append(m0)
-                new.append(m1)
-            if ok:
-                got = dfs(k, a + 1, elems + [a], new)
-                if got is not None:
-                    return got
-            if over[0]:
-                return None
-        return None
-
     for k in range(1, kmax + 1):
         if 2**k > N:
             break
-        got = dfs(k, 0, [], [(1 << N) - 1])
-        if over[0]:
-            return best_k, best_witness, BOUND_ONLY
-        if got is None:
-            return best_k, best_witness, FOUND
-        best_k = k
-        best_witness = witness_from(got)
+        status, hit = _search(_dfs, k, [(1 << N) - 1], after_last, _shatter(cols), _take, budget)
+        if status != FOUND:
+            return best_k, best_witness, FOUND if status == NONE else BOUND_ONLY
+        elems, masks = hit
+        subsets = itertools.chain.from_iterable(itertools.combinations(range(1, k + 1), r) for r in range(k + 1))
+        bS = {frozenset(S): spec.vector_of(_low(masks[sum(1 << (i - 1) for i in S)])) for S in subsets}
+        best_k, best_witness = k, Witness("VC", A, {"a": [spec.vector_of(e) for e in elems], "b": bS}, k=k)
         _check_witness(best_witness)
     return best_k, best_witness, FOUND
 
@@ -695,7 +697,7 @@ def cap2_check(A: GroupSubset, budget: SearchBudget | None = None):
     spec = A.spec
     budget = (budget or SearchBudget()).start()
     N = spec.order
-    grid = _Grid(A)
+    grid = _Grid(A.spec, A.indicator)
     for a in range(N):
         shifted = grid.ind[grid.sums(a)]
         D, E = grid.ind & shifted, grid.ind & ~shifted
@@ -723,30 +725,22 @@ def cap2_check(A: GroupSubset, budget: SearchBudget | None = None):
     return True, None, FOUND
 
 
-def _subtree_count(A, nodes_ind, spec, depth, mask, shifts, budget):
+def _subtree_count(nodes: list, depth: int, mask: int, cols, budget: SearchBudget) -> int:
     """Number of (node, leaf) assignments of a depth-`depth` subtree whose
     leaves are additionally constrained to `mask` (branch constraints run
     only along root-to-leaf paths, so subtrees multiply)."""
     if depth == 0:
-        return int(mask.sum())
+        return mask.bit_count()
     total = 0
-    for h in np.nonzero(nodes_ind)[0]:
+    for h in nodes:
         if not budget.tick():
-            raise MemoryError("tree-encoding budget exceeded")
-        arr = shifts(int(h))
-        m1 = mask & arr
-        if m1.any():
-            c1 = _subtree_count(A, nodes_ind, spec, depth - 1, m1, shifts, budget)
-        else:
-            c1 = 0
-        if c1 == 0:
-            continue
-        m0 = mask & ~arr
-        if m0.any():
-            c0 = _subtree_count(A, nodes_ind, spec, depth - 1, m0, shifts, budget)
-        else:
-            c0 = 0
-        total += c0 * c1
+            raise _Exhausted("tree-encoding budget exceeded")
+        neg, pos, _ = cols[h]
+        m1 = mask & pos
+        c1 = _subtree_count(nodes, depth - 1, m1, cols, budget) if m1 else 0
+        if c1:
+            m0 = mask & neg
+            total += c1 * (_subtree_count(nodes, depth - 1, m0, cols, budget) if m0 else 0)
     return total
 
 
@@ -764,12 +758,10 @@ def count_tree_encodings(
     """
     if d < 1 or d > 3:
         raise ValueError("tree depth supported for 1 <= d <= 3")
-    spec = A.spec
     budget = (budget or SearchBudget()).start()
-    shifts = _Shifts(A)
-    return _subtree_count(
-        A, nodes_in.indicator, spec, d, leaves_in.indicator.copy(), shifts, budget
-    )
+    cols = _Columns(_Grid(A.spec, A.indicator))
+    nodes = np.flatnonzero(nodes_in.indicator).tolist()
+    return _subtree_count(nodes, d, _bitset(leaves_in.indicator), cols, budget)
 
 
 def count_tree_encodings_naive(A: GroupSubset, d: int, leaves_in: GroupSubset, nodes_in: GroupSubset) -> int:
@@ -810,8 +802,7 @@ def plant_tree_encoding(spec: GroupSpec, d: int, seed: int = 0, max_tries: int =
     Elements are redrawn until the required and forbidden sums are disjoint;
     the group should be large compared to the square of the number of
     branch constraints (about d * 2^d) for this to finish quickly."""
-    sigmas = [tuple(s) for m in range(d) for s in itertools.product((0, 1), repeat=m)]
-    etas = [tuple(e) for e in itertools.product((0, 1), repeat=d)]
+    sigmas, etas = _tree_keys(d)
     for attempt in range(max_tries):
         rng = np.random.default_rng(seed + attempt)
         nodes = {s: rng.integers(0, spec.p, size=spec.n) for s in sigmas}
@@ -874,7 +865,7 @@ def hodges_extract(encoding: Witness, k: int) -> Witness | None:
     node_list = list(nodes.items())
     leaf_list = list(leaves.items())
     if len(node_list) * len(leaf_list) > 4_000_000:
-        raise MemoryError("staircase extraction search space too large")
+        raise CapacityError("staircase extraction search space too large")
     M = {}
     for s, h in node_list:
         for e, g in leaf_list:
@@ -911,7 +902,7 @@ def hodges_extract(encoding: Witness, k: int) -> Witness | None:
 
     got = search([], [], 0, 0)
     if got is None:
-        raise MemoryError(f"no staircase of length {k} found within the guided search")
+        raise CapacityError(f"no staircase of length {k} found within the guided search")
     cs, bs = got
     w = Witness(
         "OP",
@@ -1025,31 +1016,27 @@ def affine_embedding_exists(H_pair, G_pair, budget: SearchBudget | None = None):
     if spec_H.p != spec_G.p:
         raise ValueError("mismatched characteristic")
     if spec_H.order > spec_G.p**3:
-        raise MemoryError("source group too large for exhaustive embedding search")
-    p, m, n = spec_H.p, spec_H.n, spec_G.n
+        raise CapacityError("source group too large for exhaustive embedding search")
+    p, m = spec_H.p, spec_H.n
     H_digits = spec_H.digits.astype(np.int64)
-    want = Aprime.indicator
-    shifts = _Shifts(A)
+    want = Aprime.indicator.tolist()
+    cols = _Columns(_Grid(spec_G, A.indicator))
     N = spec_G.order
 
-    for cols in itertools.product(range(N), repeat=m):
-        V = np.stack([spec_G.vector_of(c) for c in cols], axis=1)
-        from .core import matrix_rank
-
+    for images_of_basis in itertools.product(range(N), repeat=m):
+        V = np.stack([spec_G.vector_of(c) for c in images_of_basis], axis=1)
         if matrix_rank(V.T, p) != m:
             continue
         if not budget.tick(N):
-            raise MemoryError("embedding search budget exceeded")
-        images = spec_G.indices_of((H_digits @ V.T) % p)
-        ok = np.ones(N, dtype=bool)
-        for h in range(spec_H.order):
-            arr = shifts(int(images[h]))
-            ok &= arr if want[h] else ~arr
-            if not ok.any():
+            raise _Exhausted("embedding search budget exceeded")
+        images = spec_G.indices_of((H_digits @ V.T) % p).tolist()
+        ok = (1 << N) - 1  # the translates g that embed the elements so far
+        for h, image in enumerate(images):
+            ok &= cols[image][want[h]]
+            if not ok:
                 break
-        if ok.any():
-            g = int(np.nonzero(ok)[0][0])
-            return spec_G.vector_of(g), V
+        if ok:
+            return spec_G.vector_of(_low(ok)), V
     return None
 
 
@@ -1071,175 +1058,40 @@ def find_good_copy(red, pattern: str, k: int, side=None, budget: SearchBudget | 
         return DetectResult(NONE)
     budget = (budget or SearchBudget()).start()
     side = red.H_B if side is None else np.asarray(side, dtype=bool)
-    N = spec.order
-    cls = np.zeros(N, dtype=np.int8)
-    cls[red.A1] = 2
-    cls[red.A0] = 1
-
-    def shifted_cls(i):
-        return cls[spec.add_perm(int(i))]
-
+    N, vec = spec.order, spec.vector_of
+    cols = _good_copy_columns(red)
     if pattern == "H":
         # staircase: left a_1..a_k free, right b_1..b_k in side;
         # a_i + b_j dense iff i <= j, sparse otherwise.
-        def dfs(row, masks, chosen):
-            if row > k:
-                bs = [int(np.nonzero(m)[0][0]) for m in masks]
-                return chosen, bs
-            for a in range(N):
-                if not budget.tick():
-                    return None
-                col = shifted_cls(a)
-                new, ok = [], True
-                for j in range(k):
-                    want = 2 if row <= j + 1 else 1
-                    m = masks[j] & (col == want)
-                    if not m.any():
-                        ok = False
-                        break
-                    new.append(m)
-                if ok:
-                    got = dfs(row + 1, new, chosen + [a])
-                    if got is not None:
-                        return got
-                if budget.exhausted():
-                    return None
-            return None
-
-        got = dfs(1, [side.copy() for _ in range(k)], [])
-        if got is not None:
-            left, right = got
-            w = Witness(
-                "GOODCOPY",
-                red.A,
-                {
-                    "left": [spec.vector_of(i) for i in left],
-                    "right": [spec.vector_of(i) for i in right],
-                    "pattern": "H",
-                    "red": red,
-                    "side": side,
-                },
-                k=k,
-            )
-            _check_witness(w)
-            return DetectResult(FOUND, w, budget.nodes)
-        return DetectResult(BOUND_ONLY if budget.exhausted() else NONE, nodes=budget.nodes)
-
-    if pattern == "U":
-        # left a_1..a_k free; right b_S in side for each S subset of [k].
-        def dfs(row, masks, chosen):
-            if row > k:
-                out = {}
-                for bits, m in enumerate(masks):
-                    out[bits] = int(np.nonzero(m)[0][0])
-                return chosen, out
-            for a in range(N):
-                if not budget.tick():
-                    return None
-                col = shifted_cls(a)
-                new, ok = [], True
-                for bits in range(2 ** (row - 1)):
-                    m = masks[bits]
-                    m0 = m & (col == 1)
-                    m1 = m & (col == 2)
-                    if not m0.any() or not m1.any():
-                        ok = False
-                        break
-                    new.append(m0)
-                    new.append(m1)
-                if ok:
-                    # reorder so bit (row-1) indexes membership of the new element
-                    reordered = [None] * (2**row)
-                    for bits in range(2 ** (row - 1)):
-                        reordered[bits] = new[2 * bits]
-                        reordered[bits | (1 << (row - 1))] = new[2 * bits + 1]
-                    got = dfs(row + 1, reordered, chosen + [a])
-                    if got is not None:
-                        return got
-                if budget.exhausted():
-                    return None
-            return None
-
-        got = dfs(1, [side.copy()], [])
-        if got is not None:
-            left, right = got
-            w = Witness(
-                "GOODCOPY",
-                red.A,
-                {
-                    "left": [spec.vector_of(i) for i in left],
-                    "right": {bits: spec.vector_of(i) for bits, i in right.items()},
-                    "pattern": "U",
-                    "red": red,
-                    "side": side,
-                },
-                k=k,
-            )
-            _check_witness(w)
-            return DetectResult(FOUND, w, budget.nodes)
-        return DetectResult(BOUND_ONLY if budget.exhausted() else NONE, nodes=budget.nodes)
-
-    if pattern == "T":
-        d = k
+        stairs = _pattern(_staircase(k, 1), cols)
+        status, hit = _search(_dfs, k, [_bitset(side)] * k, _every(N), stairs, _take, budget)
+    elif pattern == "U":
+        # left a_1..a_k free; right b_S in side for each S subset of [k],
+        # found in the slot whose bits are S.
+        status, hit = _search(_dfs, k, [_bitset(side)], _every(N), _shatter(cols), _take, budget)
+    elif pattern == "T":
         # good encoding: leaves in side, every node+leaf sum classified (no
         # error atoms), with branch sums dense on the 1 side, sparse on 0.
-        leaf_keys = list(itertools.product((0, 1), repeat=d))
-        node_keys = [tuple(s) for m in range(d) for s in itertools.product((0, 1), repeat=m)]
+        status, hit = _search(_tree_search, N, cols, _bitset(side), k, budget)
+    else:
+        raise ValueError(f"unknown pattern {pattern!r}")
+    if status != FOUND:
+        return DetectResult(status, nodes=budget.nodes)
+    if pattern == "T":
+        nodes, leaves = ({key: vec(i) for key, i in part.items()} for part in hit)
+        data = {"nodes": nodes, "leaves": leaves, "pattern": pattern, "d": k}
+    else:
+        left, right = [vec(i) for i in hit[0]], [vec(_low(m)) for m in hit[1]]
+        data = {"left": left, "right": right if pattern == "H" else dict(enumerate(right)), "pattern": pattern}
+    w = Witness("GOODCOPY", red.A, {**data, "red": red, "side": side}, k=k)
+    _check_witness(w)
+    return DetectResult(FOUND, w, budget.nodes)
 
-        def dfs(idx, nodes, leaf_masks):
-            if idx == len(node_keys):
-                out = {}
-                for key, m in leaf_masks.items():
-                    pos = np.nonzero(m)[0]
-                    if pos.size == 0:
-                        return None
-                    out[key] = int(pos[0])
-                return nodes, out
-            sigma = node_keys[idx]
-            for h in range(N):
-                if not budget.tick():
-                    return None
-                col = shifted_cls(h)
-                new, ok = {}, True
-                for key, m in leaf_masks.items():
-                    if len(sigma) < d and key[: len(sigma)] == sigma:
-                        want = 2 if key[len(sigma)] == 1 else 1
-                        mm = m & (col == want)
-                    else:
-                        mm = m & (col > 0)
-                    if not mm.any():
-                        ok = False
-                        break
-                    new[key] = mm
-                if ok:
-                    got = dfs(idx + 1, nodes + [h], new)
-                    if got is not None:
-                        return got
-                if budget.exhausted():
-                    return None
-            return None
 
-        got = dfs(0, [], {key: side.copy() for key in leaf_keys})
-        if got is not None:
-            nodes, leaves = got
-            w = Witness(
-                "GOODCOPY",
-                red.A,
-                {
-                    "nodes": {node_keys[i]: spec.vector_of(h) for i, h in enumerate(nodes)},
-                    "leaves": {key: spec.vector_of(i) for key, i in leaves.items()},
-                    "pattern": "T",
-                    "d": d,
-                    "red": red,
-                    "side": side,
-                },
-                k=d,
-            )
-            _check_witness(w)
-            return DetectResult(FOUND, w, budget.nodes)
-        return DetectResult(BOUND_ONLY if budget.exhausted() else NONE, nodes=budget.nodes)
-
-    raise ValueError(f"unknown pattern {pattern!r}")
+def _good_copy_columns(red):
+    """Columns of a reduced pair with pos = dense and neg = sparse atoms; an
+    atom that is both (possible for eps >= 1/2) counts as sparse."""
+    return _Columns(_Grid(red.label_spec, red.A1 & ~red.A0), red.A0)
 
 
 def verify_good_copy(red, left_labels, right_labels, pattern: str = "H") -> bool:
@@ -1266,21 +1118,16 @@ def verify_good_copy(red, left_labels, right_labels, pattern: str = "H") -> bool
 def count_good_copies_H(red, k: int, side=None) -> int:
     """Exact count of good copies of the k-staircase with right side in
     `side` (product formula over realizer columns per left tuple)."""
-    spec = red.label_spec
-    side = red.H_B if side is None else np.asarray(side, dtype=bool)
-    N = spec.order
-    cls = np.zeros(N, dtype=np.int8)
-    cls[red.A1] = 2
-    cls[red.A0] = 1
+    side = _bitset(red.H_B if side is None else np.asarray(side, dtype=bool))
+    cols = _good_copy_columns(red)
     total = 0
-    for left in itertools.product(range(N), repeat=k):
-        cols = [cls[spec.add_perm(a)] for a in left]
+    for left in itertools.product(range(red.label_spec.order), repeat=k):
         prod = 1
-        for j in range(1, k + 1):
-            m = side.copy()
-            for i in range(1, k + 1):
-                m &= cols[i - 1] == (2 if i <= j else 1)
-            prod *= int(m.sum())
+        for j in range(k):
+            m = side
+            for i, a in enumerate(left):
+                m &= cols[a][i <= j]
+            prod *= m.bit_count()
             if prod == 0:
                 break
         total += prod

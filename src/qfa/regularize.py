@@ -19,9 +19,9 @@ import math
 import numpy as np
 
 from .core import (
-    GroupSpec, GroupSubset, _canonical_lines, _sum_index_grid, dft, nullspace_basis, rref,
+    CapacityError, GroupSpec, GroupSubset, _canonical_lines, _sum_index_grid, dft, nullspace_basis, rref,
 )
-from .detectors import Witness
+from .detectors import SearchBudget, Witness, _Columns, _Grid, _tree_search, count_tree_encodings
 from .factors import (
     LinearFactor,
     QuadraticFactor,
@@ -255,55 +255,15 @@ class EncodingEvidence:
         return f"EncodingEvidence(d={self.d}, count={self.count})"
 
 
-def _find_tree_encoding(A_loc: GroupSubset, d: int) -> dict | None:
-    """One encoding of the depth-d pattern in (H, A'), all elements from H."""
-    spec = A_loc.spec
-    N = spec.order
-    sigmas = [tuple(s) for m in range(d) for s in itertools.product((0, 1), repeat=m)]
-    etas = [tuple(e) for e in itertools.product((0, 1), repeat=d)]
-    shifts = {}
-
-    def arr(h):
-        if h not in shifts:
-            shifts[h] = A_loc.indicator[spec.add_perm(h)]
-        return shifts[h]
-
-    def dfs(idx, nodes, masks):
-        if idx == len(sigmas):
-            leaves = {}
-            for e, m in masks.items():
-                pos = np.nonzero(m)[0]
-                if pos.size == 0:
-                    return None
-                leaves[e] = int(pos[0])
-            return nodes, leaves
-        sigma = sigmas[idx]
-        for h in range(N):
-            col = arr(h)
-            new, ok = {}, True
-            for e, m in masks.items():
-                if len(sigma) < d and e[: len(sigma)] == sigma:
-                    mm = m & (col if e[len(sigma)] == 1 else ~col)
-                    if not mm.any():
-                        ok = False
-                        break
-                    new[e] = mm
-                else:
-                    new[e] = m
-            if ok:
-                got = dfs(idx + 1, nodes + [h], new)
-                if got is not None:
-                    return got
-        return None
-
-    got = dfs(0, [], {e: np.ones(N, dtype=bool) for e in etas})
-    if got is None:
-        return None
-    nodes, leaves = got
-    return {
-        "nodes": dict(zip(sigmas, nodes)),
-        "leaves": leaves,
-    }
+def _find_tree_encoding(A_loc: GroupSubset, d: int, budget: SearchBudget | None = None) -> dict | None:
+    """One encoding of the depth-d pattern in (H, A'), all elements from H:
+    the tree search of find_good_copy's T pattern with dense = A', sparse =
+    its complement and every leaf allowed.  Raises CapacityError when the
+    budget (by default SearchBudget()) runs out."""
+    N = A_loc.spec.order
+    cols = _Columns(_Grid(A_loc.spec, A_loc.indicator))
+    found = _tree_search(N, cols, (1 << N) - 1, d, (budget or SearchBudget()).start())
+    return None if found is None else {"nodes": found[0], "leaves": found[1]}
 
 
 def find_dense_subspace(A: GroupSubset, H: Subgroup, eps: float, d: int):
@@ -326,28 +286,25 @@ def find_dense_subspace(A: GroupSubset, H: Subgroup, eps: float, d: int):
         lab, ind = cur.localized(A, y)
         if lab is not None:
             loc = GroupSubset(lab, ind)
-            from .detectors import count_tree_encodings
-
             full = GroupSubset.full(lab)
             try:
                 cnt = count_tree_encodings(loc, d, full, full)
-            except (MemoryError, ValueError):
-                cnt = 0
-            if cnt > 0:
-                found = _find_tree_encoding(loc, d)
-                if found is not None:
-                    # lift the local encoding back to the ambient group
-                    nodes = {
-                        s: (lab.vector_of(h) @ cur.basis + y) % spec.p
-                        for s, h in found["nodes"].items()
-                    }
-                    leaves = {
-                        e: (lab.vector_of(g) @ cur.basis) % spec.p
-                        for e, g in found["leaves"].items()
-                    }
-                    w = Witness("TREE", A, {"leaves": leaves, "nodes": nodes, "d": d})
-                    if w.revalidate():
-                        return "evidence", EncodingEvidence(d, cnt, w)
+                found = _find_tree_encoding(loc, d) if cnt > 0 else None
+            except (CapacityError, ValueError):
+                found = None
+            if found is not None:
+                # lift the local encoding back to the ambient group
+                nodes = {
+                    s: (lab.vector_of(h) @ cur.basis + y) % spec.p
+                    for s, h in found["nodes"].items()
+                }
+                leaves = {
+                    e: (lab.vector_of(g) @ cur.basis) % spec.p
+                    for e, g in found["leaves"].items()
+                }
+                w = Witness("TREE", A, {"leaves": leaves, "nodes": nodes, "d": d})
+                if w.revalidate():
+                    return "evidence", EncodingEvidence(d, cnt, w)
         eps_unif /= 2
     raise RuntimeError("dense-subspace dichotomy did not resolve within budget")
 
@@ -535,7 +492,7 @@ def brute_quad_atomize(A: GroupSubset, eps: float, max_complexity: int = 5, max_
     quadratic pairs up to their span.  Returns the factor or None."""
     spec = A.spec
     if spec.n > 3:
-        raise MemoryError("brute-force atomizer limited to n <= 3")
+        raise CapacityError("brute-force atomizer limited to n <= 3")
     p, n = spec.p, spec.n
     sym_dim = n * (n + 1) // 2
     mats = []
@@ -670,7 +627,7 @@ def _membership_y_search(A, spec, zero_atom, s_pair, r_pair, fgrid):
     for i, si in enumerate((s1, s2), start=1):
         for m, ri in enumerate((r1, r2), start=1):
             base = spec.sum_index(si, ri)
-            member[(i, m)] = A.indicator[spec.add_perm(base)][zero_atom]
+            member[(i, m)] = A.indicator[_sum_index_grid(spec, zero_atom, base)]
     yfam = {}
     for f_vals in fgrid:
         f = dict(zip(itertools.product((1, 2), repeat=2), f_vals))

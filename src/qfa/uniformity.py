@@ -449,7 +449,7 @@ def dev23_measure(A: GroupSubset, d: TriadDescriptor, max_part: int = 256) -> De
     atoms, (e12, e13, e23) = triad_graphs(d)
     U, V, W = (len(a) for a in atoms)
     if max(U, V, W) > max_part:
-        raise MemoryError(f"part sizes {U},{V},{W} exceed the cap {max_part}")
+        raise CapacityError(f"part sizes {U},{V},{W} exceed the cap {max_part}")
     if min(U, V, W) == 0:
         return Dev23Result(0.0, 0.0, 0.0, 0.0, 0.0, (U, V, W))
     dens = [e12.mean(), e13.mean(), e23.mean()]
@@ -490,7 +490,7 @@ def oct_measure(A: GroupSubset, d: TriadDescriptor, max_part: int = 256):
     atoms, (e12, e13, e23) = triad_graphs(d)
     U, V, W = (len(a) for a in atoms)
     if max(U, V, W) > max_part:
-        raise MemoryError(f"part sizes {U},{V},{W} exceed the cap {max_part}")
+        raise CapacityError(f"part sizes {U},{V},{W} exceed the cap {max_part}")
     if min(U, V, W) == 0:
         return 0.0, 0.0
     target = d.atom(sigma(d))

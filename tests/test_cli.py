@@ -105,6 +105,11 @@ def test_cli_usage_error_exit_2(capsys):
     assert rc == 2
 
 
+def test_cli_detect_k_below_one_exit_2(capsys):
+    for kind in ("op", "hop2", "fop2"):
+        assert main(["detect", kind, "--set", "gs:p=3,n=2", "--k", "0"]) == 2
+
+
 def test_cli_bad_formula_exit_2(tmp_path, capsys):
     from qfa.factors import QuadraticFactor, write_factor
 

@@ -85,6 +85,34 @@ def test_op_budget_exhaustion_reports_bound_only():
     assert res.status == BOUND_ONLY
 
 
+def test_k_below_one_is_rejected():
+    # k = 0 used to give a vacuous FOUND from find_hop2 and find_fop2
+    for search in (find_op, find_hop2, find_fop2):
+        for k in (0, -1):
+            with pytest.raises(ValueError):
+                search(gs(2, 3), k)
+
+
+def test_revalidate_rejects_role_lists_not_of_length_k():
+    zero = np.zeros(2, dtype=np.int64)
+    assert not Witness("HOP2", gs(2, 3), {"x": [zero], "y": [zero], "z": []}, k=0).revalidate()
+    fop2 = find_fop2(GroupSubset(GroupSpec(3, 3), np.random.default_rng(0).random(27) < 0.5), 2).witness
+    found = [
+        (find_op(gs(3, 3), 2).witness, "ab"),
+        (find_hop2(gs(4, 3), 3).witness, "xyz"),
+        (fop2, "xz"),
+        (vc_dim(gs(3, 3), 4)[1], "a"),
+        (vc2_dim(quadric(2, 3), 2)[1], "bc"),
+    ]
+    for w, roles in found:
+        assert w.revalidate()
+        for role in roles:
+            longer = dict(w.data, **{role: list(w.data[role]) + [w.data[role][0]]})
+            assert not Witness(w.kind, w.subset, longer, k=w.k).revalidate(), (w.kind, role)
+    yfam = {f: ys + ys[:1] for f, ys in fop2.data["y"].items()}
+    assert not Witness("FOP2", fop2.subset, dict(fop2.data, y=yfam), k=2).revalidate()
+
+
 # --- hyperplane order property ---
 
 
@@ -399,7 +427,7 @@ def _tree_rows():
                 budget = SearchBudget(node_limit=limit)
                 try:
                     count = count_tree_encodings(A, d, Lm, Nm, budget)
-                except (MemoryError, CapacityError):  # a budget overrun
+                except CapacityError:  # the budget ran out
                     count = "over"
                 rows.append(["count tree", d, limit, count, budget.nodes])
             H = GroupSpec(p, 1)
@@ -474,6 +502,18 @@ def test_tree_count_matches_naive():
         Nm = GroupSubset(sp, RNG.random(9) < 0.8)
         for d in (1, 2):
             assert count_tree_encodings(A, d, Lm, Nm) == count_tree_encodings_naive(A, d, Lm, Nm)
+
+
+def test_tree_searches_raise_capacity_error_when_the_budget_runs_out():
+    from qfa.regularize import _find_tree_encoding
+
+    sp = GroupSpec(3, 2)
+    A = GroupSubset(sp, np.random.default_rng(3).random(sp.order) < 0.5)
+    full = GroupSubset.full(sp)
+    assert _find_tree_encoding(A, 2) is not None
+    for search in (lambda b: _find_tree_encoding(A, 2, b), lambda b: count_tree_encodings(A, 2, full, full, b)):
+        with pytest.raises(CapacityError):
+            search(SearchBudget(node_limit=1))
 
 
 def test_tree_depth_cap():

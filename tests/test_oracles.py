@@ -7,6 +7,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfa.core import GroupSpec, GroupSubset
 from qfa.detectors import (
@@ -18,6 +20,7 @@ from qfa.detectors import (
     find_hop2,
     find_op,
     vc2_dim,
+    vc_dim,
 )
 from qfa.uniformity import reduced_pair
 from qfa.factors import QuadraticFactor
@@ -31,33 +34,63 @@ def random_subsets(spec, count, lo=0.15, hi=0.85):
 
 
 def op_oracle(A, k):
+    """Every a in N^k at once, one broadcast axis per coordinate, with a
+    last axis for b.  The b_j are chosen independently, so a extends to a
+    staircase when, for each j, some b has A[tab[a_i, b]] == (i <= j) for
+    every i, read on add_perm digit sums."""
     spec = A.spec
     N = spec.order
-    tab = np.stack([spec.add_perm(i) for i in range(N)])
-    for a in itertools.product(range(N), repeat=k):
-        for b in itertools.product(range(N), repeat=k):
-            if all(
-                A.indicator[tab[a[i], b[j]]] == (i <= j)
-                for i in range(k)
-                for j in range(k)
-            ):
-                return True
-    return False
+    M = A.indicator[np.stack([spec.add_perm(i) for i in range(N)])]  # M[s, t] = A[s + t]
+    a = [np.arange(N).reshape((1,) * t + (N,) + (1,) * (k - t)) for t in range(k)]
+    b = np.arange(N).reshape((1,) * k + (N,))
+    ok = np.ones((N,) * k, dtype=bool)
+    for j in range(k):
+        col = np.ones((N,) * (k + 1), dtype=bool)
+        for i in range(k):
+            col &= M[a[i], b] == (i <= j)
+        ok &= col.any(axis=-1)
+    return bool(ok.any())
 
 
 def hop2_oracle(A, k):
-    """Every (x, y, z) in (N^k)^3 at once, one broadcast axis per
-    coordinate: the staircase holds where each A[tab[tab[x_u, y_v], z_w]],
-    read on add_perm digit sums, equals u < v + w (1-based)."""
+    """Every x in N^k in turn, and every y in N^k at once, one broadcast
+    axis per coordinate, with a last axis for z.  The z_w are chosen
+    independently, so (x, y) extends to a staircase when, for each w, some
+    z has A[tab[tab[x_u, y_v], z]] == (u < v + w) for every u, v (1-based),
+    read on add_perm digit sums."""
     spec = A.spec
     N = spec.order
     tab = np.stack([spec.add_perm(i) for i in range(N)])
-    axes = [np.arange(N).reshape((1,) * t + (N,) + (1,) * (3 * k - 1 - t)) for t in range(3 * k)]
-    x, y, z = axes[:k], axes[k : 2 * k], axes[2 * k :]
-    ok = np.ones((N,) * (3 * k), dtype=bool)
-    for u, v, w in itertools.product(range(1, k + 1), repeat=3):
-        ok &= A.indicator[tab[tab[x[u - 1], y[v - 1]], z[w - 1]]] == (u < v + w)
-    return bool(ok.any())
+    M = A.indicator[tab]
+    y = [np.arange(N).reshape((1,) * t + (N,) + (1,) * (k - t)) for t in range(k)]
+    z = np.arange(N).reshape((1,) * k + (N,))
+    for x in itertools.product(range(N), repeat=k):
+        ok = np.ones((N,) * k, dtype=bool)
+        for w in range(1, k + 1):
+            col = np.ones((N,) * (k + 1), dtype=bool)
+            for u, v in itertools.product(range(1, k + 1), repeat=2):
+                col &= M[tab[x[u - 1], y[v - 1]], z] == (u < v + w)
+            ok &= col.any(axis=-1)
+        if ok.any():
+            return True
+    return False
+
+
+def vc_oracle(A, kmax):
+    """Largest k <= kmax with k distinct elements a_1..a_k shattered by
+    translates: all 2^k patterns (A[a_1 + b], ..., A[a_k + b]) occur as b
+    runs over the group, read on add_perm digit sums, over every k-subset."""
+    spec = A.spec
+    N = spec.order
+    M = A.indicator[np.stack([spec.add_perm(i) for i in range(N)])].astype(np.int64)
+    best = 0
+    for k in range(1, kmax + 1):
+        for elems in itertools.combinations(range(N), k):
+            patterns = sum(M[a] << i for i, a in enumerate(elems))
+            if np.unique(patterns).size == 2**k:
+                best = k
+                break
+    return best
 
 
 def fop2_oracle(A, k):
@@ -134,6 +167,16 @@ def test_op_search_matches_oracle():
             got = find_op(A, 2).status
             want = FOUND if op_oracle(A, 2) else NONE
             assert got == want, (spec, A.indices().tolist())
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.sampled_from([(3, 1), (3, 2), (3, 3), (5, 1), (5, 2)]), st.floats(0.05, 0.95), st.integers(0, 2**32 - 1))
+def test_searches_match_naive_oracles_on_random_sets(pn, density, seed):
+    spec = GroupSpec(*pn)
+    A = GroupSubset(spec, np.random.default_rng(seed).random(spec.order) < density)
+    assert find_op(A, 2).status == (FOUND if op_oracle(A, 2) else NONE)
+    assert find_hop2(A, 2).status == (FOUND if hop2_oracle(A, 2) else NONE)
+    assert vc_dim(A, 2)[::2] == (vc_oracle(A, 2), FOUND)
 
 
 def test_hop2_search_matches_oracle():

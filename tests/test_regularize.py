@@ -152,6 +152,20 @@ def test_dense_subspace_evidence_branch():
     assert res[1].revalidate()
 
 
+def test_dense_subspace_lets_a_real_memory_error_through(monkeypatch):
+    # only a cap or a spent budget (CapacityError) skips the encoding evidence
+    import qfa.detectors as det
+
+    def out_of_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(det, "_subtree_count", out_of_memory)
+    sp = GroupSpec(3, 6)
+    A = GroupSubset(sp, np.random.default_rng(5).random(sp.order) < 0.5)
+    with pytest.raises(MemoryError):
+        find_dense_subspace(A, Subgroup(sp, []), 0.1, 1)
+
+
 def test_stable_decomposition_coset_input():
     sp = GroupSpec(3, 8)
     L0 = LinearFactor(sp, [sp.basis_vector(1), sp.basis_vector(2)])
