@@ -26,12 +26,12 @@ use from GroupSpec.sum_table() (or _sum_index_grid in groups too large for
 it) and keeps it for the search.
 
 find_fop2, vc2_dim and cap2_check share one grid kernel: a block of translate
-tuples reads all of its patterns A[a + b_i + c_j] from the same _Grid in a few
-gathers.  Its first hit in lexicographic order is the one a tuple-at-a-time
-loop would find, so the witness is that loop's, and SearchBudget.charge bills
-the block exactly as the loop's ticks would, also when node_limit falls
-inside it.  Blocks hold about 2^22 entries, and the clock is read once per
-block.
+tuples reads all of its patterns A[a + b_i + c_j] from GroupSpec.sum_table()
+(or _sum_index_grid in groups too large for it) in a few gathers.  Its first
+hit in lexicographic order is the one a tuple-at-a-time loop would find, so the
+witness is that loop's, and SearchBudget.charge bills the block exactly as the
+loop's ticks would, also when node_limit falls inside it.  Blocks hold about
+2^22 entries, and the clock is read once per block.
 """
 
 from __future__ import annotations
@@ -443,14 +443,14 @@ def _tree_keys(d: int):
     return sigmas, list(itertools.product((0, 1), repeat=d))
 
 
-def _tree_search(N: int, cols, side: int, d: int, budget: SearchBudget):
+def _tree_search(cols: _Columns, side: int, d: int, budget: SearchBudget):
     """First encoding of the depth-d tree pattern: nodes h_sigma picked in
     key order, and leaves g_eta in `side` with h + g on the pos side where
     sigma^1 <= eta, on the neg side where sigma^0 <= eta, and on either side
     off the branches.  Returns ({sigma: h}, {eta: g}) or None."""
     sigmas, etas = _tree_keys(d)
     want = [[e[len(s)] if e[: len(s)] == s else 2 for e in etas] for s in sigmas]
-    hit = _dfs(len(sigmas), [side] * len(etas), _every(N), _pattern(want, cols), _take, budget)
+    hit = _dfs(len(sigmas), [side] * len(etas), _every(cols.grid.N), _pattern(want, cols), _take, budget)
     if hit is None or not all(hit[1]):  # at d = 0 an empty side has no leaf
         return None
     return dict(zip(sigmas, hit[0])), {e: _low(m) for e, m in zip(etas, hit[1])}
@@ -473,8 +473,9 @@ def find_op(A: GroupSubset, k: int, budget: SearchBudget | None = None) -> Detec
     status, hit = _search(_dfs, k - 1, [cols[0][1]] * k, _every(spec.order), stairs, _take, budget)
     if status != FOUND:
         return DetectResult(status, nodes=budget.nodes)
+    a, masks = [0, *hit[0]], hit[1]
     vec = spec.vector_of
-    w = Witness("OP", A, {"a": [vec(0)] + [vec(i) for i in hit[0]], "b": [vec(_low(m)) for m in hit[1]]}, k=k)
+    w = Witness("OP", A, {"a": [vec(i) for i in a], "b": [vec(_low(m)) for m in masks]}, k=k)
     _check_witness(w)
     return DetectResult(FOUND, w, budget.nodes)
 
@@ -521,7 +522,8 @@ def find_hop2(A: GroupSubset, k: int, budget: SearchBudget | None = None) -> Det
     status, hit = _search(_dfs, k - 1, [cols[0][1]] * k, _every(spec.order), stairs, yz_leaf, budget)
     if status != FOUND:
         return DetectResult(status, nodes=budget.nodes)
-    w = Witness("HOP2", A, {role: [spec.vector_of(i) for i in idx] for role, idx in zip("xyz", hit)}, k=k)
+    roles = {role: [spec.vector_of(i) for i in idx] for role, idx in zip("xyz", hit)}
+    w = Witness("HOP2", A, roles, k=k)
     _check_witness(w)
     return DetectResult(FOUND, w, budget.nodes)
 
@@ -648,9 +650,12 @@ def vc_dim(A: GroupSubset, kmax: int, budget: SearchBudget | None = None):
         if status != FOUND:
             return best_k, best_witness, FOUND if status == NONE else BOUND_ONLY
         elems, masks = hit
-        subsets = itertools.chain.from_iterable(itertools.combinations(range(1, k + 1), r) for r in range(k + 1))
+        subsets = itertools.chain.from_iterable(
+            itertools.combinations(range(1, k + 1), r) for r in range(k + 1)
+        )
         bS = {frozenset(S): spec.vector_of(_low(masks[sum(1 << (i - 1) for i in S)])) for S in subsets}
-        best_k, best_witness = k, Witness("VC", A, {"a": [spec.vector_of(e) for e in elems], "b": bS}, k=k)
+        roles = {"a": [spec.vector_of(e) for e in elems], "b": bS}
+        best_k, best_witness = k, Witness("VC", A, roles, k=k)
         _check_witness(best_witness)
     return best_k, best_witness, FOUND
 
@@ -1072,7 +1077,7 @@ def find_good_copy(red, pattern: str, k: int, side=None, budget: SearchBudget | 
     elif pattern == "T":
         # good encoding: leaves in side, every node+leaf sum classified (no
         # error atoms), with branch sums dense on the 1 side, sparse on 0.
-        status, hit = _search(_tree_search, N, cols, _bitset(side), k, budget)
+        status, hit = _search(_tree_search, cols, _bitset(side), k, budget)
     else:
         raise ValueError(f"unknown pattern {pattern!r}")
     if status != FOUND:
@@ -1082,7 +1087,9 @@ def find_good_copy(red, pattern: str, k: int, side=None, budget: SearchBudget | 
         data = {"nodes": nodes, "leaves": leaves, "pattern": pattern, "d": k}
     else:
         left, right = [vec(i) for i in hit[0]], [vec(_low(m)) for m in hit[1]]
-        data = {"left": left, "right": right if pattern == "H" else dict(enumerate(right)), "pattern": pattern}
+        if pattern == "U":
+            right = dict(enumerate(right))  # keyed by the bits of S
+        data = {"left": left, "right": right, "pattern": pattern}
     w = Witness("GOODCOPY", red.A, {**data, "red": red, "side": side}, k=k)
     _check_witness(w)
     return DetectResult(FOUND, w, budget.nodes)

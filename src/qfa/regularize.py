@@ -260,9 +260,8 @@ def _find_tree_encoding(A_loc: GroupSubset, d: int, budget: SearchBudget | None 
     the tree search of find_good_copy's T pattern with dense = A', sparse =
     its complement and every leaf allowed.  Raises CapacityError when the
     budget (by default SearchBudget()) runs out."""
-    N = A_loc.spec.order
     cols = _Columns(_Grid(A_loc.spec, A_loc.indicator))
-    found = _tree_search(N, cols, (1 << N) - 1, d, (budget or SearchBudget()).start())
+    found = _tree_search(cols, (1 << A_loc.spec.order) - 1, d, (budget or SearchBudget()).start())
     return None if found is None else {"nodes": found[0], "leaves": found[1]}
 
 

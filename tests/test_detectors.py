@@ -347,7 +347,8 @@ def _dfs_search_rows(A, node_limits=(50_000_000, 2_000)):
     """(name, node_limit, status, value, nodes, witness JSON) for the
     staircase and shattering searches under each node limit."""
     rows = []
-    for name, k, run in (("find_op", 2, find_op), ("find_op", 3, find_op), ("find_hop2", 1, find_hop2), ("find_hop2", 2, find_hop2)):
+    searches = (("find_op", 2, find_op), ("find_op", 3, find_op), ("find_hop2", 1, find_hop2), ("find_hop2", 2, find_hop2))
+    for name, k, run in searches:
         for limit in node_limits:
             budget = SearchBudget(node_limit=limit)
             res = run(A, k, budget)
@@ -406,7 +407,8 @@ def _tree_rows():
     sp = GroupSpec(3, 6)
     A = gs(6, 3)
     rows = []
-    for duals in ([], [sp.basis_vector(1)], [sp.basis_vector(1), sp.basis_vector(2)], [np.array([1, 1, 0, 0, 0, 0])]):
+    e1, e2 = sp.basis_vector(1), sp.basis_vector(2)
+    for duals in ([], [e1], [e1, e2], [e1 + e2]):
         H = Subgroup(sp, duals)
         for y in (np.zeros(6, dtype=np.int64), sp.basis_vector(1), sp.basis_vector(6)):
             lab, ind = H.localized(A, y)
@@ -414,7 +416,7 @@ def _tree_rows():
             for d in (1, 2):
                 found = _find_tree_encoding(loc, d)
                 if found is not None:
-                    found = [sorted((str(key), h) for key, h in found[role].items()) for role in ("nodes", "leaves")]
+                    found = [sorted((str(key), i) for key, i in found[role].items()) for role in ("nodes", "leaves")]
                 rows.append([len(duals), y.tolist(), d, found])
     rng = np.random.default_rng(13)
     for p, n in ((3, 2), (3, 3), (5, 2)):
@@ -511,9 +513,10 @@ def test_tree_searches_raise_capacity_error_when_the_budget_runs_out():
     A = GroupSubset(sp, np.random.default_rng(3).random(sp.order) < 0.5)
     full = GroupSubset.full(sp)
     assert _find_tree_encoding(A, 2) is not None
-    for search in (lambda b: _find_tree_encoding(A, 2, b), lambda b: count_tree_encodings(A, 2, full, full, b)):
-        with pytest.raises(CapacityError):
-            search(SearchBudget(node_limit=1))
+    with pytest.raises(CapacityError):
+        _find_tree_encoding(A, 2, SearchBudget(node_limit=1))
+    with pytest.raises(CapacityError):
+        count_tree_encodings(A, 2, full, full, SearchBudget(node_limit=1))
 
 
 def test_tree_depth_cap():

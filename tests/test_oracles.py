@@ -170,7 +170,9 @@ def test_op_search_matches_oracle():
 
 
 @settings(derandomize=True, max_examples=80, deadline=None)
-@given(st.sampled_from([(3, 1), (3, 2), (3, 3), (5, 1), (5, 2)]), st.floats(0.05, 0.95), st.integers(0, 2**32 - 1))
+@given(
+    st.sampled_from([(3, 1), (3, 2), (3, 3), (5, 1), (5, 2)]), st.floats(0.05, 0.95), st.integers(0, 2**32 - 1)
+)
 def test_searches_match_naive_oracles_on_random_sets(pn, density, seed):
     spec = GroupSpec(*pn)
     A = GroupSubset(spec, np.random.default_rng(seed).random(spec.order) < density)
