@@ -327,16 +327,21 @@ def test_search_fingerprint_matches_scalar_loops():
 
 
 def test_grid_kernel_without_sum_table_matches():
-    # groups too large for GroupSpec.sum_table read sums from _sum_index_grid
+    # groups too large for GroupSpec.sum_table read sums from _sum_index_grid,
+    # in the grid kernel and in the columns of the DFS searches alike
     limits = (50_000_000, 1_000, 37)
+
+    def rows(A):
+        return _grid_search_rows(A, limits) + _dfs_search_rows(A, limits)
+
     for p, n in ((3, 2), (3, 3), (5, 2), (3, 4)):
         plain = GroupSpec(p, n)
         for _ in range(3):
             ind = RNG.random(plain.order) < RNG.uniform(0.3, 0.7)
-            want = _grid_search_rows(GroupSubset(plain, ind), limits)
+            want = rows(GroupSubset(plain, ind))
             bare = GroupSpec(p, n)
             bare.sum_table = lambda: None
-            assert _grid_search_rows(GroupSubset(bare, ind), limits) == want
+            assert rows(GroupSubset(bare, ind)) == want
 
 
 def _jsonable(w):
