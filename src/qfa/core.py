@@ -65,6 +65,7 @@ class GroupSpec:
         self.order = p**n
         self._powers = p ** np.arange(n, dtype=np.int64)
         self._digits = None
+        self._add_tables = None
         self._sum_table = None
 
     def __eq__(self, other):
@@ -87,6 +88,19 @@ class GroupSpec:
             self._digits = np.stack(cols, axis=1).astype(np.min_scalar_type(1 - self.p))
             self._digits.setflags(write=False)
         return self._digits
+
+    @property
+    def add_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """(half, top): the addition table of F_p^(n // 2) and the p x p
+        table of F_p scaled by p^(2 (n // 2)), the two tables that
+        `_sum_index_grid` reads; built once and read-only like `digits`."""
+        if self._add_tables is None:
+            k = self.n // 2
+            tables = (addition_table(self.p, k), addition_table(self.p, 1) * self.p ** (2 * k))
+            for t in tables:
+                t.setflags(write=False)
+            self._add_tables = tables
+        return self._add_tables
 
     def index_of(self, v) -> int:
         v = np.asarray(v, dtype=np.int64)
@@ -151,16 +165,16 @@ def _sum_index_grid(spec: GroupSpec, X, Y) -> np.ndarray:
     With k = n // 2 and Q = p^k, write x = (x_top * Q + x_hi) * Q + x_lo:
     x_hi and x_lo are halves of k coordinates, whose sums are read through
     the addition table of F_p^k (at most N entries), and x_top is the last
-    coordinate when n is odd, read through the p x p table of F_p.  Table
-    rows are gathered for X first, so X should be the smaller argument."""
-    p, k = spec.p, spec.n // 2
-    Q = p**k
-    table = addition_table(p, k)
+    coordinate when n is odd, read through the p x p table of F_p.  Both
+    tables come from `spec.add_tables`.  Table rows are gathered for X
+    first, so X should be the smaller argument."""
+    Q = spec.p ** (spec.n // 2)
+    table, top = spec.add_tables
     Xt, Xh, Xl = X // (Q * Q), X // Q % Q, X % Q
     Yt, Yh, Yl = Y // (Q * Q), Y // Q % Q, Y % Q
     out = table[Xh][..., Yh] * Q + table[Xl][..., Yl]
     if spec.n % 2:
-        out += (addition_table(p, 1) * (Q * Q))[Xt][..., Yt]
+        out += top[Xt][..., Yt]
     return out
 
 
@@ -332,27 +346,30 @@ def gauss_sum(M: np.ndarray, b, spec: GroupSpec):
     return complex(out) if vals.ndim == 1 else out
 
 
+def _fft_cube(f: np.ndarray, spec: GroupSpec, transform) -> np.ndarray:
+    """Apply an n-dimensional FFT to an (order,) table or to each row of a
+    (B, order) stack, viewed as a (p,) * n cube per row."""
+    f = np.asarray(f)
+    if f.shape[-1:] != (spec.order,) or f.ndim not in (1, 2):
+        raise ShapeError(f"expected a table of length {spec.order} or a stack of them, got shape {f.shape}")
+    cube = f.reshape(f.shape[:-1] + (spec.p,) * spec.n)
+    return transform(cube, axes=tuple(range(f.ndim - 1, cube.ndim))).reshape(f.shape)
+
+
 def dft(f: np.ndarray, spec: GroupSpec) -> np.ndarray:
-    """hat f(t) = E_x f(x) omega^(-x.t), as a flat array over character indices.
+    """hat f(t) = E_x f(x) omega^(-x.t), as a flat array over character
+    indices: an (order,) array for one table, (B, order) for a (B, order)
+    stack, each row transformed on its own (as rref and gauss_sum take
+    stacks).
 
     Computed as n successive length-p transforms (one per coordinate axis).
     """
-    f = np.asarray(f)
-    if f.shape != (spec.order,):
-        raise ShapeError(f"expected a function table of length {spec.order}")
-    cube = f.reshape((spec.p,) * spec.n)
-    out = np.fft.fftn(cube) / spec.order
-    return out.reshape(spec.order)
+    return _fft_cube(f, spec, np.fft.fftn) / spec.order
 
 
 def idft(fhat: np.ndarray, spec: GroupSpec) -> np.ndarray:
-    """Inverse of dft: f(x) = sum_t hat f(t) omega^(x.t)."""
-    fhat = np.asarray(fhat)
-    if fhat.shape != (spec.order,):
-        raise ShapeError(f"expected a table of length {spec.order}")
-    cube = fhat.reshape((spec.p,) * spec.n)
-    out = np.fft.ifftn(cube) * spec.order
-    return out.reshape(spec.order)
+    """Inverse of dft, row by row for a stack: f(x) = sum_t hat f(t) omega^(x.t)."""
+    return _fft_cube(fhat, spec, np.fft.ifftn) * spec.order
 
 
 class GroupSubset:

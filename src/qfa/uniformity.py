@@ -14,7 +14,7 @@ import functools
 import numpy as np
 
 from .core import (
-    CapacityError, GroupSpec, GroupSubset, ShapeError, _sum_index_grid, addition_table, dft,
+    CapacityError, GroupSpec, GroupSubset, ShapeError, _sum_index_grid, dft,
 )
 from .factors import AtomLabel, label_index_table
 
@@ -59,7 +59,8 @@ def u2_norm(f, spec: GroupSpec) -> float:
     (h + x) % p when n = 1) and one matrix product gives
     M[x_lo, h_hi, y_lo] = sum_(x_hi) F[x_hi, x_lo] conj F[x_hi + h_hi, y_lo].
     Then g(h_hi, h_lo) = (1/N) sum_(x_lo) M[x_lo, h_hi, x_lo + h_lo], gathered
-    through the addition table of the low half-group.  That is O(N^2)
+    through the addition table of the low half-group (`spec.add_tables`,
+    the table `_sum_index_grid` reads).  That is O(N^2)
     multiply-adds in BLAS; no table has more than N entries, and each
     block's temporaries hold at most 2^20 elements.  For n = 1 the low half
     is the trivial group (Q = 1).  A real f stays real, which needs a
@@ -77,7 +78,7 @@ def u2_norm(f, spec: GroupSpec) -> float:
     Ft = np.ascontiguousarray(F.T)
     Fc = np.conj(F)
     hi_spec = GroupSpec(spec.p, spec.n - n_lo)
-    lo_table = addition_table(spec.p, n_lo)
+    lo_table = spec.add_tables[0]
     rows = np.arange(Q)[:, None]
     total = 0.0
     block = max(1, (1 << 20) // (Q * max(P, Q)))
@@ -106,7 +107,6 @@ def u3_norm(f, spec: GroupSpec) -> float:
     if f.shape != (spec.order,):
         raise ShapeError("function table length mismatch")
     N = spec.order
-    shape = (spec.p,) * spec.n
     total = 0.0
     block = max(1, (1 << 22) // N)
     digits = spec.digits.astype(np.int64)
@@ -114,7 +114,7 @@ def u3_norm(f, spec: GroupSpec) -> float:
         cs = digits[start : start + block]
         idx = ((digits[None, :, :] + cs[:, None, :]) % spec.p) @ spec._powers
         delta = f[None, :] * np.conj(f[idx])
-        hat = np.fft.fftn(delta.reshape((-1,) + shape), axes=tuple(range(1, spec.n + 1))) / N
+        hat = dft(delta, spec)
         total += float((np.abs(hat) ** 4).sum())
     return float((total / N) ** 0.125)
 
@@ -161,20 +161,12 @@ def gowers_inner(fs, spec: GroupSpec) -> complex:
     }
     f = [np.asarray(t, dtype=complex) for t in fs]
     N = spec.order
-    shape = (spec.p,) * spec.n
     total = 0.0 + 0.0j
     for c in range(N):
         perm = spec.add_perm(c)
-        h = {}
-        for e1 in (0, 1):
-            for e2 in (0, 1):
-                h[(e1, e2)] = f[key[(e1, e2, 0)]] * np.conj(f[key[(e1, e2, 1)]][perm])
-        hat = {
-            k: np.fft.fftn(v.reshape(shape)).reshape(N) / N for k, v in h.items()
-        }
-        total += (
-            hat[(0, 0)] * np.conj(hat[(1, 0)]) * np.conj(hat[(0, 1)]) * hat[(1, 1)]
-        ).sum()
+        h = [f[key[(e1, e2, 0)]] * np.conj(f[key[(e1, e2, 1)]][perm]) for e1 in (0, 1) for e2 in (0, 1)]
+        h00, h01, h10, h11 = dft(np.stack(h), spec)
+        total += (h00 * np.conj(h10) * np.conj(h01) * h11).sum()
     return complex(total / N)
 
 

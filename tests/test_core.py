@@ -9,6 +9,7 @@ from qfa.core import (
     GroupSpec,
     GroupSubset,
     ShapeError,
+    _sum_index_grid,
     bilin_eval,
     dft,
     gauss_sum,
@@ -149,6 +150,44 @@ def test_dft_parseval_inversion():
         assert abs((np.abs(fhat) ** 2).sum() - np.mean(f**2)) < 1e-9
         back = idft(fhat, spec)
         assert np.abs(back - f).max() < 1e-9
+
+
+def test_dft_and_idft_take_a_stack_row_by_row_bit_for_bit():
+    rng = np.random.default_rng(5)
+    for p, n in ((3, 1), (3, 4), (5, 3), (3, 7)):
+        spec = GroupSpec(p, n)
+        for f in (rng.standard_normal((4, spec.order)),
+                  rng.standard_normal((3, spec.order)) + 1j * rng.standard_normal((3, spec.order))):
+            stacked, back = dft(f, spec), idft(f, spec)
+            assert stacked.shape == back.shape == f.shape
+            for i in range(len(f)):
+                assert np.array_equal(stacked[i], dft(f[i], spec))
+                assert np.array_equal(back[i], idft(f[i], spec))
+    spec = GroupSpec(3, 2)
+    for bad in (np.zeros(8), np.zeros((2, 8)), np.zeros((2, 2, 9))):
+        with pytest.raises(ShapeError):
+            dft(bad, spec)
+        with pytest.raises(ShapeError):
+            idft(bad, spec)
+
+
+def test_sum_index_grid_reads_read_only_tables_held_on_the_spec():
+    rng = np.random.default_rng(6)
+    for p, n in ((3, 1), (3, 2), (3, 5), (5, 3), (7, 2)):
+        spec = GroupSpec(p, n)
+        half, top = spec.add_tables
+        assert spec.add_tables[0] is half and spec.add_tables[1] is top
+        assert half.shape == (p ** (n // 2),) * 2 and top.shape == (p, p)
+        for t in (half, top):
+            assert not t.flags.writeable
+            with pytest.raises(ValueError):
+                t[0, 0] = 1
+        X = rng.integers(0, spec.order, size=6)
+        Y = rng.integers(0, spec.order, size=(2, 5))
+        got = _sum_index_grid(spec, X, Y)
+        assert got.shape == (6, 2, 5)
+        want = np.stack([spec.add_perm(int(x))[Y] for x in X])
+        assert np.array_equal(got, want)
 
 
 def test_subset_io_roundtrip(tmp_path):
