@@ -348,36 +348,55 @@ def _check_beta_dev2(params):
 
 def _binary_transfer_errors(A: GroupSubset, F: QuadraticFactor) -> np.ndarray:
     """density_transfer_check's error for every binary flat (a1, b1, a2, b2,
-    b12) of a factor with ell = q = 1, as a (p,) * 5 array.
+    b12) of a factor with ell = q = 1, as a (p,) * 5 array, counted on the
+    Fourier side.
 
-    The flats are grouped by atom pair: each pair needs one sum-graph matrix
-    and one bilinear matrix, and the three values of b12 are read off the
-    bilinear values.  The density of A on every atom comes from one pass
-    over the label table."""
-    p = F.spec.p
+    The factor's matrix M is symmetric and p is odd, so for x in atom
+    t1 = (a1, b1) and y in atom t2 = (a2, b2), x^T M y = b12 exactly when
+    Q(x + y) = c with c = b1 + b2 + 2 b12; and x + y lies on the linear
+    level a1 + a2.  So the flat's edge count is sum_s W_c(s) (1_t1 * 1_t2)(s)
+    with W_c = 1[Q = c], and its count of edges with x + y in A is the same
+    sum with W_c A.  By Parseval each is
+    N^2 sum_xi hat 1_t1(xi) hat 1_t2(xi) conj(hat W(xi)): one stacked dft of
+    the p^2 atom indicators and the 2p weights, one (p^4, N) x (N, 2p)
+    product, and rounding.  The counts must come out exact: ArithmeticError
+    is raised when a value lies more than 1e-6 from an integer, or when a
+    pair's edge counts do not sum to |t1| |t2|."""
+    spec, p = F.spec, F.spec.p
     table = label_index_table(F)
     sizes = np.bincount(table, minlength=p * p)
     alpha = np.bincount(table[A.indicator], minlength=p * p) / np.maximum(sizes, 1)
-    atoms = [np.flatnonzero(table == t) for t in range(p * p)]
-    graph = unif.SumGraph2(A)
-    err = np.zeros((p,) * 5)
-    for (a1, b1), (a2, b2) in itertools.product(itertools.product(range(p), repeat=2), repeat=2):
-        X, Y = atoms[a1 + p * b1], atoms[a2 + p * b2]
-        member = graph.matrix(X, Y)
-        bilin = unif._bilin_matrix(F, X, Y)[0]
-        for b12 in range(p):
-            edges = bilin == b12
-            n_edges = edges.sum()
-            rel = (edges & member).sum() / n_edges if n_edges else 0.0
-            sigma = (a1 + a2) % p + p * ((b1 + b2 + 2 * b12) % p)
-            err[a1, b1, a2, b2, b12] = abs(rel - alpha[sigma])
-    return err
+    atoms = table == np.arange(p * p)[:, None]
+    level = table // p == np.arange(p)[:, None]
+    hat = dft(np.concatenate([atoms, level, level & A.indicator]).astype(np.float64), spec)
+    pairs = (hat[: p * p, None] * hat[None, : p * p]).reshape(p**4, spec.order)
+    raw = pairs @ hat[p * p :].conj().T * float(spec.order) ** 2
+    counts = np.rint(raw.real)
+    worst = float(np.abs(raw - counts).max())
+    if worst > 1e-6:
+        raise ArithmeticError(f"Fourier count is {worst:.3g} from an integer")
+    counts = counts.astype(np.int64).reshape(p * p, p * p, 2, p)
+    edges, hits = counts[:, :, 0], counts[:, :, 1]
+    if not np.array_equal(edges.sum(axis=2), np.outer(sizes, sizes)):
+        raise ArithmeticError("Fourier edge counts do not sum to the atom-pair sizes")
+    a1, b1, a2, b2, b12 = np.ix_(*[np.arange(p)] * 5)
+    t1, t2, c = a1 + p * b1, a2 + p * b2, (b1 + b2 + 2 * b12) % p
+    n_edges, n_hits = edges[t1, t2, c], hits[t1, t2, c]
+    rel = n_hits / np.maximum(n_edges, 1)  # a flat with no edges has no hits: rel 0
+    return np.abs(rel - alpha[(a1 + a2) % p + p * c])
 
 
 def _check_density_transfer(params):
     """Exact over all 3^5 binary flats: the mean and the max error are
-    non-increasing in n, and the n = 8 mean is at most 0.05.  The seeded
-    flats cross-check the exhaustive table against density_transfer_check."""
+    non-increasing in n, and the n = 8 mean is at most 0.05.
+
+    The table comes from _binary_transfer_errors, which counts the edges of
+    every flat through the identity x^T M y = b12 <=> Q(x + y) = b1 + b2 +
+    2 b12 and one stacked DFT, and raises ArithmeticError (reported as
+    ERROR) when its counts are not exact integers.  The seeded flats
+    cross-check that table at 1e-12 against density_transfer_check, which
+    builds the sum-graph and bilinear matrices directly and shares no code
+    with it."""
     rng = np.random.default_rng(params.get("seed", DEFAULT_SEED))
     flats = [rng.integers(0, 3, size=5) for _ in range(24)]
     means, maxes = [], []

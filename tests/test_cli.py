@@ -226,6 +226,51 @@ def test_sparse_span_check_names_a_low_rank_subset(monkeypatch):
     assert (res.status, res.note) == ("FAIL", "subset (1, 3)")
 
 
+def test_density_transfer_check_names_a_flat_off_by_1e_9(monkeypatch):
+    import numpy as np
+
+    from qfa import suites
+
+    flat = np.random.default_rng(7).integers(0, 3, size=5)  # the first seeded flat
+    exact = suites._binary_transfer_errors
+
+    def shifted(A, F):
+        err = exact(A, F)
+        err[tuple(flat)] += 1e-9
+        return err
+
+    monkeypatch.setattr(suites, "_binary_transfer_errors", shifted)
+    res = suites._check_density_transfer({"seed": 7})
+    assert res.status == "FAIL"
+    assert res.note.startswith(f"n=6 flat {flat.tolist()}: exhaustive ")
+
+
+def test_density_transfer_table_raises_on_counts_that_do_not_add_up(monkeypatch):
+    from qfa import constructions as cons
+    from qfa import core, suites
+    from qfa.factors import QuadraticFactor
+
+    spec = GroupSpec(3, 4)
+    F = QuadraticFactor(spec, [spec.basis_vector(1)], [cons.trace_sym_space(4, 3)[0]])
+    # doubling every transform keeps the counts integral but eight times too large
+    monkeypatch.setattr(suites, "dft", lambda f, sp: core.dft(f, sp) * 2)
+    with pytest.raises(ArithmeticError, match="do not sum"):
+        suites._binary_transfer_errors(cons.gs(4, 3), F)
+
+
+def test_density_transfer_guard_reports_error_under_optimize(run_optimized):
+    out = run_optimized(
+        "from qfa import core, suites\n"
+        "assert False, 'asserts are live'\n"
+        "suites.dft = lambda f, spec: core.dft(f, spec) + 1e-3\n"
+        "suites.SUITES['uniformity'] = [e for e in suites.SUITES['uniformity'] if e[0] == 'density-transfer']\n"
+        "result = suites.run_suite('uniformity')\n"
+        "print(result.verdict, result.checks[0]['status'], result.checks[0]['note'])\n"
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("FAIL ERROR ArithmeticError: Fourier count is "), out.stdout
+
+
 def test_cli_detect_tree_counts(capsys):
     rc = main(["detect", "tree", "--set", "quadric:p=3,n=2,c=0", "--k", "1"])
     assert rc == 0

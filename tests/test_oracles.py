@@ -402,3 +402,84 @@ def test_dev23_matches_from_definitions():
         assert abs(res.eps1 - eps1) < 1e-9
         assert abs(res.d2 - d2) < 1e-9
         assert abs(res.d3 - d3) < 1e-9
+
+
+def binary_transfer_oracle(A, F):
+    """density_transfer_check's error on every binary flat of a factor with
+    ell = q = 1, pair by pair of atoms: the sum-graph matrix and the
+    bilinear matrix of each pair, with b12 read off the bilinear values and
+    the sigma atom from its definition."""
+    from qfa.factors import label_index_table
+    from qfa.uniformity import SumGraph2, _bilin_matrix
+
+    p = F.spec.p
+    table = label_index_table(F)
+    sizes = np.bincount(table, minlength=p * p)
+    alpha = np.bincount(table[A.indicator], minlength=p * p) / np.maximum(sizes, 1)
+    atoms = [np.flatnonzero(table == t) for t in range(p * p)]
+    graph = SumGraph2(A)
+    err = np.zeros((p,) * 5)
+    for (a1, b1), (a2, b2) in itertools.product(itertools.product(range(p), repeat=2), repeat=2):
+        X, Y = atoms[a1 + p * b1], atoms[a2 + p * b2]
+        member = graph.matrix(X, Y)
+        bilin = _bilin_matrix(F, X, Y)[0]
+        for b12 in range(p):
+            edges = bilin == b12
+            n_edges = edges.sum()
+            rel = (edges & member).sum() / n_edges if n_edges else 0.0
+            sigma = (a1 + a2) % p + p * ((b1 + b2 + 2 * b12) % p)
+            err[a1, b1, a2, b2, b12] = abs(rel - alpha[sigma])
+    return err
+
+
+def transfer_cases(p, ns, seed):
+    """(set, factor) pairs over F_p^n: the layered set at p = 3 and seeded
+    random subsets, under the factor (e_1, first trace-form matrix)."""
+    from qfa.constructions import gs, trace_sym_space
+
+    rng = np.random.default_rng(seed)
+    for n in ns:
+        spec = GroupSpec(p, n)
+        F = QuadraticFactor(spec, [spec.basis_vector(1)], [trace_sym_space(n, p)[0]])
+        if p == 3 and n >= 3:
+            yield gs(n, 3), F
+        for _ in range(2):
+            yield GroupSubset(spec, rng.random(spec.order) < rng.uniform(0.1, 0.9)), F
+
+
+def assert_transfer_table_matches_oracle(cases):
+    from qfa.suites import _binary_transfer_errors
+
+    for A, F in cases:
+        assert np.array_equal(_binary_transfer_errors(A, F), binary_transfer_oracle(A, F)), (A.spec, F.matrices)
+
+
+def test_fourier_transfer_table_matches_atom_pair_oracle():
+    assert_transfer_table_matches_oracle(transfer_cases(3, range(1, 7), 31))
+    assert_transfer_table_matches_oracle(transfer_cases(5, range(1, 5), 32))
+
+
+def test_fourier_transfer_table_matches_oracle_on_other_factors():
+    from qfa.constructions import trace_sym_space
+
+    rng = np.random.default_rng(33)
+
+    def cases():
+        for p, n in ((3, 4), (3, 5), (5, 3)):
+            spec = GroupSpec(p, n)
+            mats = trace_sym_space(n, p)
+            v = rng.integers(0, p, size=n)
+            v[rng.integers(n)] = 1  # nonzero
+            rank1 = np.outer(v, v) % p
+            forms = [mats[1], (mats[1] + 2 * mats[n - 1]) % p, rank1, np.zeros((n, n), dtype=np.int64)]
+            for M in forms:
+                for lin in (rng.integers(0, p, size=n), np.zeros(n, dtype=np.int64)):
+                    F = QuadraticFactor(spec, [lin], [M])
+                    yield GroupSubset(spec, rng.random(spec.order) < rng.uniform(0.1, 0.9)), F
+
+    assert_transfer_table_matches_oracle(cases())
+
+
+@pytest.mark.slow
+def test_fourier_transfer_table_matches_oracle_at_n_7_and_8():
+    assert_transfer_table_matches_oracle(transfer_cases(3, (7, 8), 34))
