@@ -91,12 +91,14 @@ class GroupSpec:
 
     @property
     def add_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """(half, top): the addition table of F_p^(n // 2) and the p x p
-        table of F_p scaled by p^(2 (n // 2)), the two tables that
-        `_sum_index_grid` reads; built once and read-only like `digits`."""
+        """(half, top): the addition table of F_p^(n // 2), in the smallest
+        unsigned dtype that holds its entries, and the p x p table of F_p
+        scaled by p^(2 (n // 2)), the two tables that `_sum_index_grid`
+        reads; built once and read-only like `digits`."""
         if self._add_tables is None:
             k = self.n // 2
-            tables = (addition_table(self.p, k), addition_table(self.p, 1) * self.p ** (2 * k))
+            half = addition_table(self.p, k).astype(np.min_scalar_type(self.p**k - 1))
+            tables = (half, addition_table(self.p, 1) * self.p ** (2 * k))
             for t in tables:
                 t.setflags(write=False)
             self._add_tables = tables
@@ -168,7 +170,7 @@ def _sum_index_grid(spec: GroupSpec, X, Y) -> np.ndarray:
     coordinate when n is odd, read through the p x p table of F_p.  Both
     tables come from `spec.add_tables`.  Table rows are gathered for X
     first, so X should be the smaller argument."""
-    Q = spec.p ** (spec.n // 2)
+    Q = np.int64(spec.p ** (spec.n // 2))  # promotes the compact table entries
     table, top = spec.add_tables
     Xt, Xh, Xl = X // (Q * Q), X // Q % Q, X % Q
     Yt, Yh, Yl = Y // (Q * Q), Y // Q % Q, Y % Q

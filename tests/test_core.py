@@ -185,7 +185,7 @@ def test_sum_index_grid_reads_read_only_tables_held_on_the_spec():
         X = rng.integers(0, spec.order, size=6)
         Y = rng.integers(0, spec.order, size=(2, 5))
         got = _sum_index_grid(spec, X, Y)
-        assert got.shape == (6, 2, 5)
+        assert got.shape == (6, 2, 5) and got.dtype == np.int64
         want = np.stack([spec.add_perm(int(x))[Y] for x in X])
         assert np.array_equal(got, want)
 
