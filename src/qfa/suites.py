@@ -395,8 +395,8 @@ def _check_density_transfer(params):
     2 b12 and one stacked DFT, and raises ArithmeticError (reported as
     ERROR) when its counts are not exact integers.  The seeded flats
     cross-check that table at 1e-12 against density_transfer_check, which
-    builds the sum-graph and bilinear matrices directly and shares no code
-    with it."""
+    builds the sum-graph and bilinear matrices directly and shares none of
+    the table's counting code."""
     rng = np.random.default_rng(params.get("seed", DEFAULT_SEED))
     flats = [rng.integers(0, 3, size=5) for _ in range(24)]
     means, maxes = [], []
