@@ -32,6 +32,12 @@ hit in lexicographic order is the one a tuple-at-a-time loop would find, so the
 witness is that loop's, and SearchBudget.charge bills the block exactly as the
 loop's ticks would, also when node_limit falls inside it.  Blocks hold about
 2^22 entries, and the clock is read once per block.
+
+Every witness a search returns is re-tested by Witness.revalidate on a path
+the searches do not share: _members adds the coordinate vectors of its roles
+by broadcasting, indexes the sums with GroupSpec.indices_of and reads A in one
+gather, and the kind compares that grid with its expected pattern.  It never
+reads sum_table(), add_tables, _sum_index_grid, _Grid or _Columns.
 """
 
 from __future__ import annotations
@@ -99,7 +105,8 @@ class SearchBudget:
 
 class Witness:
     """A typed certificate; revalidate() re-tests every membership constraint
-    from scratch (plain loops, independent of the search code)."""
+    from scratch: one _members gather on digit sums per witness, compared
+    with the kind's expected pattern, independent of the search code."""
 
     def __init__(self, kind: str, subset: GroupSubset, data: dict, k: int = 0):
         self.kind = kind
@@ -124,83 +131,47 @@ class Witness:
         return {"kind": self.kind, "k": self.k, "roles": conv(roles)}
 
     def revalidate(self) -> bool:
-        A = self.subset
-        spec = A.spec
-        k = self.k
+        A, k, data = self.subset, self.k, self.data
         role_lists = {"OP": "ab", "HOP2": "xyz", "FOP2": "xz", "VC": "a", "VC2": "bc"}.get(self.kind, "")
-        if any(len(self.data[role]) != k for role in role_lists):
+        if any(len(data[role]) != k for role in role_lists):
             return False  # a k-witness lists exactly k elements per role
-
-        def member(*vs):
-            total = np.zeros(spec.n, dtype=np.int64)
-            for v in vs:
-                total = total + np.asarray(v, dtype=np.int64)
-            return A.contains_index(spec.index_of(total % spec.p))
-
         if self.kind == "OP":
-            a, b = self.data["a"], self.data["b"]
-            for i in range(k):
-                for j in range(k):
-                    if member(a[i], b[j]) != (i <= j):
-                        return False
-            return True
+            r = np.arange(1, k + 1)
+            return np.array_equal(_members(A, data["a"], data["b"]), r[:, None] <= r)
         if self.kind == "HOP2":
-            x, y, z = self.data["x"], self.data["y"], self.data["z"]
-            for u in range(1, k + 1):
-                for v in range(1, k + 1):
-                    for w in range(1, k + 1):
-                        if member(x[u - 1], y[v - 1], z[w - 1]) != (u < v + w):
-                            return False
-            return True
+            r = np.arange(1, k + 1)  # want[u, v, w] = u < v + w
+            return np.array_equal(_members(A, data["x"], data["y"], data["z"]), r[:, None, None] < r[:, None] + r)
         if self.kind == "FOP2":
-            x, z, yfam = self.data["x"], self.data["z"], self.data["y"]
+            yfam = data["y"]
             if len(yfam) != k ** (k * k):
                 return False  # must cover every selector function
-            for f_flat, ys in yfam.items():
-                if len(ys) != k:
-                    return False
-                f = dict(zip(itertools.product(range(1, k + 1), repeat=2), f_flat))
-                for i in range(1, k + 1):
-                    for j in range(1, k + 1):
-                        for kk in range(1, k + 1):
-                            if member(x[i - 1], ys[j - 1], z[kk - 1]) != (kk <= f[(i, j)]):
-                                return False
-            return True
+            if any(len(ys) != k for ys in yfam.values()):
+                return False
+            # f[s, i, j] = f(i, j) of selector s; got[i, s, j, kk] is x_i + y^s_j + z_kk
+            f = np.array(list(yfam), dtype=np.int64).reshape(len(yfam), k, k)
+            got = _members(A, data["x"], [y for ys in yfam.values() for y in ys], data["z"])
+            want = np.arange(1, k + 1) <= f.transpose(1, 0, 2)[..., None]
+            return np.array_equal(got.reshape(want.shape), want)
         if self.kind == "VC":
-            a, bS = self.data["a"], self.data["b"]
-            for S, b in bS.items():
-                for i in range(k):
-                    if member(a[i], b) != (i + 1 in S):
-                        return False
-            return True
+            bS = data["b"]
+            want = np.array([[i in S for S in bS] for i in range(1, k + 1)], dtype=bool).reshape(k, len(bS))
+            return np.array_equal(_members(A, data["a"], list(bS.values())), want)
         if self.kind == "VC2":
-            b, c, aS = self.data["b"], self.data["c"], self.data["a"]
-            for S, aa in aS.items():
-                for i in range(1, k + 1):
-                    for j in range(1, k + 1):
-                        if member(b[i - 1], c[j - 1], aa) != ((i, j) in S):
-                            return False
-            return True
+            aS = data["a"]
+            cells = itertools.product(range(1, k + 1), repeat=2)
+            want = np.array([[ij in S for S in aS] for ij in cells], dtype=bool).reshape(k, k, len(aS))
+            return np.array_equal(_members(A, data["b"], data["c"], list(aS.values())), want)
         if self.kind == "TREE":
-            leaves, nodes = self.data["leaves"], self.data["nodes"]
-            d = self.data["d"]
-            for sigma, h in nodes.items():
-                for eta, g in leaves.items():
-                    if len(sigma) < len(eta) and eta[: len(sigma)] == sigma:
-                        want = eta[len(sigma)] == 1
-                        if member(h, g) != want:
-                            return False
-            return True
+            nodes, leaves = data["nodes"], data["leaves"]
+            pairs = [(s, e) for s in nodes for e in leaves]
+            branch = np.array([len(s) < len(e) and e[: len(s)] == s for s, e in pairs], dtype=bool)
+            up = np.array([len(s) < len(e) and e[len(s)] == 1 for s, e in pairs], dtype=bool)
+            got = _members(A, list(nodes.values()), list(leaves.values())).ravel()
+            return np.array_equal(got[branch], up[branch])
         if self.kind == "CUBE":
-            xs, ys, zs = self.data["x"], self.data["y"], self.data["z"]
-            for i, j, kk in itertools.product((0, 1), repeat=3):
-                inside = member(xs[i], ys[j], zs[kk])
-                if (i, j, kk) == (1, 1, 1):
-                    if inside:
-                        return False
-                elif not inside:
-                    return False
-            return True
+            want = np.ones((2, 2, 2), dtype=bool)
+            want[1, 1, 1] = False  # seven corners in A, the eighth out
+            return np.array_equal(_members(A, data["x"], data["y"], data["z"]), want)
         if self.kind == "GOODCOPY":
             red = self.data["red"]
             lab = red.label_spec
@@ -252,6 +223,21 @@ class Witness:
                 return True
             raise ValueError(f"unknown good-copy pattern {pattern!r}")
         raise ValueError(f"unknown witness kind {self.kind!r}")
+
+
+def _members(A: GroupSubset, *roles) -> np.ndarray:
+    """Membership grid of the role sums: role i lists m_i coordinate vectors,
+    and out[j_1, ..., j_r] says whether role_1[j_1] + ... + role_r[j_r] lies
+    in A.  Digit arithmetic only (one broadcast sum, spec.indices_of, one
+    gather), never a sum table, so that witnesses are checked on a path the
+    searches do not share."""
+    spec = A.spec
+    total = np.zeros(spec.n, dtype=np.int64)
+    for i, role in enumerate(roles):
+        shape = [1] * len(roles) + [spec.n]
+        shape[i] = len(role)
+        total = total + np.asarray(role, dtype=np.int64).reshape(shape)
+    return A.indicator[spec.indices_of(total)]
 
 
 def _check_witness(w: Witness) -> None:
@@ -771,8 +757,9 @@ def count_tree_encodings(
 
 def count_tree_encodings_naive(A: GroupSubset, d: int, leaves_in: GroupSubset, nodes_in: GroupSubset) -> int:
     """Brute-force oracle: iterate node tuples, then count each leaf by an
-    explicit scan with per-branch membership checks."""
-    spec = A.spec
+    explicit scan with per-branch membership checks, read from one N x N
+    grid of digit sums (not from the search's columns)."""
+    member = _members(A, A.spec.digits, A.spec.digits).tolist()  # member[h][g]: h + g in A
     sigmas = [tuple(s) for m in range(d) for s in itertools.product((0, 1), repeat=m)]
     etas = [tuple(e) for e in itertools.product((0, 1), repeat=d)]
     node_elems = [int(i) for i in np.nonzero(nodes_in.indicator)[0]]
@@ -787,8 +774,7 @@ def count_tree_encodings_naive(A: GroupSubset, d: int, leaves_in: GroupSubset, n
                 good = True
                 for sigma in sigmas:
                     if len(sigma) < len(eta) and eta[: len(sigma)] == sigma:
-                        inside = A.contains_index(spec.sum_index(assign[sigma], g))
-                        if inside != (eta[len(sigma)] == 1):
+                        if member[assign[sigma]][g] != (eta[len(sigma)] == 1):
                             good = False
                             break
                 if good:

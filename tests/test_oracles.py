@@ -10,16 +10,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qfa import core, detectors
+from qfa.constructions import gs
 from qfa.core import GroupSpec, GroupSubset
 from qfa.detectors import (
     FOUND,
     NONE,
+    Witness,
     cap2_check,
+    complement_hop2_witness,
+    count_tree_encodings,
+    count_tree_encodings_naive,
     find_fop2,
     find_good_copy,
     find_hop2,
     find_op,
+    fop2_to_vc_witness,
+    hodges_extract,
+    hop2_to_op_witness,
+    plant_tree_encoding,
     vc2_dim,
+    vc2_to_fop2_witness,
     vc_dim,
 )
 from qfa.uniformity import reduced_pair
@@ -179,6 +190,10 @@ def test_searches_match_naive_oracles_on_random_sets(pn, density, seed):
     assert find_op(A, 2).status == (FOUND if op_oracle(A, 2) else NONE)
     assert find_hop2(A, 2).status == (FOUND if hop2_oracle(A, 2) else NONE)
     assert vc_dim(A, 2)[::2] == (vc_oracle(A, 2), FOUND)
+    if pn in ((3, 1), (3, 2), (5, 1)):  # where the fop2, vc2 and cap2 oracles fit in memory
+        assert find_fop2(A, 1).status == (FOUND if fop2_oracle(A, 1) else NONE)
+        assert vc2_dim(A, 2)[::2] == (max((k for k in (1, 2) if vc2_oracle(A, k)), default=0), FOUND)
+        assert cap2_check(A)[::2] == (cap2_oracle(A), FOUND)
 
 
 def test_hop2_search_matches_oracle():
@@ -301,8 +316,6 @@ def test_hop2_search_matches_grid_oracle_two_dims():
 
 
 def test_tree_count_depth3_matches_naive():
-    from qfa.detectors import count_tree_encodings, count_tree_encodings_naive
-
     spec = GroupSpec(3, 1)
     for A in random_subsets(spec, 6, lo=0.2, hi=0.9):
         full = GroupSubset.full(spec)
@@ -483,3 +496,194 @@ def test_fourier_transfer_table_matches_oracle_on_other_factors():
 @pytest.mark.slow
 def test_fourier_transfer_table_matches_oracle_at_n_7_and_8():
     assert_transfer_table_matches_oracle(transfer_cases(3, (7, 8), 34))
+
+
+def revalidate_oracle(w):
+    """Witness.revalidate as tuple-at-a-time loops: every sum is added
+    coordinate by coordinate and read through the scalar spec.index_of.
+    Covers every kind but GOODCOPY, whose check is a classify loop in the
+    library itself."""
+    A, k, data = w.subset, w.k, w.data
+    spec = A.spec
+    role_lists = {"OP": "ab", "HOP2": "xyz", "FOP2": "xz", "VC": "a", "VC2": "bc"}.get(w.kind, "")
+    if any(len(data[role]) != k for role in role_lists):
+        return False
+
+    def member(*vs):
+        total = np.zeros(spec.n, dtype=np.int64)
+        for v in vs:
+            total = total + np.asarray(v, dtype=np.int64)
+        return A.contains_index(spec.index_of(total % spec.p))
+
+    one_based = range(1, k + 1)
+    if w.kind == "OP":
+        a, b = data["a"], data["b"]
+        return all(member(a[i], b[j]) == (i <= j) for i in range(k) for j in range(k))
+    if w.kind == "HOP2":
+        x, y, z = data["x"], data["y"], data["z"]
+        cells = itertools.product(one_based, repeat=3)
+        return all(member(x[u - 1], y[v - 1], z[t - 1]) == (u < v + t) for u, v, t in cells)
+    if w.kind == "FOP2":
+        x, z, yfam = data["x"], data["z"], data["y"]
+        if len(yfam) != k ** (k * k):
+            return False
+        for f_flat, ys in yfam.items():
+            if len(ys) != k:
+                return False
+            f = dict(zip(itertools.product(one_based, repeat=2), f_flat))
+            for i, j, m in itertools.product(one_based, repeat=3):
+                if member(x[i - 1], ys[j - 1], z[m - 1]) != (m <= f[(i, j)]):
+                    return False
+        return True
+    if w.kind == "VC":
+        a = data["a"]
+        return all(member(a[i], b) == (i + 1 in S) for S, b in data["b"].items() for i in range(k))
+    if w.kind == "VC2":
+        b, c = data["b"], data["c"]
+        cells = list(itertools.product(one_based, repeat=2))
+        return all(member(b[i - 1], c[j - 1], a) == ((i, j) in S) for S, a in data["a"].items() for i, j in cells)
+    if w.kind == "TREE":
+        for sigma, h in data["nodes"].items():
+            for eta, g in data["leaves"].items():
+                if len(sigma) < len(eta) and eta[: len(sigma)] == sigma:
+                    if member(h, g) != (eta[len(sigma)] == 1):
+                        return False
+        return True
+    if w.kind == "CUBE":
+        xs, ys, zs = data["x"], data["y"], data["z"]
+        corners = itertools.product((0, 1), repeat=3)
+        return all(member(xs[i], ys[j], zs[m]) == ((i, j, m) != (1, 1, 1)) for i, j, m in corners)
+    raise ValueError(f"no loop oracle for witness kind {w.kind!r}")
+
+
+def searched_witnesses():
+    """Witnesses of every kind but GOODCOPY: from the searches (OP, HOP2,
+    FOP2 at k = 1 and 2, VC, VC2 at k = 1 and 2, CUBE), from planted tree
+    encodings and the staircases extracted from them, and from the four
+    witness transforms.  Draws come from this function's own generator."""
+    rng = np.random.default_rng(0x5EED)
+    out = [find_op(gs(3, 3), 2).witness, find_op(gs(4, 3), 3).witness, find_hop2(gs(4, 3), 3).witness]
+    out += [vc_dim(gs(3, 3), 4)[1], vc2_dim(gs(2, 3), 2)[1]]
+    window = GroupSubset.from_indices(GroupSpec(17, 1), [0, 1, 2, 3, 5, 7, 8, 11])  # VC2 = 2
+    out.append(vc2_dim(window, 2)[1])
+    spec = GroupSpec(3, 3)
+    cubes = 0
+    while cubes < 2 or sum(w.kind == "FOP2" and w.k == 2 for w in out) < 2:
+        A = GroupSubset(spec, rng.random(spec.order) < rng.uniform(0.3, 0.7))
+        found = [find_op(A, 2).witness, find_hop2(A, 2).witness, find_fop2(A, 1).witness, find_fop2(A, 2).witness]
+        cube = cap2_check(A)[1]
+        cubes += cube is not None
+        out += [w for w in found + [cube] if w is not None]
+    for spec, d, seed in ((GroupSpec(3, 6), 2, 4), (GroupSpec(3, 10), 4, 6)):
+        _, tree = plant_tree_encoding(spec, d, seed=seed)
+        out += [tree] + [hodges_extract(tree, k) for k in range(1, min(d, 3) + 1)]
+    for w in list(out):
+        if w.kind == "HOP2":
+            out += [hop2_to_op_witness(w)] + ([complement_hop2_witness(w)] if w.k >= 2 else [])
+        if w.kind == "FOP2" and w.k >= 2:
+            out.append(fop2_to_vc_witness(w))
+        if w.kind == "VC2":
+            out.append(vc2_to_fop2_witness(w))
+    return out
+
+
+def _shift(v, p):
+    v = np.array(v, dtype=np.int64)
+    v[0] = (v[0] + 1) % p
+    return v
+
+
+def mutants(w):
+    """Copies of w with one change each: one element of one role shifted by
+    1 in its first coordinate (every role), and by kind, one FOP2 selector
+    key replaced or two selectors' y-lists swapped, one VC/VC2 set key
+    changed or two sets' elements swapped, and two TREE nodes swapped."""
+    p = w.subset.spec.p
+    out = []
+
+    def copy(**roles):
+        return Witness(w.kind, w.subset, dict(w.data, **roles), k=w.k)
+
+    for role, val in w.data.items():
+        if isinstance(val, list) and val:
+            out.append(copy(**{role: [_shift(val[0], p)] + val[1:]}))
+        elif isinstance(val, dict) and val:
+            first, rest = next(iter(val)), list(val.items())[1:]
+            v = val[first]
+            moved = [_shift(v[0], p)] + v[1:] if isinstance(v, list) else _shift(v, p)
+            out.append(copy(**{role: dict([(first, moved)] + rest)}))
+    keyed = {"FOP2": "y", "VC": "b", "VC2": "a", "TREE": "nodes"}.get(w.kind)
+    if keyed and len(w.data[keyed]) >= 2:
+        items = list(w.data[keyed].items())
+        (k0, v0), (k1, v1) = items[:2]
+        out.append(copy(**{keyed: dict([(k0, v1), (k1, v0)] + items[2:])}))  # swapped
+        if w.kind == "FOP2":
+            out.append(copy(y=dict([((0,) + k0[1:], v0)] + items[1:])))  # key outside [k]
+        if w.kind in ("VC", "VC2"):
+            flip = 1 if w.kind == "VC" else (1, 1)
+            out.append(copy(**{keyed: dict([(k0 ^ {flip}, v0)] + items[1:])}))
+    return out
+
+
+@pytest.fixture(scope="module")
+def witness_cases():
+    """(witness, loop-oracle verdict) for every searched witness and each of
+    its mutants, computed before any test patches the library."""
+    cases = []
+    for w in searched_witnesses():
+        cases += [(m, revalidate_oracle(m)) for m in [w, *mutants(w)]]
+    return cases
+
+
+def test_revalidate_matches_loop_oracle_on_witnesses_and_mutants(witness_cases):
+    # every kind shows both verdicts, so neither side can pass by agreeing on one
+    seen = {(w.kind, want) for w, want in witness_cases}
+    assert seen == set(itertools.product(("OP", "HOP2", "FOP2", "VC", "VC2", "CUBE", "TREE"), (True, False)))
+    for w, want in witness_cases:
+        assert w.revalidate() == want, (w.kind, w.k, w.to_jsonable())
+
+
+def test_revalidation_reads_no_sum_table(witness_cases, monkeypatch):
+    # Witnesses and the tree-count oracle must be checked on a path the
+    # searches do not share: with every sum table and the search's column
+    # and grid builders made to raise, every verdict stays the same.
+    rng = np.random.default_rng(0x7AB)
+    spec = GroupSpec(3, 2)
+    tree_cases = []
+    for _ in range(4):
+        A, L, N = (GroupSubset(spec, rng.random(spec.order) < q) for q in (rng.uniform(0.2, 0.8), 0.8, 0.8))
+        tree_cases += [((A, d, L, N), count_tree_encodings(A, d, L, N)) for d in (1, 2)]
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("revalidation read a search table")
+
+    monkeypatch.setattr(GroupSpec, "sum_table", boom)
+    monkeypatch.setattr(GroupSpec, "add_tables", property(boom))
+    for module, name in ((core, "_sum_index_grid"), (detectors, "_sum_index_grid")):
+        monkeypatch.setattr(module, name, boom)
+    monkeypatch.setattr(detectors, "_Grid", boom)
+    monkeypatch.setattr(detectors, "_Columns", boom)
+    for w, want in witness_cases:
+        assert w.revalidate() == want, (w.kind, w.k)
+    for args, count in tree_cases:
+        assert count_tree_encodings_naive(*args) == count
+
+
+def test_witness_check_reads_no_sum_table_under_optimize(run_optimized):
+    out = run_optimized(
+        "from qfa import core, detectors as det\n"
+        "from qfa.constructions import gs\n"
+        "assert False, 'asserts are live'\n"
+        "w = det.find_op(gs(3, 3), 2).witness\n"
+        "def boom(*args, **kwargs):\n"
+        "    raise RuntimeError('revalidation read a search table')\n"
+        "core.GroupSpec.sum_table = boom\n"
+        "core.GroupSpec.add_tables = property(boom)\n"
+        "core._sum_index_grid = det._sum_index_grid = det._Grid = det._Columns = boom\n"
+        "det._check_witness(w)\n"
+        "w.data['b'].reverse()\n"
+        "det._check_witness(w)\n"
+    )
+    assert out.returncode != 0
+    assert "AssertionError: OP witness failed revalidation" in out.stderr
+    assert "search table" not in out.stderr
