@@ -828,7 +828,6 @@ def hodges_extract(encoding: Witness, k: int) -> Witness | None:
     if not encoding.revalidate():
         return None
     A = encoding.subset
-    spec = A.spec
     leaves, nodes = encoding.data["leaves"], encoding.data["nodes"]
     d = encoding.data["d"]
     if k < 1:
@@ -857,12 +856,8 @@ def hodges_extract(encoding: Witness, k: int) -> Witness | None:
     leaf_list = list(leaves.items())
     if len(node_list) * len(leaf_list) > 4_000_000:
         raise CapacityError("staircase extraction search space too large")
-    M = {}
-    for s, h in node_list:
-        for e, g in leaf_list:
-            M[(s, e)] = A.contains_index(
-                spec.index_of((np.asarray(h) + np.asarray(g)) % spec.p)
-            )
+    # M[si][ei]: node_list[si] + leaf_list[ei] in A
+    M = _members(A, [h for _, h in node_list], [g for _, g in leaf_list]).tolist()
 
     def search(cs, bs, next_nodes, next_leaves):
         if len(cs) == k:
@@ -872,16 +867,16 @@ def hodges_extract(encoding: Witness, k: int) -> Witness | None:
                 s, _ = node_list[si]
                 e, _ = leaf_list[ei]
                 ok = True
-                for _, ej in bs:
-                    if M[(s, ej)]:
+                for ej, _ in bs:
+                    if M[si][ej]:
                         ok = False
                         break
                 if not ok:
                     continue
-                if not M[(s, e)]:
+                if not M[si][ei]:
                     continue
-                for _, sj in cs:
-                    if not M[(sj, e)]:
+                for sj, _ in cs:
+                    if not M[sj][ei]:
                         ok = False
                         break
                 if not ok:

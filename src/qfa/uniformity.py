@@ -19,6 +19,14 @@ from .core import (
 from .factors import AtomLabel, label_index_table
 
 
+# Block sizes of the blocked kernels.  beta_graph and dev2_sum take _ROWS
+# rows at a time, so their temporaries are O(_ROWS |Y|) and O(_ROWS^2)
+# elements instead of |X| |Y| and |X|^2; oct_sum's two buffers hold at most
+# _OCT_ELEMS elements each (16 MB in float64).
+_ROWS = 256
+_OCT_ELEMS = 1 << 21
+
+
 class MeasureReport:
     """A named quantity with its bound and pass/fail status."""
 
@@ -289,12 +297,18 @@ def _bilin_matrix(factor, X_idx, Y_idx) -> np.ndarray:
 
 
 def beta_graph(factor, X_idx, Y_idx, b_label) -> np.ndarray:
-    """Edge matrix of the bilinear-form graph: (x, y) with x^T M_i y = b_i."""
-    vals = _bilin_matrix(factor, X_idx, Y_idx)
+    """Edge matrix of the bilinear-form graph: (x, y) with x^T M_i y = b_i.
+
+    Built _ROWS rows of X at a time, so the bilinear values never exceed a
+    (q, _ROWS, |Y|) block."""
+    X = np.asarray(X_idx, dtype=np.int64)
     b_label = np.asarray(b_label, dtype=np.int64) % factor.spec.p
-    out = np.ones((len(X_idx), len(Y_idx)), dtype=bool)
-    for i in range(factor.q):
-        out &= vals[i] == b_label[i]
+    out = np.ones((len(X), len(Y_idx)), dtype=bool)
+    for s in range(0, len(X), _ROWS):
+        vals = _bilin_matrix(factor, X[s : s + _ROWS], Y_idx)
+        block = out[s : s + _ROWS]
+        for i in range(factor.q):
+            block &= vals[i] == b_label[i]
     return out
 
 
@@ -347,16 +361,34 @@ def triad_membership_check(factor) -> bool:
 
 
 def dev2_sum(edges: np.ndarray) -> tuple:
-    """(deviation sum, density) for a dense bipartite edge matrix, via the
-    codegree contraction sum_(x0,x1) (sum_y g g)^2 with g = 1_E - d."""
-    m = edges.astype(np.float64)
-    nx, ny = m.shape
+    """(deviation sum, density) for a dense 0/1 bipartite edge matrix m: the
+    codegree contraction sum_(x0,x1) C^2 with C = g g^T and g = m - d.
+
+    With r the row sums, t = r - d |Y| their deviations and K = m m^T the
+    integer codegrees, |Y| C = |Y| K - r r^T + t t^T, whose first two terms
+    are integers, exact in float64 for |Y| <= 2^26.  K is built _ROWS x _ROWS block by block over the
+    upper triangle (off-diagonal blocks count twice), each block a float32
+    product of two row blocks converted on the fly.  Every codegree is an
+    integer at most |Y|, so float32 is exact up to |Y| = 2^24; wider rows
+    take float64."""
+    nx, ny = edges.shape
     if nx == 0 or ny == 0:
         return 0.0, 0.0
-    d = m.sum() / (nx * ny)
-    g = m - d
-    C = g @ g.T
-    return float((C * C).sum()), float(d)
+    r = edges.sum(axis=1, dtype=np.int64).astype(np.float64)
+    total_edges = r.sum()
+    t = r - total_edges / nx
+    dtype = np.float32 if ny <= 1 << 24 else np.float64
+    total = 0.0
+    for i in range(0, nx, _ROWS):
+        mi = edges[i : i + _ROWS].astype(dtype)
+        for j in range(i, nx, _ROWS):
+            mj = mi if j == i else edges[j : j + _ROWS].astype(dtype)
+            block = (mi @ mj.T).astype(np.float64)  # K, then |Y| C
+            block *= ny
+            block -= np.outer(r[i : i + _ROWS], r[j : j + _ROWS])
+            block += np.outer(t[i : i + _ROWS], t[j : j + _ROWS])
+            total += (1 if j == i else 2) * float(np.square(block, out=block).sum())
+    return total / ny**2, float(total_edges / (nx * ny))
 
 
 def dev2_measure(edges: np.ndarray) -> tuple:
@@ -384,14 +416,27 @@ def dev2_naive(edges: np.ndarray) -> float:
 
 def oct_sum(h: np.ndarray) -> float:
     """Octahedron sum of a (U, V, W) tensor via the nested contraction: for
-    each pair (u0, u1) the V x V codegree matrix over w is squared-summed
-    (batched over u1 to stay in matrix-multiply kernels)."""
+    each pair (u0, u1) the V x V codegree matrix over w is squared-summed.
+
+    The summand is symmetric in (u0, u1), so only u1 >= u0 is visited and
+    the off-diagonal pairs count twice.  The u1 run is batched (to stay in
+    matrix-multiply kernels) in blocks whose two buffers, the products
+    h[u0] h[u1] and their codegree matrices, hold at most _OCT_ELEMS
+    elements each."""
     U, V, W = h.shape
+    rows = max(1, min(U, _OCT_ELEMS // max(1, V * max(V, W))))
+    dtype = np.result_type(h.dtype, np.float64)
+    T, C = np.empty((rows, V, W), dtype=dtype), np.empty((rows, V, V), dtype=dtype)
     total = 0.0
     for u0 in range(U):
-        T = h[u0][None, :, :] * h  # (U, V, W)
-        C = np.matmul(T, T.transpose(0, 2, 1))
-        total += float((C * C).sum())
+        for s in range(u0, U, rows):
+            n = min(rows, U - s)
+            t, c = T[:n], C[:n]
+            np.multiply(h[u0], h[s : s + n], out=t)
+            np.matmul(t, t.transpose(0, 2, 1), out=c)
+            flat = c.reshape(n, V * V)
+            sq = np.einsum("ij,ij->i", flat, flat)  # one squared sum per u1
+            total += 2 * float(sq.sum()) - (float(sq[0]) if s == u0 else 0.0)
     return total
 
 

@@ -7,10 +7,10 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qfa import core, detectors
+from qfa import core, detectors, uniformity
 from qfa.constructions import gs
 from qfa.core import GroupSpec, GroupSubset
 from qfa.detectors import (
@@ -415,6 +415,66 @@ def test_dev23_matches_from_definitions():
         assert abs(res.eps1 - eps1) < 1e-9
         assert abs(res.d2 - d2) < 1e-9
         assert abs(res.d3 - d3) < 1e-9
+
+
+def dev2_dense_oracle(edges):
+    """(deviation sum, density) from the dense matrices themselves: the
+    float64 balanced matrix g = 1_E - d, its codegrees C = g g^T, and the sum
+    of C^2, with no blocking and no integer codegrees."""
+    m = edges.astype(np.float64)
+    nx, ny = m.shape
+    if nx == 0 or ny == 0:
+        return 0.0, 0.0
+    d = m.sum() / (nx * ny)
+    g = m - d
+    C = g @ g.T
+    return float((C * C).sum()), float(d)
+
+
+ROWS = uniformity._ROWS
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    nx=st.sampled_from([1, ROWS - 1, ROWS, ROWS + 1, 2 * ROWS + 1]),
+    ny=st.sampled_from([1, 2, 7, 40]),
+    fill=st.sampled_from(["random", "empty", "full"]),
+    density=st.floats(0, 1),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(nx=2 * ROWS + 1, ny=1, fill="random", density=0.5, seed=0)
+@example(nx=ROWS + 1, ny=40, fill="empty", density=0.0, seed=0)
+@example(nx=2 * ROWS + 1, ny=7, fill="full", density=1.0, seed=0)
+def test_blocked_dev2_sum_matches_dense_oracle(nx, ny, fill, density, seed):
+    """Row counts on both sides of one and two blocks, empty, full and
+    single-column matrices: the blocked codegree sum equals the dense one to
+    a relative 1e-12, and the density exactly."""
+    if fill == "random":
+        edges = np.random.default_rng(seed).random((nx, ny)) < density
+    else:
+        edges = np.full((nx, ny), fill == "full")
+    got, d = uniformity.dev2_sum(edges)
+    want, want_d = dev2_dense_oracle(edges)
+    assert d == want_d
+    assert abs(got - want) <= 1e-12 * abs(want), (got, want)
+
+
+@pytest.mark.parametrize("p,n", [(3, 5), (5, 3), (7, 3)])
+def test_blocked_beta_graph_equals_whole_matrix_comparison(p, n):
+    """beta_graph builds its edges _ROWS rows at a time; the result is the
+    comparison of the whole (q, |X|, |Y|) bilinear stack, bit for bit."""
+    rng = np.random.default_rng(p * 100 + n)
+    spec = GroupSpec(p, n)
+    for q in (2, 3):
+        mats = [(lambda R: (R + R.T) % p)(rng.integers(0, p, size=(n, n))) for _ in range(q)]
+        F = QuadraticFactor(spec, [], mats)
+        Y = rng.integers(0, spec.order, size=37)
+        for rows in (1, ROWS, ROWS + 1, 2 * ROWS + 1):
+            X = rng.integers(0, spec.order, size=rows)
+            b = rng.integers(0, 2 * p, size=q)
+            want = np.all(uniformity._bilin_matrix(F, X, Y) == (b % p)[:, None, None], axis=0)
+            got = uniformity.beta_graph(F, X, Y, b)
+            assert got.dtype == bool and np.array_equal(got, want)
 
 
 def binary_transfer_oracle(A, F):

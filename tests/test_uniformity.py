@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qfa import uniformity
 from qfa.core import CapacityError, GroupSpec, GroupSubset, ShapeError, dft
 from qfa.constructions import gs, trace_sym_space
 from qfa.factors import AtomLabel, LinearFactor, QuadraticFactor, atom_members, label_index_table
@@ -57,17 +58,10 @@ def test_u2_equals_fourier_fourth_moment():
             assert abs(lhs - rhs) < 1e-9, (p, n)
 
 
-def test_u2_builds_no_table_larger_than_the_group():
-    import tracemalloc
-
+def test_u2_builds_no_table_larger_than_the_group(traced_peak):
     sp = GroupSpec(61, 3)  # the p^(2*ceil(n/2)) addition table would be 106 MB
     f = np.random.default_rng(3).uniform(-1, 1, sp.order)
-    tracemalloc.start()
-    try:
-        got = u2_norm(f, sp)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    got, peak = traced_peak(lambda: u2_norm(f, sp))
     assert peak < 20 * 2**20
     assert abs(got**4 - float((np.abs(dft(f, sp)) ** 4).sum())) < 1e-12
 
@@ -299,6 +293,41 @@ def test_beta_graph_dev2_trace_factor():
     a1 = atom_members(F, AtomLabel([], [1])).indices()
     eps, d2 = dev2_measure(beta_graph(F, a0, a1, [1]))
     assert eps <= 0.05 and abs(d2 - 1 / 3) <= 0.05
+
+
+def test_beta_graph_dev2_at_n_8_stays_in_row_blocks(traced_peak):
+    # the catalogue's beta-graph-dev2 input: two 2187-element atoms, whose
+    # dense float64 codegree matrices alone are 38 MB each
+    sp = GroupSpec(3, 8)
+    F = QuadraticFactor(sp, [], [trace_sym_space(8, 3)[0]])
+    a0 = atom_members(F, AtomLabel([], [0])).indices()
+    a1 = atom_members(F, AtomLabel([], [1])).indices()
+    (eps, d2), peak = traced_peak(lambda: dev2_measure(beta_graph(F, a0, a1, [1])))
+    assert peak < 48 * 2**20
+    assert eps <= 0.05 and abs(d2 - 1 / 3) <= 0.02
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+def test_oct_sum_blocks_match_oracle(rows, monkeypatch):
+    # a block budget of `rows` u1 slices, so the runs from u0 split into full
+    # and partial blocks
+    for shape in ((7, 3, 4), (8, 5, 2), (5, 4, 6)):
+        h = RNG.uniform(-1, 1, shape)
+        monkeypatch.setattr(uniformity, "_OCT_ELEMS", rows * shape[1] * max(shape[1:]))
+        assert abs(oct_sum(h) - oct_naive(h)) < 1e-8
+
+
+@pytest.mark.parametrize(
+    "shape", [(48, 243, 243), pytest.param((243, 243, 243), marks=pytest.mark.slow)]
+)
+def test_oct_sum_temporaries_stay_under_40_mb(shape, traced_peak):
+    # 243-element parts are what a p = 3, n = 6 triad gives under the 256 part
+    # cap of oct_measure and dev23_measure; one dense (U, V, V) codegree stack
+    # is 23 MB at (48, 243, 243) and 115 MB at 243^3
+    h = np.random.default_rng(4).uniform(-1, 1, shape)
+    total, peak = traced_peak(lambda: oct_sum(h))
+    assert peak < 40 * 2**20
+    assert total > 0
 
 
 def test_oct_vanishes_when_set_is_the_sigma_atom():
