@@ -348,14 +348,58 @@ def gauss_sum(M: np.ndarray, b, spec: GroupSpec):
     return complex(out) if vals.ndim == 1 else out
 
 
-def _fft_cube(f: np.ndarray, spec: GroupSpec, transform) -> np.ndarray:
-    """Apply an n-dimensional FFT to an (order,) table or to each row of a
-    (B, order) stack, viewed as a (p,) * n cube per row."""
+# A chunk of g coordinates is transformed by one product with the character
+# table of F_p^g when p^g is at most this; a prime above it keeps a
+# length-p FFT along its own axis.
+_CHAR_TABLE_MAX = 64
+_CHAR_TABLES = {}
+
+
+def _char_table(p: int, g: int, sign: int) -> np.ndarray:
+    """The (p^g, p^g) table W[t, x] = omega^(sign t.x) of F_p^g, indexed
+    little-endian on both sides (so W is symmetric); built once per
+    (p, g, sign) and read-only.  Its entries come from one root table in
+    which omega^(p - j) is the exact conjugate of omega^j."""
+    W = _CHAR_TABLES.get((p, g, sign))
+    if W is None:
+        h = np.arange(p // 2 + 1)
+        roots = np.empty(p, dtype=np.complex128)
+        roots[h] = np.exp(sign * 2j * np.pi * h / p)
+        roots[p - h[1:]] = np.conj(roots[h[1:]])
+        digits = np.arange(p**g)[:, None] // p ** np.arange(g) % p
+        W = roots[digits @ digits.T % p]
+        W.setflags(write=False)
+        _CHAR_TABLES[(p, g, sign)] = W
+    return W
+
+
+def _character_sums(f: np.ndarray, spec: GroupSpec, sign: int) -> np.ndarray:
+    """sum_x f(x) omega^(sign x.t) for every t, for an (order,) table or for
+    each row of a (B, order) stack.
+
+    The coordinates are taken in chunks of g, with p^g <= _CHAR_TABLE_MAX.
+    Once the lowest a coordinates are done, a row is viewed as
+    (p^(n-a-g), p^g, p^a) and the chunk is one product with the table of
+    F_p^g: `X[..., 0] @ W` for the first chunk and `W @ X` for the others.
+    numpy runs the same 2-d products for every row of a stack, so a stack
+    gives each row bit for bit."""
     f = np.asarray(f)
     if f.shape[-1:] != (spec.order,) or f.ndim not in (1, 2):
         raise ShapeError(f"expected a table of length {spec.order} or a stack of them, got shape {f.shape}")
-    cube = f.reshape(f.shape[:-1] + (spec.p,) * spec.n)
-    return transform(cube, axes=tuple(range(f.ndim - 1, cube.ndim))).reshape(f.shape)
+    p, out = spec.p, f.reshape(-1, spec.order)
+    g = 1
+    while p ** (g + 1) <= _CHAR_TABLE_MAX:
+        g += 1
+    for a in range(0, spec.n, g):
+        c = min(g, spec.n - a)
+        X = out.reshape(len(out), p ** (spec.n - a - c), p**c, p**a)
+        if p > _CHAR_TABLE_MAX:
+            out = np.fft.fft(X, axis=2) if sign < 0 else np.fft.ifft(X, axis=2, norm="forward")
+        elif a == 0:
+            out = X[..., 0] @ _char_table(p, c, sign)
+        else:
+            out = np.matmul(_char_table(p, c, sign), X)
+    return out.reshape(f.shape)
 
 
 def dft(f: np.ndarray, spec: GroupSpec) -> np.ndarray:
@@ -364,14 +408,17 @@ def dft(f: np.ndarray, spec: GroupSpec) -> np.ndarray:
     stack, each row transformed on its own (as rref and gauss_sum take
     stacks).
 
-    Computed as n successive length-p transforms (one per coordinate axis).
+    Computed as products with the character tables of F_p^g over chunks of
+    g coordinates (`_character_sums`).
     """
-    return _fft_cube(f, spec, np.fft.fftn) / spec.order
+    out = _character_sums(f, spec, -1)
+    out /= spec.order
+    return out
 
 
 def idft(fhat: np.ndarray, spec: GroupSpec) -> np.ndarray:
     """Inverse of dft, row by row for a stack: f(x) = sum_t hat f(t) omega^(x.t)."""
-    return _fft_cube(fhat, spec, np.fft.ifftn) * spec.order
+    return _character_sums(fhat, spec, 1)
 
 
 class GroupSubset:

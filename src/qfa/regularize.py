@@ -162,17 +162,32 @@ class Subgroup:
         return lab, A.indicator[idx]
 
 
+# Magnitudes within this of the largest count as tied for the top character.
+_TIE = 1e-12
+
+
+def _top_character(A: GroupSubset, H: Subgroup, y):
+    """The largest nontrivial Fourier coefficient of the balanced indicator
+    of A localized to the coset y + H, as (local spec, character index t,
+    its magnitude), or None when H is trivial.
+
+    t is the first index whose magnitude is within _TIE of the largest.  For
+    a real table |hat f(t)| and |hat f(-t)| agree only up to rounding, so a
+    plain argmax would let the DFT's rounding choose between t and -t."""
+    lab, ind = H.localized(A, y)
+    if lab is None:
+        return None
+    mags = np.abs(dft(ind.astype(np.float64) - ind.mean(), lab))
+    mags[0] = 0.0
+    top = mags.max()
+    return lab, int(np.argmax(mags >= top - _TIE)), float(top)
+
+
 def local_uniformity(A: GroupSubset, H: Subgroup, y) -> float:
     """Largest nontrivial Fourier coefficient of the balanced indicator of A
     localized to the coset y + H."""
-    lab, ind = H.localized(A, y)
-    if lab is None:
-        return 0.0
-    alpha = ind.mean()
-    fhat = dft(ind.astype(np.float64) - alpha, lab)
-    mags = np.abs(fhat)
-    mags[0] = 0.0
-    return float(mags.max())
+    top = _top_character(A, H, y)
+    return 0.0 if top is None else top[2]
 
 
 def find_uniform_dense_coset(A: GroupSubset, H: Subgroup, eps: float):
@@ -193,16 +208,10 @@ def find_uniform_dense_coset(A: GroupSubset, H: Subgroup, eps: float):
     y = np.zeros(spec.n, dtype=np.int64)
     max_steps = int(2 / eps)
     for step in range(max_steps + 1):
-        lab, ind = cur.localized(A, y)
-        if lab is None:
+        top = _top_character(A, cur, y)
+        if top is None or top[2] <= eps:
             break
-        alpha = ind.mean()
-        fhat = dft(ind.astype(np.float64) - alpha, lab)
-        mags = np.abs(fhat)
-        mags[0] = 0.0
-        t_star = int(np.argmax(mags))
-        if mags[t_star] <= eps:
-            break
+        lab, t_star, _ = top
         # refine by the character's kernel, keep the densest coset
         t_vec = lab.vector_of(t_star)
         sub_coords = nullspace_basis([t_vec], spec.p, cur.dim)
@@ -449,15 +458,11 @@ def stable_linear_decomposition(
         pick = err_cells[int(np.argmin(np.abs(dens - 0.5)))]
         rep_idx = int(np.nonzero(table == pick)[0][0])
         rep = spec.vector_of(rep_idx)
-        lab, ind = cur.localized(A, rep)
-        if lab is None:
+        top = _top_character(A, cur, rep)
+        if top is None:
             break
-        alpha = ind.mean()
-        fhat = dft(ind.astype(np.float64) - alpha, lab)
-        mags = np.abs(fhat)
-        mags[0] = 0.0
-        t_star = int(np.argmax(mags))
-        if mags[t_star] <= 1e-12:
+        lab, t_star, mag = top
+        if mag <= 1e-12:
             chain.add_step(cur.factor(), gamma0, gamma1, gamma_err)
             break
         new_dual = _lift_character(cur, lab.vector_of(t_star))

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from qfa import core
 from qfa.core import (
     CapacityError,
     GroupSpec,
@@ -169,6 +170,31 @@ def test_dft_and_idft_take_a_stack_row_by_row_bit_for_bit():
             dft(bad, spec)
         with pytest.raises(ShapeError):
             idft(bad, spec)
+
+
+def test_dft_peak_memory_stays_near_two_outputs(traced_peak):
+    spec = GroupSpec(3, 12)
+    f = np.random.default_rng(8).uniform(-1, 1, spec.order)
+    fhat, peak = traced_peak(lambda: dft(f, spec))
+    assert peak < 2.5 * fhat.nbytes
+
+
+def test_character_tables_stay_small_and_read_only(traced_peak):
+    rng = np.random.default_rng(9)
+    for p, n in ((3, 7), (5, 3), (7, 3), (11, 2), (61, 2), (67, 2)):
+        spec = GroupSpec(p, n)
+        f = rng.standard_normal(spec.order)
+        assert np.abs(idft(dft(f, spec), spec) - f).max() < 1e-9
+    assert core._CHAR_TABLES
+    for W in core._CHAR_TABLES.values():
+        assert W.size <= core._CHAR_TABLE_MAX**2 and not W.flags.writeable
+    # a prime above the bound takes the FFT branch and builds no p x p table
+    spec = GroupSpec(4093, 1)
+    f = rng.standard_normal(spec.order)
+    fhat, peak = traced_peak(lambda: dft(f, spec))
+    assert peak < 4 * fhat.nbytes  # a 4093 x 4093 table would be 268 MB
+    assert all(p != 4093 for p, _, _ in core._CHAR_TABLES)
+    assert np.abs(idft(fhat, spec) - f).max() < 1e-9
 
 
 def test_sum_index_grid_reads_read_only_tables_held_on_the_spec():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qfa import core, detectors, uniformity
+from qfa import core, detectors, regularize, uniformity
 from qfa.constructions import gs
 from qfa.core import GroupSpec, GroupSubset
 from qfa.detectors import (
@@ -747,3 +747,85 @@ def test_witness_check_reads_no_sum_table_under_optimize(run_optimized):
     assert out.returncode != 0
     assert "AssertionError: OP witness failed revalidation" in out.stderr
     assert "search table" not in out.stderr
+
+
+def dft_fftn_oracle(f, spec, inverse=False):
+    """The group DFT as numpy's n-dimensional FFT: an (order,) table or each
+    row of a (B, order) stack viewed as a (p,) * n cube, with dft's 1/N on
+    the forward side and the plain character sum on the inverse side."""
+    f = np.asarray(f)
+    cube = f.reshape(f.shape[:-1] + (spec.p,) * spec.n)
+    axes = tuple(range(f.ndim - 1, cube.ndim))
+    if inverse:
+        return np.fft.ifftn(cube, axes=axes).reshape(f.shape) * spec.order
+    return np.fft.fftn(cube, axes=axes).reshape(f.shape) / spec.order
+
+
+def _chunk(p):
+    """The number of coordinates one character-table product covers."""
+    g = 1
+    while p ** (g + 1) <= core._CHAR_TABLE_MAX:
+        g += 1
+    return g
+
+
+# n at the chunk boundaries g - 1, g, g + 1 and 2g + 1, for primes on both
+# sides of the table bound (67 and 101 take the FFT branch)
+DFT_CASES = [
+    (p, n)
+    for p in (3, 5, 7, 11, 61, 67, 101)
+    for n in sorted({_chunk(p) - 1, _chunk(p), _chunk(p) + 1, 2 * _chunk(p) + 1})
+    if n >= 1
+]
+
+
+@pytest.mark.parametrize("p,n", DFT_CASES)
+@settings(derandomize=True, max_examples=4, deadline=None)
+@given(rows=st.sampled_from([None, 1, 2, 3]), is_complex=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_dft_and_idft_match_the_fftn_oracle(p, n, rows, is_complex, seed):
+    """On tables bounded by 1, dft equals the fftn oracle to 1e-12, and so
+    does idft after dividing by N (it sums N terms); idft(dft(f)) is f."""
+    spec = GroupSpec(p, n)
+    if spec.order > 1 << 18:  # one table at 101^3
+        rows = None
+    rng = np.random.default_rng(seed)
+    shape = (spec.order,) if rows is None else (rows, spec.order)
+    f = rng.uniform(-1, 1, shape)
+    if is_complex:
+        f = f * np.exp(2j * np.pi * rng.random(shape))
+    fhat = core.dft(f, spec)
+    assert fhat.shape == f.shape and fhat.dtype == np.complex128
+    assert np.abs(fhat - dft_fftn_oracle(f, spec)).max() <= 1e-12
+    back = core.idft(f, spec)
+    assert back.shape == f.shape
+    assert np.abs(back - dft_fftn_oracle(f, spec, inverse=True)).max() <= 1e-12 * spec.order
+    assert np.abs(core.idft(fhat, spec) - f).max() <= 1e-12
+
+
+def _walk_outputs():
+    """(H', y) of uniform-coset walks and the outputs of decompositions."""
+    rng = np.random.default_rng(0xD1F7)
+    spec = GroupSpec(3, 6)
+
+    def noisy_coset(codim, noise):
+        coset = (spec.digits @ rng.integers(0, 3, (spec.n, codim)) % 3 == 0).all(axis=1)
+        return GroupSubset(spec, coset ^ (rng.random(spec.order) < noise))
+
+    out = []
+    for t in range(24):
+        A = noisy_coset(1 + t // 3 % 3, 0.02 * (t % 5))
+        H, y, _ = regularize.find_uniform_dense_coset(A, regularize.Subgroup(spec, []), (0.02, 0.05, 0.1)[t % 3])
+        out.append(([v.tolist() for v in H.duals], H.basis.tolist(), y.tolist()))
+    for codim, noise in ((1, 0.03), (2, 0.01), (2, 0.05), (3, 0.05)):
+        res = regularize.stable_linear_decomposition(noisy_coset(codim, noise), eps=0.1, max_codim=4)
+        out.append(([v.tolist() for v in res["H"].duals], res["omega"], res["history"]))
+    return out
+
+
+def test_walks_and_decompositions_do_not_depend_on_the_dft_kernel(monkeypatch):
+    """The top character is the first one within 1e-12 of the largest, so
+    the fftn oracle and the character-table kernel, which round differently,
+    pick the same characters, cosets and decompositions."""
+    want = _walk_outputs()
+    monkeypatch.setattr(regularize, "dft", dft_fftn_oracle)
+    assert _walk_outputs() == want

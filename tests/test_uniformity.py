@@ -75,6 +75,33 @@ def _u2_brute_force(f, sp):
     return (total / sp.order) ** 0.25
 
 
+def test_u2_norm_reaches_neither_the_dft_kernel_nor_a_numpy_fft(monkeypatch):
+    """u2_norm is the independent side of `u2-fourier-identity`: with the
+    character-table kernel and numpy's FFTs made to raise, it still matches
+    the brute-force correlation, and the check still fails when the Fourier
+    side it is compared with is perturbed."""
+    from qfa import core, suites
+
+    kernel = core._character_sums
+
+    def tripwire(*args, **kwargs):
+        raise AssertionError("reached a Fourier kernel")
+
+    monkeypatch.setattr(core, "_character_sums", tripwire)
+    for name in ("fft", "ifft", "fftn", "ifftn", "rfft", "rfftn", "irfftn"):
+        monkeypatch.setattr(np.fft, name, tripwire)
+    with pytest.raises(AssertionError, match="Fourier kernel"):
+        dft(np.ones(9), GroupSpec(3, 2))
+    rng = np.random.default_rng(11)
+    for p, n in ((3, 1), (3, 2), (3, 4), (5, 2), (7, 2), (67, 1)):
+        sp = GroupSpec(p, n)
+        f = rng.uniform(-1, 1, sp.order) + 1j * rng.uniform(-1, 1, sp.order)
+        assert abs(u2_norm(f, sp) - _u2_brute_force(f, sp)) < 1e-9
+    # the Fourier side runs the saved kernel, scaled by 1.001
+    monkeypatch.setattr(suites, "dft", lambda f, sp: kernel(f, sp, -1) * (1.001 / sp.order))
+    assert suites._check_u2_fourier({"seed": 0}).status == "FAIL"
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.sampled_from([(3, 1), (3, 2), (3, 3), (5, 1), (5, 2)]).flatmap(
