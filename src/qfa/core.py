@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import os
+from itertools import chain
 
 import numpy as np
 
@@ -239,44 +240,66 @@ def rref(A, p: int):
     (B, m, k) stack, with the pivot columns.
 
     A matrix gives (R, pivots) with pivots a list of columns; a stack gives
-    the (B, m, k) stack of forms and a (B, k) boolean pivot mask.  One
-    Gauss-Jordan loop runs over the columns of the whole stack: at column c,
-    each matrix with a nonzero entry at or below its current rank takes the
-    first such row as its pivot, and every such matrix gets one vectorized
-    swap, scale and eliminate.  Over a field the RREF is unique, so rank,
-    nullspace, row space and solutions read off it do not depend on the
-    elimination order.
+    the (B, m, k) stack of forms and a (B, k) boolean pivot mask.  A matrix,
+    or a stack of one, takes Gauss-Jordan on Python int rows: faster up to
+    about 24 x 24, slower on tall or large matrices.  A larger stack runs one
+    loop over its columns: at column c, each matrix with a nonzero entry at
+    or below its current rank takes the first such row as its pivot, and all
+    of them get one vectorized swap, scale and eliminate.  Over a field the
+    RREF is unique, so both paths give the same bits.
     """
     R = np.array(A, dtype=np.int64) % p
     if R.ndim not in (2, 3):
         raise ShapeError(f"expected a matrix or a stack of matrices, got shape {R.shape}")
-    S = R if R.ndim == 3 else R[None]
-    B, m, k = S.shape
+    if R.ndim == 2 or len(R) == 1:
+        rows, pivots = _rref_rows(R.reshape(R.shape[-2:]).tolist(), p)
+        out = np.fromiter(chain.from_iterable(rows), np.int64, R.size).reshape(R.shape)
+        return (out, pivots) if R.ndim == 2 else (out, np.isin(np.arange(R.shape[2]), pivots)[None])
+    B, m, k = R.shape
     rank = np.zeros(B, dtype=np.int64)
     pivot = np.zeros((B, k), dtype=bool)
     below = np.arange(m)[None, :] >= rank[:, None]
     for c in range(k):
-        cand = below & (S[:, :, c] != 0)
+        cand = below & (R[:, :, c] != 0)
         b = np.flatnonzero(cand.any(axis=1))
         if not b.size:
             continue
         r = rank[b]
         first = cand[b].argmax(axis=1)
-        lead = S[b, first]
-        S[b, first] = S[b, r]
+        lead = R[b, first]
+        R[b, first] = R[b, r]
         lead = lead * _inverse_mod(lead[:, c], p)[:, None] % p
-        S[b, r] = lead
-        col = S[b, :, c]
+        R[b, r] = lead
+        col = R[b, :, c]
         col[np.arange(b.size), r] = 0
-        S[b] = (S[b] - col[:, :, None] * lead[:, None, :]) % p
+        R[b] = (R[b] - col[:, :, None] * lead[:, None, :]) % p
         pivot[b, c] = True
         rank[b] += 1
         below[b, r] = False
         if (rank == m).all():
             break
-    if R.ndim == 3:
-        return S, pivot
-    return S[0], np.flatnonzero(pivot[0]).tolist()
+    return R, pivot
+
+
+def _rref_rows(rows: list, p: int) -> tuple:
+    """Gauss-Jordan over F_p on Python int rows, in place: (RREF rows, pivots)."""
+    pivots = []
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        for piv in range(r, len(rows)):
+            if rows[piv][c]:
+                break
+        else:
+            continue
+        inv = pow(rows[piv][c], p - 2, p)
+        lead = [v * inv % p for v in rows[piv]]
+        rows[piv], rows[r] = rows[r], lead
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                rows[i] = [(a - f * b) % p for a, b in zip(row, lead)]
+        pivots.append(c)
+    return rows, pivots
 
 
 def _inverse_mod(a: np.ndarray, p: int) -> np.ndarray:
@@ -293,8 +316,6 @@ def _inverse_mod(a: np.ndarray, p: int) -> np.ndarray:
 
 def matrix_rank(M: np.ndarray, p: int) -> int:
     """Rank over F_p by exact Gaussian elimination."""
-    if np.size(M) == 0:
-        return 0
     return len(rref(M, p)[1])
 
 
@@ -503,12 +524,25 @@ class GroupSubset:
 
 def write_subset(subset: GroupSubset, path: str) -> None:
     """File format: first line "p n", then one member per line as n base-p
-    digits, most significant last (matching the little-endian index)."""
+    digits, most significant last (matching the little-endian index); the
+    digits run together, or are space-separated when one of them is >= 10."""
     spec = subset.spec
     with open(path, "w") as fh:
         fh.write(f"{spec.p} {spec.n}\n")
         for row in subset.members():
-            fh.write("".join(str(int(d)) for d in row) + "\n")
+            fh.write(_format_row(row) + "\n")
+
+
+def _format_row(row) -> str:
+    """Entries run together while each is one digit, else space-separated."""
+    vals = [str(int(v)) for v in row]
+    return (" " if any(len(v) > 1 for v in vals) else "").join(vals)
+
+
+def _row_tokens(line: str, n) -> list:
+    """Split on whitespace, else per character unless a header gives n == 1."""
+    tokens = line.split()
+    return list(line) if len(tokens) == 1 and n != 1 else tokens
 
 
 def read_subset(path: str) -> GroupSubset:
@@ -523,9 +557,10 @@ def read_subset(path: str) -> GroupSubset:
             line = line.strip()
             if not line:
                 continue
-            if len(line) != n or any(ch not in "0123456789" for ch in line):
+            tokens = _row_tokens(line, n)
+            if len(tokens) != n or not all(t.isascii() and t.isdigit() for t in tokens):
                 raise ValueError(f"{path}:{lineno}: expected {n} base-{p} digits")
-            digits = [int(ch) for ch in line]
+            digits = [int(t) for t in tokens]
             if any(d >= p for d in digits):
                 raise ValueError(f"{path}:{lineno}: digit out of range for base {p}")
             indices.append(spec.index_of(np.array(digits)))
@@ -536,7 +571,7 @@ def write_matrix(M: np.ndarray, path: str) -> None:
     M = np.asarray(M, dtype=np.int64)
     with open(path, "w") as fh:
         for row in M:
-            fh.write("".join(str(int(v)) for v in row) + "\n")
+            fh.write(_format_row(row) + "\n")
 
 
 def read_matrix(path: str, p: int) -> np.ndarray:
@@ -545,7 +580,7 @@ def read_matrix(path: str, p: int) -> np.ndarray:
         for line in fh:
             line = line.strip()
             if line:
-                rows.append([int(ch) for ch in line])
+                rows.append([int(t) for t in _row_tokens(line, None)])
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError(f"{path}: expected an n x n digit grid")

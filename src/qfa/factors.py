@@ -21,6 +21,8 @@ from .core import (
     GroupSpec,
     GroupSubset,
     ShapeError,
+    _format_row,
+    _row_tokens,
     as_sym_matrix,
     linear_values,
     matrix_rank,
@@ -552,7 +554,8 @@ def same_partition(B1, B2) -> bool:
 
 def write_factor(B, path: str) -> None:
     """Format: "p n ell q", then ell vector lines, then q matrices of n rows
-    each; general factors append q shift-vector lines."""
+    each; general factors append q shift-vector lines.  Lines are written as
+    write_subset writes members."""
     spec = B.spec
     is_general = isinstance(B, GeneralQuadraticFactor)
     if isinstance(B, LinearFactor):
@@ -560,14 +563,14 @@ def write_factor(B, path: str) -> None:
     with open(path, "w") as fh:
         fh.write(f"{spec.p} {spec.n} {B.ell} {B.q}\n")
         for v in B.linear.vectors:
-            fh.write("".join(str(int(d)) for d in v) + "\n")
+            fh.write(_format_row(v) + "\n")
         mats = [M for M, _ in B.pairs] if is_general else B.matrices
         for M in mats:
             for row in M:
-                fh.write("".join(str(int(d)) for d in row) + "\n")
+                fh.write(_format_row(row) + "\n")
         if is_general:
             for _, u in B.pairs:
-                fh.write("".join(str(int(d)) for d in u) + "\n")
+                fh.write(_format_row(u) + "\n")
 
 
 def read_factor(path: str):
@@ -587,7 +590,7 @@ def read_factor(path: str):
         if pos == len(lines):
             raise ValueError(f"{path}:{end}: file ends before the rows its header 'p n ell q' promises")
         lineno, text = lines[pos]
-        row = [int(ch) for ch in text]
+        row = [int(t) for t in _row_tokens(text, n)]
         if len(row) != n:
             raise ValueError(f"{path}:{lineno}: expected {n} digits")
         pos += 1

@@ -1,6 +1,9 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -247,6 +250,74 @@ def test_matrix_io_symmetry_validated(tmp_path):
         read_matrix(str(path), 3)
 
 
+IO_PRIMES = [3, 5, 7, 11, 13]
+
+
+def test_subset_file_round_trips_digits_above_nine(tmp_path):
+    A = GroupSubset.from_indices(GroupSpec(11, 2), [0, 10, 120])
+    path = tmp_path / "a.txt"
+    write_subset(A, str(path))
+    assert path.read_text() == "11 2\n00\n10 0\n10 10\n"
+    assert read_subset(str(path)) == A
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(IO_PRIMES), st.integers(1, 3), st.data())
+def test_subset_file_round_trip_and_truncation(p, n, data):
+    """read_subset(write_subset(A)) == A; at p <= 7 the file keeps the bytes of
+    the run-together digit format.  The format holds no member count, so a
+    file cut at a line boundary is the set of the members before the cut,
+    and only a cut header is an error."""
+    spec = GroupSpec(p, n)
+    A = GroupSubset.from_indices(spec, data.draw(st.lists(st.integers(0, spec.order - 1), max_size=12)))
+    members = A.members().tolist()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "a.txt")
+        write_subset(A, path)
+        assert read_subset(path) == A
+        with open(path) as fh:
+            lines = fh.readlines()
+        if p <= 7:
+            assert lines == [f"{p} {n}\n"] + ["".join(map(str, row)) + "\n" for row in members]
+        for cut in range(len(lines)):
+            with open(path, "w") as fh:
+                fh.writelines(lines[:cut])
+            if cut == 0:
+                with pytest.raises(ValueError, match="expected header"):
+                    read_subset(path)
+            else:
+                assert read_subset(path) == GroupSubset.from_members(spec, members[: cut - 1])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(IO_PRIMES), st.integers(1, 5), st.data())
+def test_matrix_file_round_trip_and_truncation(p, n, data):
+    """read_matrix returns the symmetric matrix write_matrix wrote, and a file
+    cut at any line is rejected: by the n x n check, or, when nothing is
+    left, by the square-matrix check."""
+    X = data.draw(arrays(np.int64, (n, n), elements=st.integers(0, p - 1)))
+    M = np.triu(X) + np.triu(X, 1).T
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.txt")
+        write_matrix(M, path)
+        if n == 1 and M[0, 0] >= 10:
+            # a headerless one-line file cannot tell the entry 10 from the
+            # digits (1, 0) of a cut wider row; it is rejected, not misread
+            with pytest.raises(ValueError, match="n x n"):
+                read_matrix(path, p)
+            return
+        back = read_matrix(path, p)
+        assert back.dtype == np.int64 and np.array_equal(back, M)
+        with open(path) as fh:
+            lines = fh.readlines()
+        for cut in range(n):
+            with open(path, "w") as fh:
+                fh.writelines(lines[:cut])
+            err, msg = (ShapeError, "square matrix") if cut == 0 else (ValueError, "n x n")
+            with pytest.raises(err, match=msg):
+                read_matrix(path, p)
+
+
 def test_translate_and_shifted_lookup():
     spec = GroupSpec(3, 2)
     A = GroupSubset.from_members(spec, [[1, 0], [2, 2]])
@@ -266,13 +337,18 @@ def test_nullspace_basis():
     assert full.shape == (3, 3)
 
 
-matrices_mod_p = st.tuples(st.sampled_from([3, 5]), st.integers(1, 8), st.integers(1, 8)).flatmap(
+RREF_PRIMES = [3, 5, 7, 11, 61, 4093]
+
+matrices_mod_p = st.tuples(st.sampled_from(RREF_PRIMES), st.integers(0, 16), st.integers(0, 16)).flatmap(
     lambda t: st.tuples(st.just(t[0]), arrays(np.int64, t[1:], elements=st.integers(0, t[0] - 1)))
 )
 
 
 @settings(max_examples=200, deadline=None)
 @given(matrices_mod_p)
+@example((3, np.zeros((0, 5), dtype=np.int64)))
+@example((5, np.zeros((4, 0), dtype=np.int64)))
+@example((4093, np.full((16, 16), 4092, dtype=np.int64)))
 def test_rref_properties(case):
     p, A = case
     R, pivots = rref(A, p)
@@ -291,21 +367,56 @@ def test_rref_properties(case):
 
 
 stacks_mod_p = st.tuples(
-    st.sampled_from([3, 5]), st.integers(1, 6), st.integers(1, 8), st.integers(1, 8)
+    st.sampled_from(RREF_PRIMES), st.integers(0, 6), st.integers(0, 16), st.integers(0, 16)
 ).flatmap(lambda t: st.tuples(st.just(t[0]), arrays(np.int64, t[1:], elements=st.integers(0, t[0] - 1))))
 
 
 @settings(max_examples=200, deadline=None)
 @given(stacks_mod_p)
+@example((3, np.zeros((0, 3, 4), dtype=np.int64)))
+@example((7, np.arange(12, dtype=np.int64).reshape(1, 3, 4) % 7))
+@example((11, np.zeros((2, 0, 5), dtype=np.int64)))
+@example((61, np.zeros((3, 4, 0), dtype=np.int64)))
 def test_rref_stack_matches_slices(case):
+    """A stack of one takes the list path with a pivot mask; every matrix of a
+    larger stack, reduced by the vectorized loop, equals its own list-path
+    call bit for bit."""
     p, A = case
     R, pivot = rref(A, p)
     assert R.shape == A.shape and pivot.shape == (A.shape[0], A.shape[2])
-    assert pivot.dtype == bool
+    assert R.dtype == np.int64 and pivot.dtype == bool
     for i in range(A.shape[0]):
         Ri, pivots_i = rref(A[i], p)
-        assert np.array_equal(R[i], Ri)
+        assert Ri.dtype == np.int64 and np.array_equal(R[i], Ri)
         assert np.flatnonzero(pivot[i]).tolist() == pivots_i
+        assert all(type(c) is int for c in pivots_i)
+
+
+def test_rref_dispatch_one_matrix_never_reaches_the_stacked_loop(monkeypatch):
+    """With the stacked loop's inverse broken, every one-matrix caller still
+    returns the values the vectorized loop gave (pinned here), and a stack of
+    two raises, which shows that the patch takes effect."""
+    from qfa.factors import _row_space_basis
+    from qfa.regularize import Subgroup, _lift_character
+
+    def broken(a, p):
+        raise AssertionError("stacked loop reached")
+
+    monkeypatch.setattr(core, "_inverse_mod", broken)
+    A = np.array([[2, 1, 0, 4, 3], [1, 3, 2, 0, 1], [3, 4, 2, 4, 4], [0, 2, 1, 1, 0]])
+    want = [[1, 0, 0, 4, 3], [0, 1, 0, 1, 2], [0, 0, 1, 4, 1], [0, 0, 0, 0, 0]]
+    R, pivots = rref(A, 5)
+    assert R.tolist() == want and pivots == [0, 1, 2]
+    R1, mask = rref(A[None], 5)
+    assert R1.tolist() == [want] and mask.tolist() == [[True, True, True, False, False]]
+    assert matrix_rank(A, 5) == 3
+    assert nullspace_basis(list(A), 5, 5).tolist() == [[1, 4, 1, 1, 0], [2, 3, 4, 0, 1]]
+    assert [r.tolist() for r in _row_space_basis(A, 5)] == want[:3]
+    H = Subgroup(GroupSpec(5, 3), [np.array([1, 2, 3])])
+    assert H.basis.tolist() == [[3, 1, 0], [2, 0, 1]]
+    assert _lift_character(H, [3, 1]).tolist() == [3, 4, 0]
+    with pytest.raises(AssertionError, match="stacked loop reached"):
+        rref(np.stack([A, A]), 5)
 
 
 def test_rref_rejects_other_ranks():

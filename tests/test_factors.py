@@ -1,8 +1,13 @@
 import math
+import os
+import tempfile
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qfa.core import GroupSpec, GroupSubset
 from qfa.constructions import trace_sym_space
@@ -355,3 +360,55 @@ def test_factor_file_roundtrip(tmp_path):
     back = read_factor(str(path))
     assert isinstance(back, GeneralQuadraticFactor)
     assert same_partition(back, G)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from([3, 5, 7, 11, 13]), st.integers(1, 3), st.booleans(), st.data())
+def test_factor_file_round_trip_and_truncation(p, n, general, data):
+    """read_factor returns the linear vectors, matrices and shifts that
+    write_factor wrote, and a file cut at any line raises the reader's
+    ValueError.  The one exception is a general factor cut exactly before its
+    shift lines, which is a well-formed quadratic factor file."""
+    spec = GroupSpec(p, n)
+    entries = st.integers(0, p - 1)
+
+    def vector():
+        return data.draw(arrays(np.int64, n, elements=entries))
+
+    def matrix():
+        X = data.draw(arrays(np.int64, (n, n), elements=entries))
+        return np.triu(X) + np.triu(X, 1).T
+
+    vecs = [vector() for _ in range(data.draw(st.integers(0, 2)))]
+    mats = [matrix() for _ in range(data.draw(st.integers(int(general), 2)))]
+    if general:
+        shifts = [vector() for _ in mats]
+        B = GeneralQuadraticFactor(spec, vecs, list(zip(mats, shifts)))
+    else:
+        B = QuadraticFactor(spec, vecs, mats)
+
+    def assert_holds(F):
+        assert [v.tolist() for v in F.linear.vectors] == [v.tolist() for v in vecs]
+        got = [M for M, _ in F.pairs] if isinstance(F, GeneralQuadraticFactor) else F.matrices
+        assert [M.tolist() for M in got] == [M.tolist() for M in mats]
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "f.txt")
+        write_factor(B, path)
+        back = read_factor(path)
+        assert type(back) is type(B)
+        assert_holds(back)
+        if general:
+            assert [u.tolist() for _, u in back.pairs] == [u.tolist() for u in shifts]
+        with open(path) as fh:
+            lines = fh.readlines()
+        for cut in range(len(lines)):
+            with open(path, "w") as fh:
+                fh.writelines(lines[:cut])
+            if general and cut == len(lines) - len(mats):
+                cut_back = read_factor(path)
+                assert type(cut_back) is QuadraticFactor
+                assert_holds(cut_back)
+                continue
+            with pytest.raises(ValueError, match="expected header" if cut == 0 else "file ends before"):
+                read_factor(path)
