@@ -306,14 +306,9 @@ def verify_gs_intersection(b, c, n: int, p: int) -> dict:
     delta = int((b[m - 1] - c[m - 1]) % p)
     other_betas = [beta for beta in range(2, p)]
 
-    def shifted(ind, g):
-        perm = spec.add_perm(spec.index_of(g))
-        return ind[perm]
-
-    A_b = shifted(A, b)
-    A_c = shifted(A, c)
-    nA_b = shifted(~A, b)
-    nA_c = shifted(~A, c)
+    A_b = A[spec.add_perm(spec.index_of(b))]
+    A_c = A[spec.add_perm(spec.index_of(c))]
+    nA_b, nA_c = ~A_b, ~A_c
 
     out = {}
 

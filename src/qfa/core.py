@@ -5,6 +5,13 @@ group DFT.
 All group elements are addressed by their little-endian base-p index,
 idx = sum_i v_i * p**i (coordinate 0 varies fastest).  Every table in this
 module is keyed by that fixed bijection.
+
+"The index of x + y" has two paths.  The fast path, `_sum_index_grid` over
+`GroupSpec.add_tables` (and `GroupSpec.sum_table` in small groups), serves
+every library computation.  The digit path adds coordinate rows mod p and
+indexes the sums (`GroupSpec.add_perm`, `GroupSpec.indices_of`,
+`detectors._members`); it is kept for the oracles and for witness
+revalidation, so that each checks the fast path from outside it.
 """
 
 from __future__ import annotations
@@ -126,9 +133,6 @@ class GroupSpec:
         x = self.digits[x_index].astype(np.int64)
         return ((self.digits.astype(np.int64) + x) % self.p) @ self._powers
 
-    def sum_index(self, i: int, j: int) -> int:
-        return self.index_of(self.digits[i].astype(np.int64) + self.digits[j])
-
     def sum_table(self) -> np.ndarray | None:
         """Cached (order, order) table of pairwise sum indices, or None when
         the group is too large for it to be worthwhile."""
@@ -179,14 +183,6 @@ def _sum_index_grid(spec: GroupSpec, X, Y) -> np.ndarray:
     if spec.n % 2:
         out += top[Xt][..., Yt]
     return out
-
-
-def index_of(v, spec: GroupSpec) -> int:
-    return spec.index_of(v)
-
-
-def vector_of(index: int, spec: GroupSpec) -> np.ndarray:
-    return spec.vector_of(index)
 
 
 def as_sym_matrix(entries, p: int) -> np.ndarray:
@@ -492,18 +488,6 @@ class GroupSubset:
 
     def union(self, other: "GroupSubset") -> "GroupSubset":
         return GroupSubset(self.spec, self.indicator | other.indicator)
-
-    def translate(self, v) -> "GroupSubset":
-        """The translate A + v = {a + v : a in A}."""
-        perm = self.spec.add_perm(self.spec.index_of(np.asarray(v) % self.spec.p))
-        out = np.zeros(self.spec.order, dtype=bool)
-        out[perm] = self.indicator
-        return GroupSubset(self.spec, out)
-
-    def shifted_lookup(self, v) -> np.ndarray:
-        """Array L with L[s] = indicator[s + v]; equals the indicator of A - v."""
-        perm = self.spec.add_perm(self.spec.index_of(np.asarray(v) % self.spec.p))
-        return self.indicator[perm]
 
     def indices(self) -> np.ndarray:
         return np.nonzero(self.indicator)[0]

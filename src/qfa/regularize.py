@@ -210,6 +210,7 @@ def find_uniform_dense_coset(A: GroupSubset, H: Subgroup, eps: float):
     for step in range(max_steps + 1):
         top = _top_character(A, cur, y)
         if top is None or top[2] <= eps:
+            unif = 0.0 if top is None else top[2]
             break
         lab, t_star, _ = top
         # refine by the character's kernel, keep the densest coset
@@ -224,15 +225,16 @@ def find_uniform_dense_coset(A: GroupSubset, H: Subgroup, eps: float):
         # the p cosets y + j w + H', densest first (argmax keeps the first max)
         ys = (y + np.outer(np.arange(spec.p), w_dir)) % spec.p
         y = ys[int(np.argmax(A.indicator[cur.coset_indices(ys)].mean(axis=1)))]
+    else:  # out of steps, so codim > max_steps too: uniformity is checked first
+        unif = local_uniformity(A, cur, y)
     codim_in_H = H.dim - cur.dim
     final_density = A.indicator[cur.coset_indices(y)].mean()
-    unif = local_uniformity(A, cur, y)
+    if unif > eps + 1e-12:
+        raise AssertionError("returned coset is not uniform")
     if codim_in_H > max_steps:
         raise AssertionError("codimension bound violated")
     if final_density < base_density - 1e-12:
         raise AssertionError("density did not increase")
-    if unif > eps + 1e-12:
-        raise AssertionError("returned coset is not uniform")
     return cur, y, {"codim": codim_in_H, "density": float(final_density), "uniformity": unif}
 
 
@@ -627,11 +629,8 @@ def _membership_y_search(A, spec, zero_atom, s_pair, r_pair, fgrid):
     required membership column over the (i, m) grid."""
     s1, s2 = s_pair
     r1, r2 = r_pair
-    member = {}
-    for i, si in enumerate((s1, s2), start=1):
-        for m, ri in enumerate((r1, r2), start=1):
-            base = spec.sum_index(si, ri)
-            member[(i, m)] = A.indicator[_sum_index_grid(spec, zero_atom, base)]
+    bases = _sum_index_grid(spec, np.array(s_pair), np.array(r_pair))  # s_i + r_m at [i - 1, m - 1]
+    member = A.indicator[_sum_index_grid(spec, bases, zero_atom)]
     yfam = {}
     for f_vals in fgrid:
         f = dict(zip(itertools.product((1, 2), repeat=2), f_vals))
@@ -640,7 +639,7 @@ def _membership_y_search(A, spec, zero_atom, s_pair, r_pair, fgrid):
             mask = np.ones(len(zero_atom), dtype=bool)
             for i in (1, 2):
                 for m in (1, 2):
-                    mask &= member[(i, m)] == (m <= f[(i, j)])
+                    mask &= member[i - 1, m - 1] == (m <= f[(i, j)])
             pos = np.nonzero(mask)[0]
             if pos.size == 0:
                 return None

@@ -1,4 +1,4 @@
-"""Uniformity norms, quasirandomness measures, sum graphs, bilinear-form
+"""Uniformity norms, quasirandomness measures, sum-membership grids, bilinear-form
 graphs and triads, sum-label arithmetic, reduced pairs, density transfer,
 octahedron counts, and decomposition checking.
 
@@ -110,17 +110,16 @@ def u2_norm_fourier(f, spec: GroupSpec) -> float:
 
 def u3_norm(f, spec: GroupSpec) -> float:
     """U^3 norm as E_c of the fourth U^2 power of the multiplicative
-    derivative, each inner norm via the Fourier identity."""
+    derivative, each inner norm via the Fourier identity; the shifts x + c
+    come from `_sum_index_grid`, a block of c at a time."""
     f = np.asarray(f, dtype=complex)
     if f.shape != (spec.order,):
         raise ShapeError("function table length mismatch")
     N = spec.order
     total = 0.0
     block = max(1, (1 << 22) // N)
-    digits = spec.digits.astype(np.int64)
     for start in range(0, N, block):
-        cs = digits[start : start + block]
-        idx = ((digits[None, :, :] + cs[:, None, :]) % spec.p) @ spec._powers
+        idx = _sum_index_grid(spec, np.arange(start, min(start + block, N)), np.arange(N))
         delta = f[None, :] * np.conj(f[idx])
         hat = dft(delta, spec)
         total += float((np.abs(hat) ** 4).sum())
@@ -176,47 +175,6 @@ def gowers_inner(fs, spec: GroupSpec) -> complex:
         h00, h01, h10, h11 = dft(np.stack(h), spec)
         total += (h00 * np.conj(h10) * np.conj(h01) * h11).sum()
     return complex(total / N)
-
-
-# --- sum graphs ---
-
-
-class SumGraph2:
-    """Bipartite edge oracle: (x, y) is an edge iff x + y in A."""
-
-    def __init__(self, A: GroupSubset):
-        self.A = A
-        self.spec = A.spec
-
-    def has_edge(self, x_index: int, y_index: int) -> bool:
-        return self.A.contains_index(self.spec.sum_index(x_index, y_index))
-
-    def matrix(self, X_idx, Y_idx) -> np.ndarray:
-        """Dense edge matrix over index lists X, Y."""
-        X = np.asarray(X_idx, dtype=np.int64)
-        Y = np.asarray(Y_idx, dtype=np.int64)
-        out = np.empty((len(X), len(Y)), dtype=bool)
-        block = max(1, (1 << 22) // max(1, len(Y)))
-        for s in range(0, len(X), block):
-            out[s : s + block] = self.A.indicator[_sum_index_grid(self.spec, X[s : s + block], Y)]
-        return out
-
-
-class SumGraph3:
-    """Ternary oracle: (x, y, z) is an edge iff x + y + z in A."""
-
-    def __init__(self, A: GroupSubset):
-        self.A = A
-        self.spec = A.spec
-
-    def has_edge(self, x_index: int, y_index: int, z_index: int) -> bool:
-        s = self.spec.sum_index(self.spec.sum_index(x_index, y_index), z_index)
-        return self.A.contains_index(s)
-
-    def slab(self, X_idx, Y_idx, z_index: int) -> np.ndarray:
-        """Edge matrix over X x Y for a fixed third coordinate."""
-        shifted = GroupSubset(self.spec, self.A.indicator[self.spec.add_perm(z_index)])
-        return SumGraph2(shifted).matrix(X_idx, Y_idx)
 
 
 # --- triads ---
@@ -494,9 +452,7 @@ def dev23_measure(A: GroupSubset, d: TriadDescriptor, max_part: int = 256) -> De
     d2_dev = float(max(abs(t - d2) for t in dens))
     tri = triangle_tensor(e12, e13, e23)
     ntri = int(tri.sum())
-    spec = A.spec
-    # membership of x+y+z over the grid
-    member = _sum_membership_tensor(A, atoms[0], atoms[1], atoms[2])
+    member = _sum_membership_tensor(A, *atoms)
     edges = tri & member
     d3 = (edges.sum() / ntri) if ntri else 0.0
     h = np.where(tri, member.astype(np.float64) - d3, 0.0)
@@ -506,16 +462,18 @@ def dev23_measure(A: GroupSubset, d: TriadDescriptor, max_part: int = 256) -> De
     return Dev23Result(eps1, d2, d2_dev, float(d3), oct_value, (U, V, W))
 
 
-def _sum_membership_tensor(A: GroupSubset, X_idx, Y_idx, Z_idx) -> np.ndarray:
-    """(|X|, |Y|, |Z|) membership of x + y + z in A."""
-    X = np.asarray(X_idx, dtype=np.int64)
-    XY = _sum_index_grid(A.spec, X, np.asarray(Y_idx, dtype=np.int64))
-    Z = np.asarray(Z_idx, dtype=np.int64)
-    out = np.empty(XY.shape + Z.shape, dtype=bool)
-    block = max(1, (1 << 22) // max(1, XY.size))
-    for s in range(0, len(Z), block):
-        idx = _sum_index_grid(A.spec, Z[s : s + block], XY)
-        out[:, :, s : s + block] = A.indicator[idx].transpose(1, 2, 0)
+def _sum_membership_tensor(A: GroupSubset, *index_lists) -> np.ndarray:
+    """(|X_1|, ..., |X_r|) membership of x_1 + ... + x_r in A, for r >= 2
+    index lists.  The sums of all lists but the first are formed whole;
+    X_1 is then added in blocks of at most 2^22 sums."""
+    X, *rest = (np.asarray(L, dtype=np.int64) for L in index_lists)
+    S = rest[0]
+    for L in rest[1:]:
+        S = _sum_index_grid(A.spec, S, L)
+    out = np.empty(X.shape + S.shape, dtype=bool)
+    block = max(1, (1 << 22) // max(1, S.size))
+    for s in range(0, len(X), block):
+        out[s : s + block] = A.indicator[_sum_index_grid(A.spec, X[s : s + block], S)]
     return out
 
 
@@ -533,7 +491,7 @@ def oct_measure(A: GroupSubset, d: TriadDescriptor, max_part: int = 256):
     target = d.atom(sigma(d))
     alpha = (len(A.intersect(target)) / len(target)) if len(target) else 0.0
     tri = triangle_tensor(e12, e13, e23)
-    member = _sum_membership_tensor(A, atoms[0], atoms[1], atoms[2])
+    member = _sum_membership_tensor(A, *atoms)
     h = np.where(tri, member.astype(np.float64) - alpha, 0.0)
     raw = oct_sum(h)
     return raw, raw / float((U * V * W)) ** 2
@@ -545,21 +503,9 @@ def density_transfer_check(A: GroupSubset, d: TriadDescriptor, tolerance: float 
     target = d.atom(sigma(d))
     alpha = (len(A.intersect(target)) / len(target)) if len(target) else 0.0
     atoms, graphs = triad_graphs(d)
-    if d.kind == 2:
-        e = graphs[0]
-        if e.sum() == 0:
-            rel = 0.0
-        else:
-            member = SumGraph2(A).matrix(atoms[0], atoms[1])
-            rel = float((e & member).sum() / e.sum())
-    else:
-        tri = triangle_tensor(*graphs)
-        ntri = int(tri.sum())
-        if ntri == 0:
-            rel = 0.0
-        else:
-            member = _sum_membership_tensor(A, atoms[0], atoms[1], atoms[2])
-            rel = float((tri & member).sum() / ntri)
+    edges = graphs[0] if d.kind == 2 else triangle_tensor(*graphs)
+    count = int(edges.sum())
+    rel = float((edges & _sum_membership_tensor(A, *atoms)).sum() / count) if count else 0.0
     diff = abs(rel - alpha)
     return MeasureReport(
         "density-transfer", diff, tolerance, "caller tolerance",

@@ -1,3 +1,4 @@
+import math
 import os
 import tempfile
 
@@ -219,6 +220,33 @@ def test_sum_index_grid_reads_read_only_tables_held_on_the_spec():
         assert np.array_equal(got, want)
 
 
+# every (p, n) under the default cap, and a prime whose digits need int16
+GRID_CASES = [
+    (p, n) for p in (3, 5, 7) for n in range(1, int(core.DEFAULT_GROUP_BITS / math.log2(p)) + 1)
+] + [(131, 2)]
+
+
+def test_sum_index_grid_matches_digit_arithmetic():
+    """_sum_index_grid against index arithmetic on digits i // p**j % p of
+    the sampled indices alone (the spec's digit table would be 215 MB at
+    3^15).  Each spec, and so its add_tables, is built once."""
+    specs = {case: GroupSpec(*case) for case in GRID_CASES}
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(st.data())
+    def check(data):
+        for (p, n), spec in specs.items():
+            last = spec.order - 1
+            X = np.array([0, last] + data.draw(st.lists(st.integers(0, last), max_size=4)), dtype=np.int64)
+            Y = np.array(data.draw(st.lists(st.integers(0, last), min_size=1, max_size=6)), dtype=np.int64)
+            powers = p ** np.arange(n, dtype=np.int64)
+            dX, dY = X[:, None] // powers % p, Y[:, None] // powers % p
+            want = (dX[:, None, :] + dY[None, :, :]) % p @ powers
+            assert np.array_equal(_sum_index_grid(spec, X, Y), want), (p, n)
+
+    check()
+
+
 def test_subset_io_roundtrip(tmp_path):
     spec = GroupSpec(3, 3)
     rng = np.random.default_rng(3)
@@ -316,17 +344,6 @@ def test_matrix_file_round_trip_and_truncation(p, n, data):
             err, msg = (ShapeError, "square matrix") if cut == 0 else (ValueError, "n x n")
             with pytest.raises(err, match=msg):
                 read_matrix(path, p)
-
-
-def test_translate_and_shifted_lookup():
-    spec = GroupSpec(3, 2)
-    A = GroupSubset.from_members(spec, [[1, 0], [2, 2]])
-    t = A.translate([0, 1])
-    assert [1, 1] in t and [2, 0] in t and len(t) == 2
-    arr = A.shifted_lookup([1, 0])
-    for s in range(9):
-        v = (spec.vector_of(s) + np.array([1, 0])) % 3
-        assert arr[s] == (v.tolist() in [[1, 0], [2, 2]] or tuple(v) in {(1, 0), (2, 2)})
 
 
 def test_nullspace_basis():

@@ -253,15 +253,18 @@ def test_cap2_matches_oracle():
 
 
 def good_copy_H_oracle(red, k):
+    """Every left k-tuple of labels against every right k-tuple from H_B,
+    label sums read on add_perm digit sums."""
     lab = red.label_spec
     N = lab.order
+    tab = np.stack([lab.add_perm(i) for i in range(N)])
     side = np.nonzero(red.H_B)[0]
     for left in itertools.product(range(N), repeat=k):
         for right in itertools.product(side, repeat=k):
             ok = True
             for i in range(k):
                 for j in range(k):
-                    s = lab.sum_index(left[i], int(right[j]))
+                    s = int(tab[left[i], right[j]])
                     want = "dense" if i <= j else "sparse"
                     if red.classify(s) != want:
                         ok = False
@@ -286,18 +289,18 @@ def test_good_copy_search_matches_oracle():
 def hop2_oracle_grid(A):
     """Depth-2 staircase oracle over all unpinned (x, y) grids: builds the
     four base sums directly and intersects the per-slot requirements, with
-    no translation pinning and no sum collapse."""
+    no translation pinning and no sum collapse; sums are read on add_perm
+    digit sums."""
     spec = A.spec
     N = spec.order
-    shifted = [A.indicator[spec.add_perm(i)] for i in range(N)]
+    tab = np.stack([spec.add_perm(i) for i in range(N)])
+    shifted = A.indicator[tab]
     for x1 in range(N):
         for x2 in range(N):
             for y1 in range(N):
                 for y2 in range(N):
-                    s11 = spec.sum_index(x1, y1)
-                    s12 = spec.sum_index(x1, y2)
-                    s21 = spec.sum_index(x2, y1)
-                    s22 = spec.sum_index(x2, y2)
+                    s11, s12 = tab[x1, y1], tab[x1, y2]
+                    s21, s22 = tab[x2, y1], tab[x2, y2]
                     z1_ok = shifted[s11] & shifted[s12] & ~shifted[s21] & shifted[s22]
                     if not z1_ok.any():
                         continue
@@ -479,22 +482,22 @@ def test_blocked_beta_graph_equals_whole_matrix_comparison(p, n):
 
 def binary_transfer_oracle(A, F):
     """density_transfer_check's error on every binary flat of a factor with
-    ell = q = 1, pair by pair of atoms: the sum-graph matrix and the
-    bilinear matrix of each pair, with b12 read off the bilinear values and
-    the sigma atom from its definition."""
+    ell = q = 1, pair by pair of atoms: the sum-graph matrix (on add_perm
+    digit sums) and the bilinear matrix of each pair, with b12 read off the
+    bilinear values and the sigma atom from its definition."""
     from qfa.factors import label_index_table
-    from qfa.uniformity import SumGraph2, _bilin_matrix
+    from qfa.uniformity import _bilin_matrix
 
-    p = F.spec.p
+    spec, p = F.spec, F.spec.p
     table = label_index_table(F)
     sizes = np.bincount(table, minlength=p * p)
     alpha = np.bincount(table[A.indicator], minlength=p * p) / np.maximum(sizes, 1)
     atoms = [np.flatnonzero(table == t) for t in range(p * p)]
-    graph = SumGraph2(A)
+    tab = np.stack([spec.add_perm(i) for i in range(spec.order)])
     err = np.zeros((p,) * 5)
     for (a1, b1), (a2, b2) in itertools.product(itertools.product(range(p), repeat=2), repeat=2):
         X, Y = atoms[a1 + p * b1], atoms[a2 + p * b2]
-        member = graph.matrix(X, Y)
+        member = A.indicator[tab[np.ix_(X, Y)]]
         bilin = _bilin_matrix(F, X, Y)[0]
         for b12 in range(p):
             edges = bilin == b12
@@ -727,6 +730,41 @@ def test_revalidation_reads_no_sum_table(witness_cases, monkeypatch):
         assert w.revalidate() == want, (w.kind, w.k)
     for args, count in tree_cases:
         assert count_tree_encodings_naive(*args) == count
+
+
+def test_oracles_read_no_fast_sum_path(monkeypatch):
+    # The oracles run on add_perm digit sums, the other path from the code
+    # they check: with the sum table, add_tables and every by-name binding
+    # of _sum_index_grid made to raise, they return what they return
+    # unblocked.
+    rng = np.random.default_rng(0x0AC)
+    sp = GroupSpec(3, 2)
+    fs = [rng.uniform(-1, 1, sp.order) + 1j * rng.uniform(-1, 1, sp.order) for _ in range(8)]
+    sets = [GroupSubset(sp, rng.random(sp.order) < q) for q in (0.3, 0.5, 0.7, 0.9)]
+    lab = GroupSpec(3, 3)
+    F = QuadraticFactor(lab, [lab.basis_vector(1)], [np.eye(3, dtype=np.int64)])
+    reds = [reduced_pair(GroupSubset(lab, rng.random(lab.order) < 0.5), F, 0.3) for _ in range(4)]
+
+    def run():
+        return (
+            [uniformity.u3_norm_naive(f, sp) for f in fs[:2]],
+            uniformity.gowers_inner(fs, sp),
+            [hop2_oracle_grid(A) for A in sets],
+            [good_copy_H_oracle(red, 2) for red in reds],
+        )
+
+    want = run()
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("an oracle read the fast sum path")
+
+    monkeypatch.setattr(GroupSpec, "sum_table", boom)
+    monkeypatch.setattr(GroupSpec, "add_tables", property(boom))
+    bound = [m for m in (core, detectors, uniformity, regularize) if hasattr(m, "_sum_index_grid")]
+    assert len(bound) == 4
+    for module in bound:
+        monkeypatch.setattr(module, "_sum_index_grid", boom)
+    assert run() == want
 
 
 def test_witness_check_reads_no_sum_table_under_optimize(run_optimized):

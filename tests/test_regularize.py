@@ -21,6 +21,7 @@ from qfa.regularize import (
     find_dense_subspace,
     find_uniform_dense_coset,
     fop2_guided_extraction,
+    local_uniformity,
     refinement_stability_check,
     stable_linear_decomposition,
 )
@@ -107,16 +108,27 @@ def test_uniform_coset_random_inputs_postconditions():
 
 
 def test_uniform_coset_postconditions_survive_optimize(run_optimized):
-    out = run_optimized(
+    # The walk reuses its last coefficient when it stops at eps, so only a
+    # walk that runs out of steps takes local_uniformity: here every
+    # coefficient reads 1.0, and three steps (floor(2 / 0.9) + 1) use up
+    # F_3^3.  Its uniformity is checked first, then its codimension.
+    walk = (
         "from qfa import regularize as reg\n"
         "from qfa.core import GroupSpec, GroupSubset\n"
         "assert False, 'asserts are live'\n"
-        "reg.local_uniformity = lambda A, H, y: 1.0\n"
+        "top = reg._top_character\n"
+        "reg._top_character = lambda A, H, y: top(A, H, y) and (top(A, H, y)[0], 1, 1.0)\n"
+        "{}"
         "sp = GroupSpec(3, 3)\n"
-        "reg.find_uniform_dense_coset(GroupSubset.full(sp), reg.Subgroup(sp, []), 0.5)\n"
+        "reg.find_uniform_dense_coset(GroupSubset.full(sp), reg.Subgroup(sp, []), 0.9)\n"
     )
-    assert out.returncode != 0
-    assert "AssertionError: returned coset is not uniform" in out.stderr
+    for patch, message in (
+        ("reg.local_uniformity = lambda A, H, y: 1.0\n", "returned coset is not uniform"),
+        ("", "codimension bound violated"),
+    ):
+        out = run_optimized(walk.format(patch))
+        assert out.returncode != 0
+        assert f"AssertionError: {message}" in out.stderr, out.stderr
 
 
 def test_uniform_coset_inside_proper_subgroup():
@@ -125,6 +137,7 @@ def test_uniform_coset_inside_proper_subgroup():
     A = GroupSubset(sp, RNG.random(sp.order) < 0.5)
     Hp, y, stats = find_uniform_dense_coset(A, H, 0.3)
     assert Hp.dim <= H.dim and stats["uniformity"] <= 0.3
+    assert stats["uniformity"] == local_uniformity(A, Hp, y)  # the walk's last coefficient
 
 
 def test_dense_subspace_cases():

@@ -10,8 +10,6 @@ from qfa.core import CapacityError, GroupSpec, GroupSubset, ShapeError, dft
 from qfa.constructions import gs, trace_sym_space
 from qfa.factors import AtomLabel, LinearFactor, QuadraticFactor, atom_members, label_index_table
 from qfa.uniformity import (
-    SumGraph2,
-    SumGraph3,
     TriadDescriptor,
     beta_graph,
     density_transfer_check,
@@ -154,13 +152,10 @@ def test_gowers_cauchy_schwarz():
 def test_sum_graphs():
     sp = GroupSpec(3, 2)
     A = GroupSubset.from_members(sp, [[0, 0]])
-    g2 = SumGraph2(A)
     idx = list(range(sp.order))
-    m = g2.matrix(idx, idx)
+    m = uniformity._sum_membership_tensor(A, idx, idx)
     # edge iff y = -x: a perfect matching
     assert m.sum(axis=1).tolist() == [1] * sp.order
-    full = SumGraph3(GroupSubset.full(sp))
-    assert full.slab(idx, idx, 0).all()
 
 
 def test_sum_graph_kernels_match_digit_arithmetic():
@@ -175,9 +170,12 @@ def test_sum_graph_kernels_match_digit_arithmetic():
             D = sp.digits.astype(np.int64)
             add = lambda *idx: sp.indices_of(sum(D[i] for i in idx))
             want = np.array([[A.indicator[add(x, y)] for y in Y] for x in X])
-            assert np.array_equal(SumGraph2(A).matrix(X, Y), want)
+            assert np.array_equal(_sum_membership_tensor(A, X, Y), want)
             want3 = np.array([[[A.indicator[add(x, y, z)] for z in Z] for y in Y] for x in X])
             assert np.array_equal(_sum_membership_tensor(A, X, Y, Z), want3)
+            W = Y[:3]
+            want4 = np.array([[[[A.indicator[add(x, y, z, w)] for w in W] for z in Z] for y in Y] for x in X])
+            assert np.array_equal(_sum_membership_tensor(A, X, Y, Z, W), want4)
             M = (lambda m: (m + m.T) % p)(RNG.integers(0, p, size=(n, n)))
             F = QuadraticFactor(sp, [], [M])
             want_b = np.array([[D[x] @ M @ D[y] % p for y in Y] for x in X])
@@ -196,7 +194,7 @@ def test_sum_graph_density_transfer_linear():
         for g2 in (0, 2):
             X = np.nonzero(table == g1)[0]
             Y = np.nonzero(table == g2)[0]
-            m = SumGraph2(A).matrix(X, Y)
+            m = uniformity._sum_membership_tensor(A, X, Y)
             coset = np.nonzero(table == (g1 + g2) % 3)[0]
             assert abs(m.mean() - A.indicator[coset].mean()) < 1e-12
 
