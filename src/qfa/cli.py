@@ -67,16 +67,7 @@ def _merged(args, key, cast=str, default=None):
 
 
 def cmd_verify(args):
-    params = {
-        "seed": _merged(args, "seed", int, DEFAULT_SEED),
-    }
-    for key in ("p", "n"):
-        v = _merged(args, key, int)
-        if v is not None:
-            params[key] = v
-    eps = _merged(args, "eps", float)
-    if eps is not None:
-        params["eps"] = eps
+    params = {"seed": _merged(args, "seed", int, DEFAULT_SEED)}
     names = [args.suite] if args.suite != "all" else sorted(SUITES)
     overall_ok = True
     reports = []
@@ -267,9 +258,6 @@ def build_parser():
 
     v = sub.add_parser("verify", help="run a named check suite")
     v.add_argument("--suite", required=True, choices=sorted(SUITES) + ["all"])
-    v.add_argument("--p", type=int)
-    v.add_argument("--n", type=int)
-    v.add_argument("--eps", type=float)
     v.add_argument("--seed", type=int)
     v.add_argument("--json", help="also write the report as JSON to this path")
     v.add_argument("--jobs", type=int, default=1)

@@ -163,7 +163,7 @@ def _least_irreducible(n, p):
     raise RuntimeError("no irreducible polynomial found")  # unreachable
 
 
-def trace_sym_space(n: int, p: int, validate: bool = True) -> list:
+def trace_sym_space(n: int, p: int) -> list:
     """A basis M_1..M_n of a space of symmetric n x n matrices over F_p in
     which every nonzero combination has rank n.
 
@@ -189,15 +189,14 @@ def trace_sym_space(n: int, p: int, validate: bool = True) -> list:
             for j in range(n):
                 M[i, j] = tr_pow[k + i + j]
         mats.append(M)
-    if validate:
-        if n <= 8:
-            rank = matrix_family_rank(mats, p)
-        else:
-            rng = np.random.default_rng(0xF0F2)
-            lams = np.stack([rng.integers(0, p, size=n) for _ in range(2000)])
-            rank = min(n, _least_rank_combo(mats, p, lams[lams.any(axis=1)])[0])
-        if rank != n:
-            raise RuntimeError(f"trace construction failed rank validation: rank {rank} != {n}")
+    if n <= 8:
+        rank = matrix_family_rank(mats, p)
+    else:
+        rng = np.random.default_rng(0xF0F2)
+        lams = np.stack([rng.integers(0, p, size=n) for _ in range(2000)])
+        rank = min(n, _least_rank_combo(mats, p, lams[lams.any(axis=1)])[0])
+    if rank != n:
+        raise RuntimeError(f"trace construction failed rank validation: rank {rank} != {n}")
     return mats
 
 

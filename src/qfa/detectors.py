@@ -12,18 +12,19 @@ the first element of each translatable role at 0; a NONE verdict is reported
 only when the pruned search provably covered the whole space.
 
 The staircase, shattering and tree searches (find_op, find_hop2, vc_dim,
-find_good_copy and the tree search behind regularize.find_dense_subspace) run
-on one DFS engine, _dfs.  Each slot of a pattern keeps a candidate mask, a
-Python-int bitset over the group; picking a translate c ANDs c's column (bit
-s is A[c + s]) or its complement into each slot's mask, and a search prunes
-when a mask empties.  The engine owns the loop over candidates, the one
-SearchBudget.tick() per candidate and the first-hit return, and raises
-_Exhausted, a CapacityError, when the budget runs out.  A search differs only
-in its candidate rule, its refine rule (_pattern for staircases and trees,
-_shatter for shattered sets) and its leaf.  The columns, and those of the
-tree and good-copy counts, come from _Columns, which builds each one on first
-use from GroupSpec.sum_table() (or _sum_index_grid in groups too large for
-it) and keeps it for the search.
+find_good_copy, the tree search behind regularize.find_dense_subspace and the
+guided search of hodges_extract) run on one DFS engine, _dfs.  Each slot of a
+pattern keeps a candidate mask, a Python-int bitset over the group; picking a
+translate c ANDs c's column (bit s is A[c + s]) or its complement into each
+slot's mask, and a search prunes when a mask empties.  The engine owns the
+loop over candidates, the one SearchBudget.tick() per candidate and the
+first-hit return, and raises _Exhausted, a CapacityError, when the budget runs
+out.  A search differs only in its candidate rule, its refine rule (_pattern
+for staircases and trees, _shatter for shattered sets, a membership table
+read cell by cell for hodges_extract, which keeps no slots) and its leaf.
+The columns, and those of the tree and good-copy counts, come from _Columns,
+which builds each one on first use from GroupSpec.sum_table() (or
+_sum_index_grid in groups too large for it) and keeps it for the search.
 
 find_fop2, vc2_dim and cap2_check share one grid kernel: a block of translate
 tuples reads all of its patterns A[a + b_i + c_j] from GroupSpec.sum_table()
@@ -34,10 +35,11 @@ loop's ticks would, also when node_limit falls inside it.  Blocks hold about
 2^22 entries, and the clock is read once per block.
 
 Every witness a search returns is re-tested by Witness.revalidate on a path
-the searches do not share: _members adds the coordinate vectors of its roles
-by broadcasting, indexes the sums with GroupSpec.indices_of and reads A in one
-gather, and the kind compares that grid with its expected pattern.  It never
-reads sum_table(), add_tables, _sum_index_grid, _Grid or _Columns.
+the searches do not share: _role_sums adds the coordinate vectors of its roles
+by broadcasting and indexes the sums with GroupSpec.indices_of, one gather
+reads A there (_members), or the reduced pair's label codes for a good copy,
+and the kind compares that grid with its expected pattern.  It never reads
+sum_table(), add_tables, _sum_index_grid, _Grid or _Columns.
 """
 
 from __future__ import annotations
@@ -105,7 +107,7 @@ class SearchBudget:
 
 class Witness:
     """A typed certificate; revalidate() re-tests every membership constraint
-    from scratch: one _members gather on digit sums per witness, compared
+    from scratch: one gather on _role_sums digit sums per witness, compared
     with the kind's expected pattern, independent of the search code."""
 
     def __init__(self, kind: str, subset: GroupSubset, data: dict, k: int = 0):
@@ -173,71 +175,46 @@ class Witness:
             want[1, 1, 1] = False  # seven corners in A, the eighth out
             return np.array_equal(_members(A, data["x"], data["y"], data["z"]), want)
         if self.kind == "GOODCOPY":
-            red = self.data["red"]
-            lab = red.label_spec
-            pattern = self.data["pattern"]
-
-            def classify(u, w):
-                s = lab.index_of((np.asarray(u) + np.asarray(w)) % lab.p)
-                return red.classify(s)
-
-            def in_side(w):
-                return bool(self.data["side"][lab.index_of(np.asarray(w) % lab.p)])
-
-            if pattern == "H":
-                left, right = self.data["left"], self.data["right"]
-                k = len(left)
-                for j in range(k):
-                    if not in_side(right[j]):
-                        return False
-                for i in range(k):
-                    for j in range(k):
-                        want = "dense" if i <= j else "sparse"
-                        if classify(left[i], right[j]) != want:
-                            return False
-                return True
-            if pattern == "U":
-                left, right = self.data["left"], self.data["right"]
-                k = len(left)
-                for bits, w in right.items():
-                    if not in_side(w):
-                        return False
-                    for i in range(k):
-                        want = "dense" if (int(bits) >> i) & 1 else "sparse"
-                        if classify(left[i], w) != want:
-                            return False
-                return True
+            # want[i, j]: the code of left_i + right_j (red.code: 0 sparse,
+            # 1 dense), or -1 where any code but an error will do
+            red, pattern = data["red"], data["pattern"]
             if pattern == "T":
-                nodes, leaves = self.data["nodes"], self.data["leaves"]
-                for e, g in leaves.items():
-                    if not in_side(g):
-                        return False
-                    for s, h in nodes.items():
-                        got = classify(h, g)
-                        if got == "error":
-                            return False
-                        if len(s) < len(e) and e[: len(s)] == s:
-                            want = "dense" if e[len(s)] == 1 else "sparse"
-                            if got != want:
-                                return False
-                return True
-            raise ValueError(f"unknown good-copy pattern {pattern!r}")
+                left, right = data["nodes"], data["leaves"]
+                want = [[e[len(s)] if len(s) < len(e) and e[: len(s)] == s else -1 for e in right] for s in left]
+            elif pattern == "H":
+                left, right = dict(enumerate(data["left"])), dict(enumerate(data["right"]))
+                want = [[int(i <= j) for j in right] for i in left]
+            elif pattern == "U":  # right is keyed by the bits of S
+                left, right = dict(enumerate(data["left"])), data["right"]
+                want = [[int(S) >> i & 1 for S in right] for i in left]
+            else:
+                raise ValueError(f"unknown good-copy pattern {pattern!r}")
+            # row 0 adds the zero label, so it holds the right elements themselves
+            lab = red.label_spec
+            idx = _role_sums(lab, [np.zeros(lab.n), *left.values()], list(right.values()))
+            got, want = red.code[idx[1:]], np.reshape(want, idx[1:].shape)
+            return bool(data["side"][idx[0]].all() and np.where(want < 0, got < 2, got == want).all())
         raise ValueError(f"unknown witness kind {self.kind!r}")
 
 
-def _members(A: GroupSubset, *roles) -> np.ndarray:
-    """Membership grid of the role sums: role i lists m_i coordinate vectors,
-    and out[j_1, ..., j_r] says whether role_1[j_1] + ... + role_r[j_r] lies
-    in A.  Digit arithmetic only (one broadcast sum, spec.indices_of, one
-    gather), never a sum table, so that witnesses are checked on a path the
-    searches do not share."""
-    spec = A.spec
+def _role_sums(spec: GroupSpec, *roles) -> np.ndarray:
+    """Index grid of the role sums: role i lists m_i coordinate vectors, and
+    out[j_1, ..., j_r] is the index of role_1[j_1] + ... + role_r[j_r].
+    Digit arithmetic only (one broadcast sum, spec.indices_of), never a sum
+    table, so that witnesses are checked on a path the searches do not
+    share."""
     total = np.zeros(spec.n, dtype=np.int64)
     for i, role in enumerate(roles):
         shape = [1] * len(roles) + [spec.n]
         shape[i] = len(role)
         total = total + np.asarray(role, dtype=np.int64).reshape(shape)
-    return A.indicator[spec.indices_of(total)]
+    return spec.indices_of(total)
+
+
+def _members(A: GroupSubset, *roles) -> np.ndarray:
+    """Membership grid of the role sums: out[j_1, ..., j_r] says whether
+    role_1[j_1] + ... + role_r[j_r] lies in A."""
+    return A.indicator[_role_sums(A.spec, *roles)]
 
 
 def _check_witness(w: Witness) -> None:
@@ -822,7 +799,8 @@ def hodges_extract(encoding: Witness, k: int) -> Witness | None:
 
     k = 1 and k = 2 are handled constructively from the branch structure
     (any depth >= k suffices); larger k runs a pruned search over
-    branch-guided candidates and may raise if the search space is too large.
+    branch-guided candidates on _dfs with the default SearchBudget, and
+    raises CapacityError if the search space or the budget is too small.
     Returns None only when the input fails revalidation.
     """
     if not encoding.revalidate():
@@ -834,71 +812,34 @@ def hodges_extract(encoding: Witness, k: int) -> Witness | None:
         raise ValueError("k must be >= 1")
 
     def leaf_below(prefix):
-        want = tuple(prefix) + (0,) * (d - len(prefix))
-        return leaves[want]
+        return leaves[tuple(prefix) + (0,) * (d - len(prefix))]
 
     if k == 1:
-        c = nodes[()]
-        b = leaf_below((1,))
-        w = Witness("OP", A, {"a": [np.asarray(c)], "b": [np.asarray(b)]}, k=1)
-        _check_witness(w)
-        return w
-    if k == 2 and d >= 2:
-        cs = [np.asarray(nodes[()]), np.asarray(nodes[(1,)])]
-        bs = [np.asarray(leaf_below((1, 0))), np.asarray(leaf_below((1, 1)))]
-        w = Witness("OP", A, {"a": cs, "b": bs}, k=2)
-        _check_witness(w)
-        return w
+        roles = {"a": [nodes[()]], "b": [leaf_below((1,))]}
+    elif k == 2 and d >= 2:
+        roles = {"a": [nodes[()], nodes[(1,)]], "b": [leaf_below((1, 0)), leaf_below((1, 1))]}
+    else:
+        # Guided search: pick (node, leaf) pairs (c_i, b_i), each pair after
+        # the last in both lists; the staircase cells are checked against A.
+        node_list, leaf_list = list(nodes.values()), list(leaves.values())
+        if len(node_list) * len(leaf_list) > 4_000_000:
+            raise CapacityError("staircase extraction search space too large")
+        M = _members(A, node_list, leaf_list).tolist()  # M[si][ei]: node si + leaf ei in A
 
-    # Guided search: nodes along all-ones prefixes as c's, hang-off leaves as
-    # b's; the under-determined cells are checked directly against A.
-    node_list = list(nodes.items())
-    leaf_list = list(leaves.items())
-    if len(node_list) * len(leaf_list) > 4_000_000:
-        raise CapacityError("staircase extraction search space too large")
-    # M[si][ei]: node_list[si] + leaf_list[ei] in A
-    M = _members(A, [h for _, h in node_list], [g for _, g in leaf_list]).tolist()
+        def after_last(picks):
+            si, ei = picks[-1] if picks else (-1, -1)
+            return itertools.product(range(si + 1, len(node_list)), range(ei + 1, len(leaf_list)))
 
-    def search(cs, bs, next_nodes, next_leaves):
-        if len(cs) == k:
-            return cs, bs
-        for si in range(next_nodes, len(node_list)):
-            for ei in range(next_leaves, len(leaf_list)):
-                s, _ = node_list[si]
-                e, _ = leaf_list[ei]
-                ok = True
-                for ej, _ in bs:
-                    if M[si][ej]:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                if not M[si][ei]:
-                    continue
-                for sj, _ in cs:
-                    if not M[sj][ei]:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                got = search(cs + [(si, s)], bs + [(ei, e)], si + 1, ei + 1)
-                if got is not None:
-                    return got
-        return None
+        def refine(picks, c, masks):  # the new row and column of c_i + b_j in A iff i <= j
+            si, ei = c
+            ok = M[si][ei] and not any(M[si][ej] for _, ej in picks) and all(M[sj][ei] for sj, _ in picks)
+            return masks if ok else None
 
-    got = search([], [], 0, 0)
-    if got is None:
-        raise CapacityError(f"no staircase of length {k} found within the guided search")
-    cs, bs = got
-    w = Witness(
-        "OP",
-        A,
-        {
-            "a": [np.asarray(nodes[s]) for _, s in cs],
-            "b": [np.asarray(leaves[e]) for _, e in bs],
-        },
-        k=k,
-    )
+        hit = _dfs(k, [], after_last, refine, _take, SearchBudget().start())
+        if hit is None:
+            raise CapacityError(f"no staircase of length {k} found within the guided search")
+        roles = {"a": [node_list[si] for si, _ in hit[0]], "b": [leaf_list[ei] for _, ei in hit[0]]}
+    w = Witness("OP", A, {role: [np.asarray(v) for v in vs] for role, vs in roles.items()}, k=k)
     _check_witness(w)
     return w
 
@@ -1077,30 +1018,9 @@ def find_good_copy(red, pattern: str, k: int, side=None, budget: SearchBudget | 
 
 
 def _good_copy_columns(red):
-    """Columns of a reduced pair with pos = dense and neg = sparse atoms; an
-    atom that is both (possible for eps >= 1/2) counts as sparse."""
-    return _Columns(_Grid(red.label_spec, red.A1 & ~red.A0), red.A0)
-
-
-def verify_good_copy(red, left_labels, right_labels, pattern: str = "H") -> bool:
-    """Re-check a staircase good copy from atom densities (independent of the
-    search): left_i + right_j must be a dense atom iff i <= j, sparse
-    otherwise, and the right side must lie in the quadratic-label subgroup."""
-    spec = red.label_spec
-    k = len(left_labels)
-    for j, b in enumerate(right_labels):
-        bi = spec.index_of(np.asarray(b))
-        if not red.H_B[bi]:
-            return False
-    for i in range(k):
-        for j in range(k):
-            s = spec.index_of(
-                (np.asarray(left_labels[i]) + np.asarray(right_labels[j])) % spec.p
-            )
-            want = "dense" if i + 1 <= j + 1 else "sparse"
-            if red.classify(s) != want:
-                return False
-    return True
+    """Columns of a reduced pair with pos = dense and neg = sparse atoms, as
+    red.code says."""
+    return _Columns(_Grid(red.label_spec, red.code == 1), red.code == 0)
 
 
 def count_good_copies_H(red, k: int, side=None) -> int:

@@ -375,12 +375,16 @@ def refines(B1, B2) -> bool:
     spec2, _, _, _ = _coerce_factor(B2)
     if spec1 != spec2:
         raise ShapeError("factors live on different groups")
-    t1 = label_index_table(B1)
-    t2 = label_index_table(B2)
+    return _refines(label_index_table(B1), label_index_table(B2))
+
+
+def _refines(t1: np.ndarray, t2: np.ndarray) -> bool:
+    """True iff label table t1 refines t2: elements sharing a t1 label share
+    their t2 label."""
     order = np.argsort(t1, kind="stable")
     s1, s2 = t1[order], t2[order]
-    same_block = s1[1:] == s1[:-1]
-    return bool(np.all(s2[1:][same_block] == s2[:-1][same_block]))
+    same = s1[1:] == s1[:-1]
+    return bool(np.all(s2[1:][same] == s2[:-1][same]))
 
 
 def _row_space_basis(M: np.ndarray, p: int) -> list:
@@ -536,15 +540,7 @@ def pullback_factor(B: QuadraticFactor, R: LinearFactor, verify: bool = True):
 
 
 def _same_partition(t1: np.ndarray, t2: np.ndarray) -> bool:
-    order = np.argsort(t1, kind="stable")
-    s1, s2 = t1[order], t2[order]
-    same = s1[1:] == s1[:-1]
-    if not np.all(s2[1:][same] == s2[:-1][same]):
-        return False
-    order = np.argsort(t2, kind="stable")
-    s1, s2 = t1[order], t2[order]
-    same = s2[1:] == s2[:-1]
-    return bool(np.all(s1[1:][same] == s1[:-1][same]))
+    return _refines(t1, t2) and _refines(t2, t1)
 
 
 def same_partition(B1, B2) -> bool:

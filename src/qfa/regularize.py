@@ -26,6 +26,7 @@ from .factors import (
     LinearFactor,
     QuadraticFactor,
     _MonotoneFormula,
+    _refines,
     label_index_table,
 )
 
@@ -104,9 +105,7 @@ def refinement_stability_check(coarse, fine, A: GroupSubset, eps: float, mu: flo
     implication on exact densities; raises if the preconditions fail."""
     t_coarse = coarse if isinstance(coarse, np.ndarray) else label_index_table(coarse)
     t_fine = fine if isinstance(fine, np.ndarray) else label_index_table(fine)
-    order = np.argsort(t_fine, kind="stable")
-    same = t_fine[order][1:] == t_fine[order][:-1]
-    if not np.all(t_coarse[order][1:][same] == t_coarse[order][:-1][same]):
+    if not _refines(t_fine, t_coarse):
         raise ValueError("fine partition does not refine the coarse one")
     for table in (t_coarse, t_fine):
         sizes = np.bincount(table)
@@ -392,7 +391,6 @@ def stable_linear_decomposition(
     A: GroupSubset,
     H0: Subgroup | None = None,
     omega0=None,
-    d: int = 1,
     eps: float = 0.1,
     psi: GrowthFunction | None = None,
     max_codim: int = 8,

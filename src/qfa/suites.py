@@ -258,9 +258,9 @@ def _check_qgs_goodcopy(params):
     left = [(e(i) + e(i + 1)) % 3 for i in range(1, k + 1)]
     right = [(2 * e(i)) % 3 for i in range(1, k + 1)]
     rp = unif.reduced_pair(A, FD, 0.01)
-    ok = det.verify_good_copy(rp, left, right)
+    w = det.Witness("GOODCOPY", A, {"left": left, "right": right, "pattern": "H", "red": rp, "side": rp.H_B}, k=k)
     nonempty = all(rp.sizes[lab.index_of((left[i] + right[j]) % 3)] > 0 for i in range(k) for j in range(k))
-    return _ok(ok and nonempty)
+    return _ok(w.revalidate() and nonempty)
 
 
 def _check_qgs_aqale(params):

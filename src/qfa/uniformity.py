@@ -574,6 +574,9 @@ class ReducedPair:
         self.A1 = dens >= 1 - eps
         self.A0 = dens <= eps
         self.err = ~(self.A1 | self.A0)
+        # the one dense/sparse rule: code 0 sparse, 1 dense, 2 error; a label
+        # that is both (possible for eps >= 1/2) is sparse
+        self.code = np.where(self.A0, 0, np.where(self.A1, 1, 2)).astype(np.int8)
         if self.label_spec is not None:
             lab_digits = self.label_spec.digits
             self.H_B = (lab_digits[:, :ell] == 0).all(axis=1)
@@ -584,11 +587,7 @@ class ReducedPair:
         return np.nonzero(self.err)[0]
 
     def classify(self, label_index: int) -> str:
-        if self.A1[label_index]:
-            return "dense"
-        if self.A0[label_index]:
-            return "sparse"
-        return "error"
+        return ("sparse", "dense", "error")[self.code[label_index]]
 
 
 def reduced_pair(A: GroupSubset, factor, eps: float) -> ReducedPair:

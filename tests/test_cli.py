@@ -85,6 +85,18 @@ def test_cli_verify_exit_code(tmp_path, capsys):
     assert "quadric-cap2" in text
 
 
+def test_cli_verify_takes_no_unread_flags(tmp_path, capsys):
+    # no check reads p, n or eps, so verify has no flags for them, and a
+    # report's config records only the seed that the checks do read
+    for flag, value in (("--p", "7"), ("--n", "2"), ("--eps", "0.9")):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "uniformity", flag, value])
+        assert exc.value.code == 2
+    out = tmp_path / "report.json"
+    assert main(["verify", "--suite", "quadric", "--seed", "5", "--json", str(out)]) == 0
+    assert json.loads(out.read_text())["config"] == {"seed": 5}
+
+
 def test_cli_detect_witness(capsys):
     rc = main(["detect", "hop2", "--set", "gs:p=3,n=4", "--k", "3", "--witness"])
     assert rc == 0

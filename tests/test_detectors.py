@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import itertools
 import json
@@ -34,7 +35,7 @@ from qfa.detectors import (
     vc2_dim,
     vc2_to_fop2_witness,
     vc_dim,
-    verify_good_copy,
+    _good_copy_columns,
 )
 from qfa.factors import LinearFactor, QuadraticFactor
 from qfa.uniformity import reduced_pair
@@ -604,7 +605,59 @@ def test_good_copy_found_in_qgs_reduced_pair():
     res = find_good_copy(rp, "H", 3)
     assert res.status == FOUND
     assert res.witness.revalidate()
-    assert verify_good_copy(rp, res.witness.data["left"], res.witness.data["right"])
+    # the same staircase rebuilt as the qgs-good-copy check builds its own
+    roles = {role: res.witness.data[role] for role in ("left", "right")}
+    assert Witness("GOODCOPY", A, {**roles, "pattern": "H", "red": rp, "side": rp.H_B}, k=3).revalidate()
+
+
+def test_good_copy_reads_labels_both_dense_and_sparse_as_sparse():
+    # At eps >= 1/2 a label can be both dense and sparse.  The search, the
+    # revalidation of its witnesses and classify must all read it as sparse.
+    sp = GroupSpec(3, 4)
+    F = QuadraticFactor(sp, [sp.basis_vector(1)], [trace_sym_space(4, 3)[0]])
+    rng = np.random.default_rng(0xB07)
+    for eps in (0.5, 0.6):
+        both, found = 0, set()
+        for _ in range(20):
+            rp = reduced_pair(GroupSubset(sp, rng.random(sp.order) < 0.5), F, eps)
+            if not (rp.A1 & rp.A0).any():
+                continue
+            both += 1
+            neg, pos, _ = _good_copy_columns(rp)[0]  # bit s: the search's verdict on label s
+            for s in range(rp.label_spec.order):
+                assert rp.classify(s) == ("sparse" if neg >> s & 1 else "dense" if pos >> s & 1 else "error")
+            for pattern, k in itertools.product("HUT", (1, 2)):
+                res = find_good_copy(rp, pattern, k)
+                assert res.status == NONE or (res.status == FOUND and res.witness.revalidate())
+                found |= {pattern} if res.status == FOUND else set()
+        assert both >= 10 and found == set("HUT")
+
+
+def test_good_copy_T_check_reads_every_cell():
+    # One label code changed at a time: a branch sum keeps its side, and an
+    # off-branch sum may be dense or sparse but never an error.
+    sp = GroupSpec(3, 3)
+    F = QuadraticFactor(sp, [sp.basis_vector(1)], [np.eye(3, dtype=np.int64)])
+    rng = np.random.default_rng(5)
+    off = []
+    while not off:
+        rp = reduced_pair(GroupSubset(sp, rng.random(sp.order) < 0.5), F, 0.3)
+        w = find_good_copy(rp, "T", 2, np.ones(rp.label_spec.order, dtype=bool)).witness
+        if w is None:
+            continue
+        cells = {}  # label of a node + leaf sum -> the codes its cells want, None off-branch
+        for sigma, h in w.data["nodes"].items():
+            for eta, g in w.data["leaves"].items():
+                want = eta[len(sigma)] if len(sigma) < len(eta) and eta[: len(sigma)] == sigma else None
+                cells.setdefault(rp.label_spec.index_of((h + g) % 3), set()).add(want)
+        off = [s for s, wants in cells.items() if wants == {None}]
+    for s, wants in cells.items():
+        for code in (0, 1, 2):
+            red = copy.copy(rp)
+            red.code = rp.code.copy()
+            red.code[s] = code
+            ok = all(code < 2 if want is None else code == want for want in wants)
+            assert Witness("GOODCOPY", rp.A, dict(w.data, red=red), k=2).revalidate() == ok, (s, code)
 
 
 def test_good_copy_none_when_no_dense_atoms():

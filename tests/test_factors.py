@@ -99,6 +99,7 @@ def test_refines_examples():
     L2 = LinearFactor(spec, [spec.basis_vector(1)])
     assert refines(L1, L2)
     assert not refines(L2, L1)
+    assert same_partition(L1, L1) and not same_partition(L1, L2) and not same_partition(L2, L1)
 
 
 def test_rank_monotone_under_adding_matrices():

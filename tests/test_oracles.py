@@ -252,6 +252,12 @@ def test_cap2_matches_oracle():
         assert ok == cap2_oracle(A), A.indices().tolist()
 
 
+def label_kind(red, s):
+    """The dense/sparse/error rule from the densities, not from red.code: a
+    label that is both dense and sparse (eps >= 1/2) is sparse."""
+    return "sparse" if red.A0[s] else "dense" if red.A1[s] else "error"
+
+
 def good_copy_H_oracle(red, k):
     """Every left k-tuple of labels against every right k-tuple from H_B,
     label sums read on add_perm digit sums."""
@@ -264,9 +270,8 @@ def good_copy_H_oracle(red, k):
             ok = True
             for i in range(k):
                 for j in range(k):
-                    s = int(tab[left[i], right[j]])
                     want = "dense" if i <= j else "sparse"
-                    if red.classify(s) != want:
+                    if label_kind(red, int(tab[left[i], right[j]])) != want:
                         ok = False
                         break
                 if not ok:
@@ -563,9 +568,8 @@ def test_fourier_transfer_table_matches_oracle_at_n_7_and_8():
 
 def revalidate_oracle(w):
     """Witness.revalidate as tuple-at-a-time loops: every sum is added
-    coordinate by coordinate and read through the scalar spec.index_of.
-    Covers every kind but GOODCOPY, whose check is a classify loop in the
-    library itself."""
+    coordinate by coordinate and read through the scalar spec.index_of.  A
+    good copy's labels are judged by label_kind, never by red.code."""
     A, k, data = w.subset, w.k, w.data
     spec = A.spec
     role_lists = {"OP": "ab", "HOP2": "xyz", "FOP2": "xz", "VC": "a", "VC2": "bc"}.get(w.kind, "")
@@ -616,12 +620,53 @@ def revalidate_oracle(w):
         xs, ys, zs = data["x"], data["y"], data["z"]
         corners = itertools.product((0, 1), repeat=3)
         return all(member(xs[i], ys[j], zs[m]) == ((i, j, m) != (1, 1, 1)) for i, j, m in corners)
+    if w.kind == "GOODCOPY":
+        red = data["red"]
+        lab = red.label_spec
+
+        def kind_of(*vs):
+            return label_kind(red, lab.index_of(sum(np.asarray(v, dtype=np.int64) for v in vs) % lab.p))
+
+        def in_side(v):
+            return bool(data["side"][lab.index_of(np.asarray(v) % lab.p)])
+
+        if data["pattern"] == "H":
+            left, right = data["left"], data["right"]
+            for j, b in enumerate(right):  # every right element, also past k
+                if not in_side(b):
+                    return False
+                for i, a in enumerate(left):
+                    if kind_of(a, b) != ("dense" if i <= j else "sparse"):
+                        return False
+            return True
+        if data["pattern"] == "U":
+            left = data["left"]
+            for bits, b in data["right"].items():
+                if not in_side(b):
+                    return False
+                for i, a in enumerate(left):
+                    if kind_of(a, b) != ("dense" if int(bits) >> i & 1 else "sparse"):
+                        return False
+            return True
+        for eta, g in data["leaves"].items():  # T
+            if not in_side(g):
+                return False
+            for sigma, h in data["nodes"].items():
+                got = kind_of(h, g)
+                if got == "error":
+                    return False
+                if len(sigma) < len(eta) and eta[: len(sigma)] == sigma:
+                    if got != ("dense" if eta[len(sigma)] == 1 else "sparse"):
+                        return False
+        return True
     raise ValueError(f"no loop oracle for witness kind {w.kind!r}")
 
 
 def searched_witnesses():
-    """Witnesses of every kind but GOODCOPY: from the searches (OP, HOP2,
-    FOP2 at k = 1 and 2, VC, VC2 at k = 1 and 2, CUBE), from planted tree
+    """Witnesses of every kind: from the searches (OP, HOP2, FOP2 at k = 1
+    and 2, VC, VC2 at k = 1 and 2, CUBE, and GOODCOPY for H, U and T at
+    k = 1 and 2, with right sides in H_B or anywhere, at eps 0.3 and at eps
+    0.6, where some labels are both dense and sparse), from planted tree
     encodings and the staircases extracted from them, and from the four
     witness transforms.  Draws come from this function's own generator."""
     rng = np.random.default_rng(0x5EED)
@@ -637,6 +682,13 @@ def searched_witnesses():
         cube = cap2_check(A)[1]
         cubes += cube is not None
         out += [w for w in found + [cube] if w is not None]
+    lab = GroupSpec(3, 3)
+    F = QuadraticFactor(lab, [lab.basis_vector(1)], [np.eye(3, dtype=np.int64)])
+    for eps, side in itertools.product((0.3, 0.6), (None, np.ones(lab.order, dtype=bool))):
+        for _ in range(2):
+            red = reduced_pair(GroupSubset(lab, rng.random(lab.order) < 0.5), F, eps)
+            found = [find_good_copy(red, pattern, k, side).witness for pattern in "HUT" for k in (1, 2)]
+            out += [w for w in found if w is not None]
     for spec, d, seed in ((GroupSpec(3, 6), 2, 4), (GroupSpec(3, 10), 4, 6)):
         _, tree = plant_tree_encoding(spec, d, seed=seed)
         out += [tree] + [hodges_extract(tree, k) for k in range(1, min(d, 3) + 1)]
@@ -648,6 +700,57 @@ def searched_witnesses():
         if w.kind == "VC2":
             out.append(vc2_to_fop2_witness(w))
     return out
+
+
+def hodges_search_oracle(encoding, k):
+    """hodges_extract's guided search as nested loops: (node, leaf) index
+    pairs, each after the last pick in both lists, such that the new row and
+    column keep c_i + b_j in A iff i <= j, read through the scalar
+    spec.index_of.  Returns the first (nodes, leaves) in loop order, or
+    None."""
+    A, spec = encoding.subset, encoding.subset.spec
+    nodes, leaves = list(encoding.data["nodes"].values()), list(encoding.data["leaves"].values())
+    M = [[A.contains_index(spec.index_of((np.asarray(h) + np.asarray(g)) % spec.p)) for g in leaves] for h in nodes]
+
+    def search(cs, bs):
+        if len(cs) == k:
+            return cs, bs
+        for si in range(cs[-1] + 1 if cs else 0, len(nodes)):
+            for ei in range(bs[-1] + 1 if bs else 0, len(leaves)):
+                if any(M[si][ej] for ej in bs) or not M[si][ei] or not all(M[sj][ei] for sj in cs):
+                    continue
+                got = search(cs + [si], bs + [ei])
+                if got is not None:
+                    return got
+        return None
+
+    got = search([], [])
+    return None if got is None else ([nodes[i] for i in got[0]], [leaves[i] for i in got[1]])
+
+
+def off_branch_extension(tree, rng):
+    """The tree's encoding on A plus about 30% of the sums no branch
+    constrains, so that the off-branch cells of the staircase search bind."""
+    spec, data = tree.subset.spec, tree.data
+    ind = tree.subset.indicator | (rng.random(spec.order) < 0.3)
+    for sigma, h in data["nodes"].items():
+        for eta, g in data["leaves"].items():
+            if len(sigma) < len(eta) and eta[: len(sigma)] == sigma:
+                ind[spec.index_of((np.asarray(h) + np.asarray(g)) % spec.p)] = eta[len(sigma)] == 1
+    return Witness("TREE", GroupSubset(spec, ind), dict(data))
+
+
+def test_hodges_extract_matches_nested_loop_oracle():
+    # planted depth-d encodings in F_3^(2d), as planted and with off-branch
+    # sums added, at every k the guided search serves
+    rng = np.random.default_rng(0x40D)
+    for d, seed in itertools.product((3, 4, 5, 6), range(4)):
+        _, planted = plant_tree_encoding(GroupSpec(3, 2 * d), d, seed=seed)
+        for tree, k in itertools.product((planted, off_branch_extension(planted, rng)), range(3, d + 1)):
+            want = hodges_search_oracle(tree, k)
+            assert want is not None, (d, seed, k)
+            got = [[np.asarray(v).tolist() for v in hodges_extract(tree, k).data[role]] for role in "ab"]
+            assert got == [[np.asarray(v).tolist() for v in vs] for vs in want], (d, seed, k)
 
 
 def _shift(v, p):
@@ -691,17 +794,25 @@ def mutants(w):
 @pytest.fixture(scope="module")
 def witness_cases():
     """(witness, loop-oracle verdict) for every searched witness and each of
-    its mutants, computed before any test patches the library."""
+    its mutants, computed before any test patches the library.  A good copy
+    is also judged against every reduced pair drawn, all on one label space,
+    so that its cells meet dense, sparse and error labels."""
+    witnesses = searched_witnesses()
+    reds = {id(w.data["red"]): w.data["red"] for w in witnesses if w.kind == "GOODCOPY"}.values()
     cases = []
-    for w in searched_witnesses():
-        cases += [(m, revalidate_oracle(m)) for m in [w, *mutants(w)]]
+    for w in witnesses:
+        moved = [Witness(w.kind, w.subset, dict(w.data, red=red), k=w.k) for red in reds if w.kind == "GOODCOPY"]
+        cases += [(m, revalidate_oracle(m)) for m in [w, *mutants(w), *moved]]
     return cases
 
 
 def test_revalidate_matches_loop_oracle_on_witnesses_and_mutants(witness_cases):
     # every kind shows both verdicts, so neither side can pass by agreeing on one
     seen = {(w.kind, want) for w, want in witness_cases}
-    assert seen == set(itertools.product(("OP", "HOP2", "FOP2", "VC", "VC2", "CUBE", "TREE"), (True, False)))
+    kinds = ("OP", "HOP2", "FOP2", "VC", "VC2", "CUBE", "TREE", "GOODCOPY")
+    assert seen == set(itertools.product(kinds, (True, False)))
+    patterns = {(w.data["pattern"], want) for w, want in witness_cases if w.kind == "GOODCOPY"}
+    assert patterns == set(itertools.product("HUT", (True, False)))
     for w, want in witness_cases:
         assert w.revalidate() == want, (w.kind, w.k, w.to_jsonable())
 
