@@ -1,6 +1,7 @@
 """Command-line harness: `qfa verify|detect|measure|factor|regularize`.
 
 Configuration is a flat key=value file (--config) plus flags; flags win.
+`verify` reads the key seed from it, and any other key is a usage error.
 Randomized checks take a 64-bit --seed (default 0xF0F2).  Exit code 0 means
 every check passed; 1 means a FAIL/ERROR or an unsuccessful search; usage
 errors exit with 2.
@@ -43,7 +44,11 @@ from .uniformity import (
 )
 
 
-def _load_config(path):
+_CONFIG_KEYS = {"verify": ("seed",)}  # the --config keys each command reads
+
+
+def _load_config(path, command):
+    keys = _CONFIG_KEYS.get(command, ())
     out = {}
     with open(path) as fh:
         for line in fh:
@@ -52,22 +57,16 @@ def _load_config(path):
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}: expected key=value, got {line!r}")
-            k, v = line.split("=", 1)
-            out[k.strip()] = v.strip()
+            k, v = (t.strip() for t in line.split("=", 1))
+            if k not in keys:
+                raise ValueError(f"{path}: unknown key {k!r}; {command} reads {list(keys)}")
+            out[k] = v
     return out
 
 
-def _merged(args, key, cast=str, default=None):
-    flag = getattr(args, key.replace("-", "_"), None)
-    if flag is not None:
-        return flag
-    if args.config_values and key in args.config_values:
-        return cast(args.config_values[key])
-    return default
-
-
 def cmd_verify(args):
-    params = {"seed": _merged(args, "seed", int, DEFAULT_SEED)}
+    seed = args.seed if args.seed is not None else int(args.config_values.get("seed", DEFAULT_SEED))
+    params = {"seed": seed}
     names = [args.suite] if args.suite != "all" else sorted(SUITES)
     overall_ok = True
     reports = []
@@ -303,10 +302,10 @@ def build_parser():
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    args.config_values = _load_config(args.config) if args.config else {}
     try:
+        args.config_values = _load_config(args.config, args.command) if args.config else {}
         return args.fn(args)
-    except (ValueError, KeyError, FileNotFoundError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"qfa: error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,5 +1,5 @@
 """Canonical example sets and matrix families: GS(n,p), QGS(n,p), quadrics,
-unions of cosets/atoms, the rank-n symmetric matrix space built from the
+unions of cosets, the rank-n symmetric matrix space built from the
 finite-field trace form, helper functions for the layered-coset metric, and
 the sparse unstable example.
 """
@@ -13,7 +13,6 @@ from .factors import (
     LinearFactor,
     QuadraticFactor,
     _least_rank_combo,
-    atom_members,
     label_index_table,
     matrix_family_rank,
 )
@@ -215,16 +214,6 @@ def qgs(n: int, p: int) -> tuple:
     return subset, factor
 
 
-def qgs_piece(n: int, p: int, i: int, mats=None) -> GroupSubset:
-    """Q_i(e_i) = {x : x^T M_1 x = ... = x^T M_(i-1) x = 0, x^T M_i x = 1}."""
-    spec = GroupSpec(p, n)
-    if mats is None:
-        mats = trace_sym_space(n, p)
-    cols = np.stack([quad_values(M, spec) for M in mats[:i]], axis=1)
-    mask = (cols[:, : i - 1] == 0).all(axis=1) & (cols[:, i - 1] == 1)
-    return GroupSubset(spec, mask)
-
-
 def quadric(n: int, p: int, M=None, c: int = 0) -> GroupSubset:
     """{x : x^T M x = c}; M defaults to the identity."""
     spec = GroupSpec(p, n)
@@ -259,13 +248,6 @@ def union_of_cosets(H: LinearFactor, reps) -> GroupSubset:
     for r in reps:
         mask |= table == table[spec.index_of(np.asarray(r))]
     return GroupSubset(spec, mask)
-
-
-def union_of_atoms(B, labels) -> GroupSubset:
-    out = GroupSubset(B.spec)
-    for label in labels:
-        out = out.union(atom_members(B, label))
-    return out
 
 
 def _h_coset(spec: GroupSpec, i: int, shift) -> np.ndarray:

@@ -1,6 +1,6 @@
 """Exact arithmetic over F_p^n: vectors, symmetric matrices, group enumeration,
-quadratic/bilinear evaluation, exact elimination (rref), Gauss sums, and the
-group DFT.
+quadratic/bilinear evaluation, exact elimination (rref), Gauss sums, the
+group DFT, and the subset file format.
 
 All group elements are addressed by their little-endian base-p index,
 idx = sum_i v_i * p**i (coordinate 0 varies fastest).  Every table in this
@@ -549,23 +549,3 @@ def read_subset(path: str) -> GroupSubset:
                 raise ValueError(f"{path}:{lineno}: digit out of range for base {p}")
             indices.append(spec.index_of(np.array(digits)))
     return GroupSubset.from_indices(spec, indices)
-
-
-def write_matrix(M: np.ndarray, path: str) -> None:
-    M = np.asarray(M, dtype=np.int64)
-    with open(path, "w") as fh:
-        for row in M:
-            fh.write(_format_row(row) + "\n")
-
-
-def read_matrix(path: str, p: int) -> np.ndarray:
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append([int(t) for t in _row_tokens(line, None)])
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError(f"{path}: expected an n x n digit grid")
-    return as_sym_matrix(np.array(rows), p)

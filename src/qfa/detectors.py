@@ -491,19 +491,6 @@ def find_hop2(A: GroupSubset, k: int, budget: SearchBudget | None = None) -> Det
     return DetectResult(FOUND, w, budget.nodes)
 
 
-def hop2_witness_from_reindexed(A: GroupSubset, xs, ys, zs, k: int) -> Witness:
-    """Normalize the equivalent form (sums in A iff u+v+w >= k+2) to the
-    primary u < v+w indexing by reversing the first role."""
-    xs = [np.asarray(v) for v in xs]
-    w = Witness(
-        "HOP2",
-        A,
-        {"x": list(reversed(xs)), "y": [np.asarray(v) for v in ys], "z": [np.asarray(v) for v in zs]},
-        k=k,
-    )
-    return w
-
-
 def _grid_blocks(N: int, r: int, width: int):
     """itertools.product(range(N), repeat=r) in blocks (pre, last): each row
     of `pre` followed by each value in `last`, in lexicographic order.  Blocks
@@ -763,36 +750,6 @@ def count_tree_encodings_naive(A: GroupSubset, d: int, leaves_in: GroupSubset, n
     return total
 
 
-def plant_tree_encoding(spec: GroupSpec, d: int, seed: int = 0, max_tries: int = 20000) -> tuple:
-    """Build a tree-pattern witness on fresh elements, with A defined as
-    exactly the sums the branches require.  Returns (subset, witness).
-
-    Elements are redrawn until the required and forbidden sums are disjoint;
-    the group should be large compared to the square of the number of
-    branch constraints (about d * 2^d) for this to finish quickly."""
-    sigmas, etas = _tree_keys(d)
-    for attempt in range(max_tries):
-        rng = np.random.default_rng(seed + attempt)
-        nodes = {s: rng.integers(0, spec.p, size=spec.n) for s in sigmas}
-        leaves = {e: rng.integers(0, spec.p, size=spec.n) for e in etas}
-        required, forbidden = set(), set()
-        for s, h in nodes.items():
-            for e, g in leaves.items():
-                if len(s) < len(e) and e[: len(s)] == s:
-                    idx = spec.index_of((np.asarray(h) + np.asarray(g)) % spec.p)
-                    (required if e[len(s)] == 1 else forbidden).add(idx)
-        if required & forbidden:
-            continue
-        A = GroupSubset.from_indices(spec, required)
-        w = Witness("TREE", A, {"leaves": leaves, "nodes": nodes, "d": d})
-        _check_witness(w)
-        return A, w
-    raise RuntimeError(
-        f"could not plant a depth-{d} encoding without sum collisions in "
-        f"a group of order {spec.order}"
-    )
-
-
 def hodges_extract(encoding: Witness, k: int) -> Witness | None:
     """Extract a staircase pair family (c_i + b_j in A iff i <= j) from a
     tree-pattern witness; c's come from nodes, b's from leaves.
@@ -1021,22 +978,3 @@ def _good_copy_columns(red):
     """Columns of a reduced pair with pos = dense and neg = sparse atoms, as
     red.code says."""
     return _Columns(_Grid(red.label_spec, red.code == 1), red.code == 0)
-
-
-def count_good_copies_H(red, k: int, side=None) -> int:
-    """Exact count of good copies of the k-staircase with right side in
-    `side` (product formula over realizer columns per left tuple)."""
-    side = _bitset(red.H_B if side is None else np.asarray(side, dtype=bool))
-    cols = _good_copy_columns(red)
-    total = 0
-    for left in itertools.product(range(red.label_spec.order), repeat=k):
-        prod = 1
-        for j in range(k):
-            m = side
-            for i, a in enumerate(left):
-                m &= cols[a][i <= j]
-            prod *= m.bit_count()
-            if prod == 0:
-                break
-        total += prod
-    return total

@@ -534,18 +534,9 @@ def pullback_factor(B: QuadraticFactor, R: LinearFactor, verify: bool = True):
     if verify:
         want = pullback_partition(B, R)
         got = label_index_table(out)
-        if not _same_partition(want, got):
+        if not (_refines(want, got) and _refines(got, want)):
             raise AssertionError("pullback factor does not induce the partition X_R")
     return out
-
-
-def _same_partition(t1: np.ndarray, t2: np.ndarray) -> bool:
-    return _refines(t1, t2) and _refines(t2, t1)
-
-
-def same_partition(B1, B2) -> bool:
-    """True iff two factors induce the same partition of the group."""
-    return _same_partition(label_index_table(B1), label_index_table(B2))
 
 
 def write_factor(B, path: str) -> None:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 
 import numpy as np
 
@@ -26,7 +25,6 @@ from .factors import (
     LinearFactor,
     QuadraticFactor,
     _MonotoneFormula,
-    _refines,
     label_index_table,
 )
 
@@ -97,25 +95,6 @@ def aqale_check(B: QuadraticFactor, A: GroupSubset, eps: float, delta: float):
     bad_lin = {int(idx) % p**ell for idx in np.flatnonzero(verdict.error)}
     passed = len(bad_lin) <= delta * p**ell
     return passed, sorted(bad_lin), verdict
-
-
-def refinement_stability_check(coarse, fine, A: GroupSubset, eps: float, mu: float) -> bool:
-    """Average-of-averages stability: a near-equipartition refinement of an
-    almost eps-atomic partition is almost 2*sqrt(eps)-atomic.  Verifies the
-    implication on exact densities; raises if the preconditions fail."""
-    t_coarse = coarse if isinstance(coarse, np.ndarray) else label_index_table(coarse)
-    t_fine = fine if isinstance(fine, np.ndarray) else label_index_table(fine)
-    if not _refines(t_fine, t_coarse):
-        raise ValueError("fine partition does not refine the coarse one")
-    for table in (t_coarse, t_fine):
-        sizes = np.bincount(table)
-        sizes = sizes[sizes > 0]
-        if sizes.size and (sizes.max() - sizes.min()) > mu * table.size / sizes.size:
-            raise ValueError("parts are not near-equal within the mu condition")
-    v_coarse = AtomicityVerdict(A, t_coarse, eps, eps)
-    target = 2 * math.sqrt(eps)
-    v_fine = AtomicityVerdict(A, t_fine, target, target)
-    return (not v_coarse.is_almost_atomic()) or v_fine.is_almost_atomic()
 
 
 class Subgroup:

@@ -1,6 +1,6 @@
 """Uniformity norms, quasirandomness measures, sum-membership grids, bilinear-form
 graphs and triads, sum-label arithmetic, reduced pairs, density transfer,
-octahedron counts, and decomposition checking.
+and octahedron counts.
 
 Densities are kept as exact integer ratios until a report is produced; the
 fast deviation computations are quadratic/cubic contractions whose equality
@@ -63,13 +63,13 @@ def u2_norm(f, spec: GroupSpec) -> float:
     Split each vector as x = (x_hi, x_lo) into its high and low coordinates;
     with the little-endian index this is F = f.reshape(P, Q).  For a block of
     high shifts h_hi, the rows of conj F are gathered at the sums
-    x_hi + h_hi in the high half-group (by `_sum_index_grid`, or by
-    (h + x) % p when n = 1) and one matrix product gives
+    x_hi + h_hi in the high half-group (by `_sum_index_grid`) and one matrix
+    product gives
     M[x_lo, h_hi, y_lo] = sum_(x_hi) F[x_hi, x_lo] conj F[x_hi + h_hi, y_lo].
     Then g(h_hi, h_lo) = (1/N) sum_(x_lo) M[x_lo, h_hi, x_lo + h_lo], gathered
     through the addition table of the low half-group (`spec.add_tables`,
     the table `_sum_index_grid` reads).  That is O(N^2)
-    multiply-adds in BLAS; no table has more than N entries, and each
+    multiply-adds in BLAS; no table has more than max(N, p^2) entries, and each
     block's temporaries hold at most 2^20 elements.  For n = 1 the low half
     is the trivial group (Q = 1).  A real f stays real, which needs a
     quarter of the multiply-adds.
@@ -85,17 +85,15 @@ def u2_norm(f, spec: GroupSpec) -> float:
     F = f.reshape(P, Q)
     Ft = np.ascontiguousarray(F.T)
     Fc = np.conj(F)
-    hi_spec = GroupSpec(spec.p, spec.n - n_lo)
+    # at n = 1 the high half is the group itself: share its p x p table
+    hi_spec = GroupSpec(spec.p, spec.n - n_lo) if n_lo else spec
     lo_table = spec.add_tables[0]
     rows = np.arange(Q)[:, None]
     total = 0.0
     block = max(1, (1 << 20) // (Q * max(P, Q)))
     for start in range(0, P, block):
         hs = np.arange(start, min(start + block, P))
-        if spec.n == 1:
-            sums = np.add.outer(hs, np.arange(P)) % spec.p
-        else:
-            sums = _sum_index_grid(hi_spec, hs, np.arange(P))
+        sums = _sum_index_grid(hi_spec, hs, np.arange(P))
         M = (Ft @ Fc[sums.T].reshape(P, -1)).reshape(Q, len(hs), Q)
         g = M[rows, :, lo_table].sum(axis=0)
         total += float((np.abs(g) ** 2).sum())
@@ -155,26 +153,6 @@ def u3_norm_naive(f, spec: GroupSpec) -> float:
                     )
                 total += inner
     return float(abs(total / N**4) ** 0.125)
-
-
-def gowers_inner(fs, spec: GroupSpec) -> complex:
-    """Gowers inner product of eight functions indexed by {0,1}^3 in the
-    order (000, 100, 010, 001, 110, 101, 011, 111)."""
-    if len(fs) != 8:
-        raise ValueError("need eight functions")
-    key = {
-        (0, 0, 0): 0, (1, 0, 0): 1, (0, 1, 0): 2, (0, 0, 1): 3,
-        (1, 1, 0): 4, (1, 0, 1): 5, (0, 1, 1): 6, (1, 1, 1): 7,
-    }
-    f = [np.asarray(t, dtype=complex) for t in fs]
-    N = spec.order
-    total = 0.0 + 0.0j
-    for c in range(N):
-        perm = spec.add_perm(c)
-        h = [f[key[(e1, e2, 0)]] * np.conj(f[key[(e1, e2, 1)]][perm]) for e1 in (0, 1) for e2 in (0, 1)]
-        h00, h01, h10, h11 = dft(np.stack(h), spec)
-        total += (h00 * np.conj(h10) * np.conj(h01) * h11).sum()
-    return complex(total / N)
 
 
 # --- triads ---
@@ -528,27 +506,6 @@ def k222_count(d: TriadDescriptor, base: tuple) -> int:
     return int((counts * sub12).sum())
 
 
-def triangle_count(e12, e13, e23) -> int:
-    return int((e13.astype(np.int64) @ e23.T.astype(np.int64) * e12).sum())
-
-
-def hom_count_check(parts, graphs, expected_edge_density, tolerance: float) -> MeasureReport:
-    """Compare the measured triangle count across three bipartite graphs
-    against the product prediction density^3 * |U||V||W|."""
-    e12, e13, e23 = graphs
-    sizes = [len(t) for t in parts]
-    count = triangle_count(e12, e13, e23)
-    prediction = expected_edge_density**3 * sizes[0] * sizes[1] * sizes[2]
-    ratio = count / prediction if prediction else 0.0
-    return MeasureReport(
-        "triangle-count-ratio",
-        abs(ratio - 1.0),
-        tolerance,
-        f"|count/({expected_edge_density}^3 * product) - 1| <= {tolerance}",
-        extras={"count": count, "prediction": prediction},
-    )
-
-
 # --- reduced pairs ---
 
 
@@ -583,70 +540,9 @@ class ReducedPair:
         else:
             self.H_B = np.ones(1, dtype=bool)
 
-    def error_labels(self):
-        return np.nonzero(self.err)[0]
-
     def classify(self, label_index: int) -> str:
         return ("sparse", "dense", "error")[self.code[label_index]]
 
 
 def reduced_pair(A: GroupSubset, factor, eps: float) -> ReducedPair:
     return ReducedPair(A, factor, eps)
-
-
-def hypergraph_decomposition_check(
-    A: GroupSubset,
-    factor,
-    eps1: float,
-    eps2_fn=None,
-    max_triads: int = 64,
-    seed: int = 0xF0F2,
-    max_part: int = 256,
-) -> MeasureReport:
-    """Estimate the triple-weighted fraction of triads failing the relative
-    quasirandomness test at (eps1, eps2(#edge classes)).
-
-    The vertex classes are the atoms, the edge classes the bilinear-form
-    graphs; triads are sampled deterministically when the full label space is
-    too large.
-    """
-    spec = A.spec
-    ell, q = factor.ell, factor.q
-    n_classes = spec.p**q
-    eps2 = eps2_fn(n_classes) if eps2_fn else eps1
-    total_flat = spec.p ** (3 * ell + 6 * q)
-    rng = np.random.default_rng(seed)
-    if total_flat <= max_triads:
-        flats = [np.array(_digits_of(i, spec.p, 3 * ell + 6 * q)) for i in range(total_flat)]
-    else:
-        flats = [rng.integers(0, spec.p, size=3 * ell + 6 * q) for _ in range(max_triads)]
-    pass_weight = 0
-    total_weight = 0
-    for flat in flats:
-        d = TriadDescriptor.from_flat(factor, flat)
-        res = dev23_measure(A, d, max_part=max_part)
-        atoms, graphs = triad_graphs(d)
-        tri = triangle_tensor(*graphs)
-        weight = int(tri.sum())
-        total_weight += weight
-        ok = res.eps1 <= eps1 and all(
-            dev2_measure(g)[0] <= eps2 for g in graphs
-        ) and res.d2_max_dev <= eps2
-        if ok:
-            pass_weight += weight
-    frac_fail = 1.0 - (pass_weight / total_weight if total_weight else 1.0)
-    return MeasureReport(
-        "decomposition-irregular-fraction",
-        frac_fail,
-        eps1,
-        f"failing-triple fraction <= {eps1}",
-        extras={"sampled": len(flats), "total_weight": total_weight},
-    )
-
-
-def _digits_of(i: int, p: int, width: int):
-    out = []
-    for _ in range(width):
-        out.append(i % p)
-        i //= p
-    return out

@@ -1,0 +1,190 @@
+"""Oracles, fixtures and checks that only the tests use.
+
+pytest does not collect this module (its name does not start with test_);
+the test modules import it by name.
+"""
+
+import itertools
+import math
+
+import numpy as np
+
+from qfa.core import GroupSpec, GroupSubset, dft
+from qfa.detectors import Witness, _bitset, _check_witness, _good_copy_columns, _tree_keys
+from qfa.factors import _refines, label_index_table
+from qfa.regularize import AtomicityVerdict
+from qfa.uniformity import (
+    MeasureReport,
+    TriadDescriptor,
+    dev2_measure,
+    dev23_measure,
+    triad_graphs,
+    triangle_tensor,
+)
+
+
+def gowers_inner(fs, spec: GroupSpec) -> complex:
+    """Gowers inner product of eight functions indexed by {0,1}^3 in the
+    order (000, 100, 010, 001, 110, 101, 011, 111)."""
+    if len(fs) != 8:
+        raise ValueError("need eight functions")
+    key = {
+        (0, 0, 0): 0, (1, 0, 0): 1, (0, 1, 0): 2, (0, 0, 1): 3,
+        (1, 1, 0): 4, (1, 0, 1): 5, (0, 1, 1): 6, (1, 1, 1): 7,
+    }
+    f = [np.asarray(t, dtype=complex) for t in fs]
+    N = spec.order
+    total = 0.0 + 0.0j
+    for c in range(N):
+        perm = spec.add_perm(c)
+        h = [f[key[(e1, e2, 0)]] * np.conj(f[key[(e1, e2, 1)]][perm]) for e1 in (0, 1) for e2 in (0, 1)]
+        h00, h01, h10, h11 = dft(np.stack(h), spec)
+        total += (h00 * np.conj(h10) * np.conj(h01) * h11).sum()
+    return complex(total / N)
+
+
+def triangle_count(e12, e13, e23) -> int:
+    return int((e13.astype(np.int64) @ e23.T.astype(np.int64) * e12).sum())
+
+
+def hom_count_check(parts, graphs, expected_edge_density, tolerance: float) -> MeasureReport:
+    """Compare the measured triangle count across three bipartite graphs
+    against the product prediction density^3 * |U||V||W|."""
+    e12, e13, e23 = graphs
+    sizes = [len(t) for t in parts]
+    count = triangle_count(e12, e13, e23)
+    prediction = expected_edge_density**3 * sizes[0] * sizes[1] * sizes[2]
+    ratio = count / prediction if prediction else 0.0
+    return MeasureReport(
+        "triangle-count-ratio",
+        abs(ratio - 1.0),
+        tolerance,
+        f"|count/({expected_edge_density}^3 * product) - 1| <= {tolerance}",
+        extras={"count": count, "prediction": prediction},
+    )
+
+
+def hypergraph_decomposition_check(
+    A: GroupSubset,
+    factor,
+    eps1: float,
+    eps2_fn=None,
+    max_triads: int = 64,
+    seed: int = 0xF0F2,
+    max_part: int = 256,
+) -> MeasureReport:
+    """Estimate the triple-weighted fraction of triads failing the relative
+    quasirandomness test at (eps1, eps2(#edge classes)).
+
+    The vertex classes are the atoms, the edge classes the bilinear-form
+    graphs; triads are sampled deterministically when the full label space is
+    too large.
+    """
+    spec = A.spec
+    ell, q = factor.ell, factor.q
+    n_classes = spec.p**q
+    eps2 = eps2_fn(n_classes) if eps2_fn else eps1
+    total_flat = spec.p ** (3 * ell + 6 * q)
+    rng = np.random.default_rng(seed)
+    if total_flat <= max_triads:
+        flats = [np.array(_digits_of(i, spec.p, 3 * ell + 6 * q)) for i in range(total_flat)]
+    else:
+        flats = [rng.integers(0, spec.p, size=3 * ell + 6 * q) for _ in range(max_triads)]
+    pass_weight = 0
+    total_weight = 0
+    for flat in flats:
+        d = TriadDescriptor.from_flat(factor, flat)
+        res = dev23_measure(A, d, max_part=max_part)
+        atoms, graphs = triad_graphs(d)
+        tri = triangle_tensor(*graphs)
+        weight = int(tri.sum())
+        total_weight += weight
+        ok = res.eps1 <= eps1 and all(
+            dev2_measure(g)[0] <= eps2 for g in graphs
+        ) and res.d2_max_dev <= eps2
+        if ok:
+            pass_weight += weight
+    frac_fail = 1.0 - (pass_weight / total_weight if total_weight else 1.0)
+    return MeasureReport(
+        "decomposition-irregular-fraction",
+        frac_fail,
+        eps1,
+        f"failing-triple fraction <= {eps1}",
+        extras={"sampled": len(flats), "total_weight": total_weight},
+    )
+
+
+def _digits_of(i: int, p: int, width: int):
+    out = []
+    for _ in range(width):
+        out.append(i % p)
+        i //= p
+    return out
+
+
+def plant_tree_encoding(spec: GroupSpec, d: int, seed: int = 0, max_tries: int = 20000) -> tuple:
+    """Build a tree-pattern witness on fresh elements, with A defined as
+    exactly the sums the branches require.  Returns (subset, witness).
+
+    Elements are redrawn until the required and forbidden sums are disjoint;
+    the group should be large compared to the square of the number of
+    branch constraints (about d * 2^d) for this to finish quickly."""
+    sigmas, etas = _tree_keys(d)
+    for attempt in range(max_tries):
+        rng = np.random.default_rng(seed + attempt)
+        nodes = {s: rng.integers(0, spec.p, size=spec.n) for s in sigmas}
+        leaves = {e: rng.integers(0, spec.p, size=spec.n) for e in etas}
+        required, forbidden = set(), set()
+        for s, h in nodes.items():
+            for e, g in leaves.items():
+                if len(s) < len(e) and e[: len(s)] == s:
+                    idx = spec.index_of((np.asarray(h) + np.asarray(g)) % spec.p)
+                    (required if e[len(s)] == 1 else forbidden).add(idx)
+        if required & forbidden:
+            continue
+        A = GroupSubset.from_indices(spec, required)
+        w = Witness("TREE", A, {"leaves": leaves, "nodes": nodes, "d": d})
+        _check_witness(w)
+        return A, w
+    raise RuntimeError(
+        f"could not plant a depth-{d} encoding without sum collisions in "
+        f"a group of order {spec.order}"
+    )
+
+
+def count_good_copies_H(red, k: int, side=None) -> int:
+    """Exact count of good copies of the k-staircase with right side in
+    `side` (product formula over realizer columns per left tuple)."""
+    side = _bitset(red.H_B if side is None else np.asarray(side, dtype=bool))
+    cols = _good_copy_columns(red)
+    total = 0
+    for left in itertools.product(range(red.label_spec.order), repeat=k):
+        prod = 1
+        for j in range(k):
+            m = side
+            for i, a in enumerate(left):
+                m &= cols[a][i <= j]
+            prod *= m.bit_count()
+            if prod == 0:
+                break
+        total += prod
+    return total
+
+
+def refinement_stability_check(coarse, fine, A: GroupSubset, eps: float, mu: float) -> bool:
+    """Average-of-averages stability: a near-equipartition refinement of an
+    almost eps-atomic partition is almost 2*sqrt(eps)-atomic.  Verifies the
+    implication on exact densities; raises if the preconditions fail."""
+    t_coarse = coarse if isinstance(coarse, np.ndarray) else label_index_table(coarse)
+    t_fine = fine if isinstance(fine, np.ndarray) else label_index_table(fine)
+    if not _refines(t_fine, t_coarse):
+        raise ValueError("fine partition does not refine the coarse one")
+    for table in (t_coarse, t_fine):
+        sizes = np.bincount(table)
+        sizes = sizes[sizes > 0]
+        if sizes.size and (sizes.max() - sizes.min()) > mu * table.size / sizes.size:
+            raise ValueError("parts are not near-equal within the mu condition")
+    v_coarse = AtomicityVerdict(A, t_coarse, eps, eps)
+    target = 2 * math.sqrt(eps)
+    v_fine = AtomicityVerdict(A, t_fine, target, target)
+    return (not v_coarse.is_almost_atomic()) or v_fine.is_almost_atomic()

@@ -154,9 +154,21 @@ def test_cli_concurrent_jobs_match_serial():
 
 def test_cli_config_file(tmp_path, capsys):
     cfg = tmp_path / "qfa.cfg"
+    out = tmp_path / "report.json"
     cfg.write_text("seed=12\n")
-    rc = main(["--config", str(cfg), "verify", "--suite", "quadric"])
+    rc = main(["--config", str(cfg), "verify", "--suite", "quadric", "--json", str(out)])
     assert rc == 0
+    assert json.loads(out.read_text())["config"] == {"seed": 12}
+    # a key verify does not read, a line without "=", a missing file and a
+    # directory are usage errors (exit 2), not an ignored setting or a traceback
+    for text, msg in (("seed=3\np=7\neps=0.9\n", "unknown key 'p'"), ("seed 3\n", "expected key=value")):
+        cfg.write_text(text)
+        capsys.readouterr()
+        assert main(["--config", str(cfg), "verify", "--suite", "quadric"]) == 2
+        assert msg in capsys.readouterr().err
+    assert main(["--config", str(tmp_path / "missing.cfg"), "verify", "--suite", "quadric"]) == 2
+    assert "missing.cfg" in capsys.readouterr().err
+    assert main(["--config", str(tmp_path), "verify", "--suite", "quadric"]) == 2
 
 
 def test_cli_regularize_and_chain(tmp_path, capsys):

@@ -1,23 +1,21 @@
 import numpy as np
 import pytest
 
-from qfa.core import GroupSpec, matrix_rank
+from qfa.core import GroupSpec, GroupSubset, matrix_rank, quad_values
 from qfa.constructions import (
     first_nonzero,
     gs,
     gs_metric,
     qgs,
-    qgs_piece,
     quadric,
     sparse_example,
     tau,
     trace_sym_space,
-    union_of_atoms,
     union_of_cosets,
     verify_gs_intersection,
 )
 from qfa.detectors import FOUND, find_op
-from qfa.factors import AtomLabel, LinearFactor, QuadraticFactor, factor_rank, matrix_family_rank
+from qfa.factors import AtomLabel, LinearFactor, QuadraticFactor, factor_rank, label_index_table, matrix_family_rank
 
 RNG = np.random.default_rng(0xF0F2)
 
@@ -67,12 +65,13 @@ def test_trace_sym_space_full_rank():
 def test_qgs_density_and_pieces():
     A, F = qgs(8, 3)
     assert 0.4 <= A.density() <= 0.6
-    for i in (1, 2, 3):
-        piece = qgs_piece(8, 3, i, F.matrices)
+    # Q_i(e_i): the forms before M_i vanish and x^T M_i x = 1
+    sp = A.spec
+    vals = quad_values(np.stack(F.matrices[:3]), sp)
+    pieces = [GroupSubset(sp, (vals[: i - 1] == 0).all(axis=0) & (vals[i - 1] == 1)) for i in (1, 2, 3)]
+    for i, piece in enumerate(pieces, start=1):
         assert abs(len(piece) / 3**8 - 3.0**-i) <= 3.0 ** (-4 + 1)
-    p1 = qgs_piece(8, 3, 1, F.matrices)
-    p2 = qgs_piece(8, 3, 2, F.matrices)
-    assert len(p1.intersect(p2)) == 0
+    assert len(pieces[0].intersect(pieces[1])) == 0
 
 
 def test_qgs_prefixes_full_rank():
@@ -180,7 +179,8 @@ def test_union_of_cosets_and_atoms():
     two = union_of_cosets(H, [np.zeros(3, dtype=np.int64), sp.basis_vector(1)])
     assert len(two) == 18
     B = QuadraticFactor(sp, [], [np.eye(3, dtype=np.int64)])
-    u = union_of_atoms(B, [AtomLabel([], [0]), AtomLabel([], [1])])
+    labels = [AtomLabel([], [0]).index(3), AtomLabel([], [1]).index(3)]
+    u = GroupSubset(sp, np.isin(label_index_table(B), labels))
     assert len(u) == len(quadric(3, 3)) + len(quadric(3, 3, c=1))
 
 

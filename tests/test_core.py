@@ -22,10 +22,8 @@ from qfa.core import (
     matrix_rank,
     nullspace_basis,
     quad_eval,
-    read_matrix,
     read_subset,
     rref,
-    write_matrix,
     write_subset,
 )
 
@@ -268,16 +266,6 @@ def test_subset_io_rejects_bad_digits(tmp_path):
         read_subset(str(path))
 
 
-def test_matrix_io_symmetry_validated(tmp_path):
-    path = tmp_path / "m.txt"
-    write_matrix(np.array([[1, 2], [2, 0]]), str(path))
-    M = read_matrix(str(path), 3)
-    assert M[0, 1] == 2
-    path.write_text("12\n00\n")
-    with pytest.raises(ShapeError):
-        read_matrix(str(path), 3)
-
-
 IO_PRIMES = [3, 5, 7, 11, 13]
 
 
@@ -315,35 +303,6 @@ def test_subset_file_round_trip_and_truncation(p, n, data):
                     read_subset(path)
             else:
                 assert read_subset(path) == GroupSubset.from_members(spec, members[: cut - 1])
-
-
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(st.sampled_from(IO_PRIMES), st.integers(1, 5), st.data())
-def test_matrix_file_round_trip_and_truncation(p, n, data):
-    """read_matrix returns the symmetric matrix write_matrix wrote, and a file
-    cut at any line is rejected: by the n x n check, or, when nothing is
-    left, by the square-matrix check."""
-    X = data.draw(arrays(np.int64, (n, n), elements=st.integers(0, p - 1)))
-    M = np.triu(X) + np.triu(X, 1).T
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "m.txt")
-        write_matrix(M, path)
-        if n == 1 and M[0, 0] >= 10:
-            # a headerless one-line file cannot tell the entry 10 from the
-            # digits (1, 0) of a cut wider row; it is rejected, not misread
-            with pytest.raises(ValueError, match="n x n"):
-                read_matrix(path, p)
-            return
-        back = read_matrix(path, p)
-        assert back.dtype == np.int64 and np.array_equal(back, M)
-        with open(path) as fh:
-            lines = fh.readlines()
-        for cut in range(n):
-            with open(path, "w") as fh:
-                fh.writelines(lines[:cut])
-            err, msg = (ShapeError, "square matrix") if cut == 0 else (ValueError, "n x n")
-            with pytest.raises(err, match=msg):
-                read_matrix(path, p)
 
 
 def test_nullspace_basis():

@@ -20,7 +20,6 @@ from qfa.detectors import (
     affine_embedding_exists,
     cap2_check,
     complement_hop2_witness,
-    count_good_copies_H,
     count_tree_encodings,
     count_tree_encodings_naive,
     find_fop2,
@@ -30,8 +29,6 @@ from qfa.detectors import (
     fop2_to_vc_witness,
     hodges_extract,
     hop2_to_op_witness,
-    hop2_witness_from_reindexed,
-    plant_tree_encoding,
     vc2_dim,
     vc2_to_fop2_witness,
     vc_dim,
@@ -39,6 +36,7 @@ from qfa.detectors import (
 )
 from qfa.factors import LinearFactor, QuadraticFactor
 from qfa.uniformity import reduced_pair
+from support import count_good_copies_H, plant_tree_encoding
 
 RNG = np.random.default_rng(0xF0F2)
 
@@ -161,7 +159,7 @@ def test_hop2_reindexed_normalization():
     assert found is not None
     A, w = found
     xs = list(reversed(w.data["x"]))  # to the reindexed form and back
-    w2 = hop2_witness_from_reindexed(A, xs, w.data["y"], w.data["z"], k)
+    w2 = Witness("HOP2", A, {"x": list(reversed(xs)), "y": w.data["y"], "z": w.data["z"]}, k=k)
     assert w2.revalidate()
 
 

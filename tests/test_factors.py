@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qfa.core import GroupSpec, GroupSubset
+from qfa.core import GroupSpec, GroupSubset, ShapeError
 from qfa.constructions import trace_sym_space
 from qfa.factors import (
     AtomLabel,
@@ -29,7 +29,6 @@ from qfa.factors import (
     pullback_partition,
     read_factor,
     refines,
-    same_partition,
     write_factor,
 )
 from qfa.factors import _nontrivial_combos
@@ -49,6 +48,8 @@ def test_trivial_factor_conventions():
     assert factor_rank(triv) == math.inf
     sizes = atom_sizes(triv)
     assert list(sizes.values()) == [81]
+    with pytest.raises(ShapeError, match="not symmetric"):
+        QuadraticFactor(spec, [], [np.triu(np.ones((4, 4), dtype=np.int64))])
 
 
 def test_atom_label_examples():
@@ -99,7 +100,7 @@ def test_refines_examples():
     L2 = LinearFactor(spec, [spec.basis_vector(1)])
     assert refines(L1, L2)
     assert not refines(L2, L1)
-    assert same_partition(L1, L1) and not same_partition(L1, L2) and not same_partition(L2, L1)
+    assert refines(L1, L1) and not (refines(L1, L2) and refines(L2, L1))
 
 
 def test_rank_monotone_under_adding_matrices():
@@ -277,7 +278,7 @@ def test_pullback_standard_basis_reproduces_partition():
     lab = GroupSpec(3, 2)
     R = LinearFactor(lab, [lab.basis_vector(1), lab.basis_vector(2)])
     out = pullback_factor(B, R)
-    assert same_partition(out, B)
+    assert refines(out, B) and refines(B, out)
 
 
 def test_pullback_linear_only_coordinates():
@@ -355,12 +356,12 @@ def test_factor_file_roundtrip(tmp_path):
     write_factor(B, str(path))
     back = read_factor(str(path))
     assert isinstance(back, QuadraticFactor)
-    assert same_partition(back, B)
+    assert refines(back, B) and refines(B, back)
     G = GeneralQuadraticFactor(spec, [spec.basis_vector(1)], [(mats[0], spec.basis_vector(3))])
     write_factor(G, str(path))
     back = read_factor(str(path))
     assert isinstance(back, GeneralQuadraticFactor)
-    assert same_partition(back, G)
+    assert refines(back, G) and refines(G, back)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

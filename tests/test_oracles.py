@@ -28,13 +28,13 @@ from qfa.detectors import (
     fop2_to_vc_witness,
     hodges_extract,
     hop2_to_op_witness,
-    plant_tree_encoding,
     vc2_dim,
     vc2_to_fop2_witness,
     vc_dim,
 )
 from qfa.uniformity import reduced_pair
 from qfa.factors import QuadraticFactor
+from support import gowers_inner, plant_tree_encoding
 
 RNG = np.random.default_rng(0xF0F2)
 
@@ -859,7 +859,7 @@ def test_oracles_read_no_fast_sum_path(monkeypatch):
     def run():
         return (
             [uniformity.u3_norm_naive(f, sp) for f in fs[:2]],
-            uniformity.gowers_inner(fs, sp),
+            gowers_inner(fs, sp),
             [hop2_oracle_grid(A) for A in sets],
             [good_copy_H_oracle(red, 2) for red in reds],
         )

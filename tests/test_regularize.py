@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qfa.core import GroupSpec, GroupSubset
-from qfa.constructions import gs, quadric, trace_sym_space, union_of_atoms, union_of_cosets
+from qfa.constructions import gs, quadric, trace_sym_space, union_of_cosets
 from qfa.factors import AtomLabel, LinearFactor, QuadraticFactor, label_index_table
 from qfa.regularize import (
     FactorChain,
@@ -22,9 +22,9 @@ from qfa.regularize import (
     find_uniform_dense_coset,
     fop2_guided_extraction,
     local_uniformity,
-    refinement_stability_check,
     stable_linear_decomposition,
 )
+from support import refinement_stability_check
 
 RNG = np.random.default_rng(0xF0F2)
 
@@ -33,7 +33,7 @@ def test_atomicity_union_of_atoms_is_atomic():
     sp = GroupSpec(3, 4)
     mats = trace_sym_space(4, 3)
     F = QuadraticFactor(sp, [], [mats[0]])
-    A = union_of_atoms(F, [AtomLabel([], [1])])
+    A = GroupSubset(sp, label_index_table(F) == AtomLabel([], [1]).index(3))
     v = atomicity_check(F, A, 1e-9, 0)
     assert v.is_atomic() and v.error_mass == 0
 
@@ -69,7 +69,7 @@ def test_aqale_passes_on_atom_union():
     sp = GroupSpec(3, 4)
     mats = trace_sym_space(4, 3)
     F = QuadraticFactor(sp, [sp.basis_vector(1)], [mats[0]])
-    A = union_of_atoms(F, [AtomLabel([1], [2])])
+    A = GroupSubset(sp, label_index_table(F) == AtomLabel([1], [2]).index(3))
     passed, bad, _ = aqale_check(F, A, 0.01, 0.0)
     assert passed and not bad
 
@@ -274,7 +274,7 @@ def test_guided_extraction_planted():
         for t in range(1, k + 1)
         if m <= t
     ]
-    A = union_of_atoms(FD, labels)
+    A = GroupSubset(sp, np.isin(label_index_table(FD), [label.index(3) for label in labels]))
     w, stats = fop2_guided_extraction(A, FD, u_bars, w_bars, k=2)
     assert w is not None and w.revalidate()
 

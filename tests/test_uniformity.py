@@ -16,9 +16,6 @@ from qfa.uniformity import (
     dev23_measure,
     dev2_measure,
     dev2_naive,
-    gowers_inner,
-    hom_count_check,
-    hypergraph_decomposition_check,
     k222_count,
     oct_measure,
     oct_naive,
@@ -31,6 +28,7 @@ from qfa.uniformity import (
     u3_norm,
     u3_norm_naive,
 )
+from support import gowers_inner, hom_count_check, hypergraph_decomposition_check
 
 RNG = np.random.default_rng(0xF0F2)
 
@@ -96,7 +94,7 @@ def test_u2_norm_reaches_neither_the_dft_kernel_nor_a_numpy_fft(monkeypatch):
         f = rng.uniform(-1, 1, sp.order) + 1j * rng.uniform(-1, 1, sp.order)
         assert abs(u2_norm(f, sp) - _u2_brute_force(f, sp)) < 1e-9
     # the Fourier side runs the saved kernel, scaled by 1.001
-    monkeypatch.setattr(suites, "dft", lambda f, sp: kernel(f, sp, -1) * (1.001 / sp.order))
+    monkeypatch.setattr(uniformity, "dft", lambda f, sp: kernel(f, sp, -1) * (1.001 / sp.order))
     assert suites._check_u2_fourier({"seed": 0}).status == "FAIL"
 
 
@@ -440,7 +438,7 @@ def test_reduced_pair_qgs_structure():
     for D in (2, 3):
         FD = QuadraticFactor(F.spec, [], F.matrices[:D])
         rp = reduced_pair(A, FD, 1e-9)
-        assert set(rp.error_labels().tolist()) == {0}
+        assert set(np.flatnonzero(rp.err).tolist()) == {0}
 
 
 def test_reduced_pair_gs_zero_atom_error():
