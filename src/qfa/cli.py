@@ -17,8 +17,8 @@ import numpy as np
 
 from . import regularize as reg
 from .detectors import (
+    BOUND_ONLY,
     FOUND,
-    NONE,
     SearchBudget,
     cap2_check,
     count_tree_encodings,
@@ -84,51 +84,32 @@ def cmd_verify(args):
 
 def cmd_detect(args):
     A = parse_set_spec(args.set)
-    budget = SearchBudget(node_limit=args.budget_nodes, time_limit=args.budget_seconds)
     kind = args.kind
-    if kind == "op":
-        res = find_op(A, args.k, budget)
-    elif kind == "hop2":
-        res = find_hop2(A, args.k, budget)
-    elif kind == "fop2":
-        res = find_fop2(A, args.k, budget)
-    elif kind == "vc":
-        k, w, status = vc_dim(A, args.k, budget)
-        out = {"kind": "vc", "value": k, "status": "exact" if status == FOUND else status}
-        if args.witness and w is not None:
-            out["witness"] = w.to_jsonable()
-        print(json.dumps(out, indent=2, default=str))
-        return 0
-    elif kind == "vc2":
-        k, w, status = vc2_dim(A, args.k, budget)
-        out = {"kind": "vc2", "value": k, "status": "exact" if status == FOUND else status}
-        if args.witness and w is not None:
-            out["witness"] = w.to_jsonable()
-        print(json.dumps(out, indent=2, default=str))
-        return 0
-    elif kind == "cap2":
-        ok, cube, status = cap2_check(A, budget)
-        out = {"kind": "cap2", "holds": ok, "status": "exact" if status == FOUND else status}
-        if args.witness and cube is not None:
-            out["witness"] = cube.to_jsonable()
-        print(json.dumps(out, indent=2, default=str))
-        return 0 if status == FOUND else 1
-    elif kind == "tree":
+    if kind == "tree":
         from .core import GroupSubset
 
         full = GroupSubset.full(A.spec)
         count = count_tree_encodings(A, args.k, full, full)
         print(json.dumps({"kind": "tree", "d": args.k, "count": str(count)}))
         return 0
-    else:
-        raise ValueError(kind)
-    out = {"kind": kind, "k": args.k, "status": res.status, "nodes": res.nodes}
-    if args.exhaustive and res.status == "bound-only":
-        out["note"] = "budget exhausted before the space was covered"
-    if args.witness and res.witness is not None:
-        out["witness"] = res.witness.to_jsonable()
+    budget = SearchBudget(node_limit=args.budget_nodes, time_limit=args.budget_seconds)
+    if kind in ("op", "hop2", "fop2"):
+        res = {"op": find_op, "hop2": find_hop2, "fop2": find_fop2}[kind](A, args.k, budget)
+        w, status = res.witness, res.status
+        out = {"kind": kind, "k": args.k, "status": status, "nodes": res.nodes}
+    else:  # (value, witness, status): FOUND means the value is exact
+        if kind == "cap2":
+            value, w, status = cap2_check(A, budget)
+        else:
+            value, w, status = (vc_dim if kind == "vc" else vc2_dim)(A, args.k, budget)
+        key = "holds" if kind == "cap2" else "value"
+        out = {"kind": kind, key: value, "status": "exact" if status == FOUND else status}
+    if status == BOUND_ONLY:
+        out["note"] = "the search budget does not cover the space"
+    if args.witness and w is not None:
+        out["witness"] = w.to_jsonable()
     print(json.dumps(out, indent=2, default=str))
-    return 0 if res.status in (FOUND, NONE) else 1
+    return 1 if status == BOUND_ONLY else 0
 
 
 def _load_triad(args, factor):
@@ -267,7 +248,6 @@ def build_parser():
     d.add_argument("--set", required=True)
     d.add_argument("--k", type=int, default=2)
     d.add_argument("--witness", action="store_true")
-    d.add_argument("--exhaustive", action="store_true")
     d.add_argument("--budget-nodes", type=int, default=50_000_000)
     d.add_argument("--budget-seconds", type=float, default=600.0)
     d.set_defaults(fn=cmd_detect)

@@ -7,7 +7,7 @@ idx = sum_i v_i * p**i (coordinate 0 varies fastest).  Every table in this
 module is keyed by that fixed bijection.
 
 "The index of x + y" has two paths.  The fast path, `_sum_index_grid` over
-`GroupSpec.add_tables` (and `GroupSpec.sum_table` in small groups), serves
+`GroupSpec.half_table` (and `GroupSpec.sum_table` in small groups), serves
 every library computation.  The digit path adds coordinate rows mod p and
 indexes the sums (`GroupSpec.add_perm`, `GroupSpec.indices_of`,
 `detectors._members`); it is kept for the oracles and for witness
@@ -24,6 +24,10 @@ import numpy as np
 
 DEFAULT_GROUP_BITS = 24
 COMPLEX_TOL = 1e-9
+# Working memory one block of a blocked kernel may hold, in bytes.
+BLOCK_BYTES = 1 << 23
+# Entries of the largest sum_table: a cache kept for the life of the spec, not a block.
+_SUM_TABLE_ENTRIES = 1 << 23
 
 
 class CapacityError(Exception):
@@ -45,6 +49,12 @@ def is_prime(m: int) -> bool:
             return False
         d += 2
     return True
+
+
+def block_rows(row_bytes: int) -> int:
+    """How many rows of `row_bytes` bytes each fit in BLOCK_BYTES, at least
+    one.  A kernel's row width counts every temporary that one row creates."""
+    return max(1, BLOCK_BYTES // max(1, row_bytes))
 
 
 def group_bits_cap() -> int:
@@ -73,7 +83,7 @@ class GroupSpec:
         self.order = p**n
         self._powers = p ** np.arange(n, dtype=np.int64)
         self._digits = None
-        self._add_tables = None
+        self._half_table = None
         self._sum_table = None
 
     def __eq__(self, other):
@@ -98,19 +108,15 @@ class GroupSpec:
         return self._digits
 
     @property
-    def add_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """(half, top): the addition table of F_p^(n // 2), in the smallest
-        unsigned dtype that holds its entries, and the p x p table of F_p
-        scaled by p^(2 (n // 2)), the two tables that `_sum_index_grid`
-        reads; built once and read-only like `digits`."""
-        if self._add_tables is None:
+    def half_table(self) -> np.ndarray:
+        """The addition table of F_p^(n // 2), in the smallest unsigned dtype
+        that holds its entries: the table `_sum_index_grid` reads, at most N
+        entries; built once and read-only like `digits`."""
+        if self._half_table is None:
             k = self.n // 2
-            half = addition_table(self.p, k).astype(np.min_scalar_type(self.p**k - 1))
-            tables = (half, addition_table(self.p, 1) * self.p ** (2 * k))
-            for t in tables:
-                t.setflags(write=False)
-            self._add_tables = tables
-        return self._add_tables
+            self._half_table = addition_table(self.p, k).astype(np.min_scalar_type(self.p**k - 1))
+            self._half_table.setflags(write=False)
+        return self._half_table
 
     def index_of(self, v) -> int:
         v = np.asarray(v, dtype=np.int64)
@@ -136,7 +142,7 @@ class GroupSpec:
     def sum_table(self) -> np.ndarray | None:
         """Cached (order, order) table of pairwise sum indices, or None when
         the group is too large for it to be worthwhile."""
-        if self.order**2 > (1 << 23):
+        if self.order**2 > _SUM_TABLE_ENTRIES:
             return None
         if self._sum_table is None:
             self._sum_table = addition_table(self.p, self.n).astype(np.int32)
@@ -171,17 +177,18 @@ def _sum_index_grid(spec: GroupSpec, X, Y) -> np.ndarray:
 
     With k = n // 2 and Q = p^k, write x = (x_top * Q + x_hi) * Q + x_lo:
     x_hi and x_lo are halves of k coordinates, whose sums are read through
-    the addition table of F_p^k (at most N entries), and x_top is the last
-    coordinate when n is odd, read through the p x p table of F_p.  Both
-    tables come from `spec.add_tables`.  Table rows are gathered for X
-    first, so X should be the smaller argument."""
+    the addition table of F_p^k (`spec.half_table`, at most N entries), and
+    x_top is the last coordinate when n is odd, added mod p.  Table rows are
+    gathered for X first, so X should be the smaller argument.  Besides its
+    int64 result the grid holds at most two int64 temporaries per entry."""
     Q = np.int64(spec.p ** (spec.n // 2))  # promotes the compact table entries
-    table, top = spec.add_tables
+    table = spec.half_table
     Xt, Xh, Xl = X // (Q * Q), X // Q % Q, X % Q
     Yt, Yh, Yl = Y // (Q * Q), Y // Q % Q, Y % Q
-    out = table[Xh][..., Yh] * Q + table[Xl][..., Yl]
+    out = table[Xh][..., Yh] * Q
+    out += table[Xl][..., Yl]
     if spec.n % 2:
-        out += top[Xt][..., Yt]
+        out += np.add.outer(Xt, Yt) % spec.p * (Q * Q)
     return out
 
 
@@ -352,17 +359,26 @@ def gauss_sum(M: np.ndarray, b, spec: GroupSpec):
     for one (n, n) matrix and shift, or as a (B,) array for a (B, n, n)
     stack of matrices with a (B, n) stack of shifts.
 
-    A stack takes one quad_values pass and one bincount, whose bins are
-    offset by p per matrix.  |result| <= p^(-rank(M)/2) up to floating
-    error (classical estimate).
+    A stack is taken in blocks of matrices, each one quad_values pass and
+    one bincount, whose bins are offset by p per matrix.  |result| <=
+    p^(-rank(M)/2) up to floating error (classical estimate).
     """
-    p = spec.p
-    vals = (quad_values(M, spec) + linear_values(b, spec)) % p
-    rows = vals.reshape(-1, spec.order)
-    counts = np.bincount((rows + p * np.arange(len(rows))[:, None]).ravel(), minlength=len(rows) * p)
+    p, M, b = spec.p, np.asarray(M), np.asarray(b)
+    if b.shape != M.shape[:-1]:
+        raise ShapeError(f"shift shape {b.shape} does not match matrix shape {M.shape}")
+    one = M.ndim == 2
+    if one:
+        M, b = M[None], b[None]
+    # per matrix, seven int64 tables of N entries: the quadratic and linear
+    # values and their remainders, their sum, its remainder and the bins
+    step = block_rows(7 * 8 * spec.order)
+    counts = []
+    for s in range(0, max(len(M), 1), step):
+        vals = (quad_values(M[s : s + step], spec) + linear_values(b[s : s + step], spec)) % p
+        counts.append(np.bincount((vals + p * np.arange(len(vals))[:, None]).ravel(), minlength=len(vals) * p))
     roots = np.exp(2j * np.pi * np.arange(p) / p)
-    out = np.dot(counts.reshape(vals.shape[:-1] + (p,)).astype(np.float64), roots) / spec.order
-    return complex(out) if vals.ndim == 1 else out
+    out = np.dot(np.concatenate(counts).reshape(-1, p).astype(np.float64), roots) / spec.order
+    return complex(out[0]) if one else out
 
 
 # A chunk of g coordinates is transformed by one product with the character

@@ -31,15 +31,16 @@ tuples reads all of its patterns A[a + b_i + c_j] from GroupSpec.sum_table()
 (or _sum_index_grid in groups too large for it) in a few gathers.  Its first
 hit in lexicographic order is the one a tuple-at-a-time loop would find, so the
 witness is that loop's, and SearchBudget.charge bills the block exactly as the
-loop's ticks would, also when node_limit falls inside it.  Blocks hold about
-2^22 entries, and the clock is read once per block.
+loop's ticks would, also when node_limit falls inside it.  Blocks come from
+core.block_rows, each tuple counting every temporary it creates, and the
+clock is read once per block.
 
 Every witness a search returns is re-tested by Witness.revalidate on a path
 the searches do not share: _role_sums adds the coordinate vectors of its roles
 by broadcasting and indexes the sums with GroupSpec.indices_of, one gather
 reads A there (_members), or the reduced pair's label codes for a good copy,
 and the kind compares that grid with its expected pattern.  It never reads
-sum_table(), add_tables, _sum_index_grid, _Grid or _Columns.
+sum_table(), half_table, _sum_index_grid, _Grid or _Columns.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ import time
 
 import numpy as np
 
-from .core import CapacityError, GroupSpec, GroupSubset, _sum_index_grid, matrix_rank
+from .core import CapacityError, GroupSpec, GroupSubset, _sum_index_grid, block_rows, matrix_rank
 
 NONE = "none"
 FOUND = "witness"
@@ -100,9 +101,6 @@ class SearchBudget:
             self.nodes += per * (room + 1)
             return False
         return self.tick(per * used)
-
-    def exhausted(self) -> bool:
-        return self.nodes > self.node_limit or time.monotonic() > self._deadline
 
 
 class Witness:
@@ -234,21 +232,21 @@ class DetectResult:
         return f"DetectResult({self.status}, nodes={self.nodes})"
 
 
-_BLOCK = 1 << 22  # entries per block of the translate-grid kernel
-
-
 class _Grid:
     """Sums and membership reads of an indicator `ind` over the group.
     add(x, y): index of x + y for a (P, 1) column x and a (1, m) row or
     (P, 1) column y; sums(v)[s] = index of v + s; rows(s)[..., a] =
     ind[s + a].  All read sum_table(), via look[c, a] = ind[a + c], when the
-    group has one, else _sum_index_grid; a group without the table has
-    N^2 > _BLOCK, so the grid kernel's blocks hold P = 1."""
+    group has one, else _sum_index_grid, where add reads y[0] and so needs
+    P = 1 for a column y: _grid_search gives such a group one prefix per
+    block.  entry_bytes bounds the bytes of one sum of add or rows: an int32
+    table entry, or _sum_index_grid's 24 and one membership byte."""
 
     def __init__(self, spec: GroupSpec, ind: np.ndarray):
         self.spec, self.ind, self.N = spec, ind, spec.order
         self.tab = spec.sum_table()
         self.all = np.arange(self.N)
+        self.entry_bytes = 4 if self.tab is not None else 25
 
     @functools.cached_property
     def look(self):
@@ -491,19 +489,20 @@ def find_hop2(A: GroupSubset, k: int, budget: SearchBudget | None = None) -> Det
     return DetectResult(FOUND, w, budget.nodes)
 
 
-def _grid_blocks(N: int, r: int, width: int):
+def _grid_blocks(N: int, r: int, width: int, one_prefix: bool):
     """itertools.product(range(N), repeat=r) in blocks (pre, last): each row
     of `pre` followed by each value in `last`, in lexicographic order.  Blocks
-    double from one prefix up to about _BLOCK / width tuples, so an early hit
-    stays cheap.  For r = 0 the empty tuple gets a placeholder last = [0]."""
-    most, n_last = max(1, _BLOCK // width), N if r else 1
+    double from one prefix up to block_rows(width) tuples of `width` bytes,
+    so an early hit stays cheap, or keep one prefix when `one_prefix`.  For
+    r = 0 the empty tuple gets a placeholder last = [0]."""
+    most, n_last = block_rows(width), N if r else 1
     prefixes = itertools.product(range(N), repeat=max(r - 1, 0))
     g = 1
     while chunk := list(itertools.islice(prefixes, g)):
         pre = np.array(chunk, dtype=np.int64).reshape(len(chunk), max(r - 1, 0))
         for s in range(0, n_last, most):
             yield pre, np.arange(s, min(s + most, n_last))
-        g = min(2 * g, max(1, most // N))
+        g = 1 if one_prefix else min(2 * g, max(1, most // N))
 
 
 def _grid_search(A: GroupSubset, k: int, codes, per: int, budget: SearchBudget):
@@ -515,7 +514,10 @@ def _grid_search(A: GroupSubset, k: int, codes, per: int, budget: SearchBudget):
     N, K = grid.N, 1 << (k * k)
     dtype = np.min_scalar_type(K - 1)
     zero = np.zeros((1, 1), dtype=np.int64)
-    for pre, last in _grid_blocks(N, 2 * k - 2, max(N, K)):
+    # per tuple: its pattern row, one rows() read with its cast and shift,
+    # its row of `present`, the columns of `codes` and a few index bytes
+    width = (3 * dtype.itemsize + grid.entry_bytes) * N + 2 * K + 16
+    for pre, last in _grid_blocks(N, 2 * k - 2, width, grid.tab is None):
         # pats[prefix, last, a]: b_i and c_j are (P, 1) columns, c_k a (1, m) row
         b = [zero] + [pre[:, [t]] for t in range(k - 1)]
         c = [zero] + [pre[:, [t]] for t in range(k - 1, 2 * k - 3)] + [last[None, :]] * (k > 1)
@@ -657,7 +659,7 @@ def cap2_check(A: GroupSubset, budget: SearchBudget | None = None):
         shifted = grid.ind[grid.sums(a)]
         D, E = grid.ind & shifted, grid.ind & ~shifted
         ys = np.flatnonzero(D)[None, :]
-        step = max(1, _BLOCK // max(1, ys.size))
+        step = block_rows((grid.entry_bytes + 2) * ys.size)  # the sums, D and E at them
         for b0 in range(0, N, step):
             bs = np.arange(b0, min(b0 + step, N))
             hit = None

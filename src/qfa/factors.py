@@ -24,6 +24,7 @@ from .core import (
     _format_row,
     _row_tokens,
     as_sym_matrix,
+    block_rows,
     linear_values,
     matrix_rank,
     quad_values,
@@ -319,10 +320,6 @@ def _nontrivial_combos(q: int, p: int) -> np.ndarray:
     return np.concatenate(blocks) if blocks else np.zeros((0, q), dtype=np.int64)
 
 
-# Combinations ranked per rref call: bounds the stack's temporaries.
-_RANK_BLOCK = 512
-
-
 def _least_rank_combo(mats, p: int, lams=None) -> tuple:
     """(rank, lam) of the first combination sum_j lam_j M_j of least F_p-rank,
     over the rows of lams (default: every nontrivial combination, in
@@ -333,8 +330,11 @@ def _least_rank_combo(mats, p: int, lams=None) -> tuple:
     if lams is None:
         lams = _nontrivial_combos(len(mats), p)
     best, best_lam = math.inf, None
-    for start in range(0, len(lams), _RANK_BLOCK):
-        block = lams[start : start + _RANK_BLOCK]
+    # per combination, eight int64 matrices: the tensordot and its remainder,
+    # rref's copy and its remainder, and the four of its elimination step
+    step = block_rows(8 * stack[0].nbytes)
+    for start in range(0, len(lams), step):
+        block = lams[start : start + step]
         _, pivots = rref(np.tensordot(block, stack, axes=1) % p, p)
         ranks = pivots.sum(axis=1)
         i = int(ranks.argmin())
@@ -507,20 +507,15 @@ def pullback_factor(B: QuadraticFactor, R: LinearFactor, verify: bool = True):
             lin_extra.extend(t for _, t in pairs)
             pairs = []
             break
-        if math.isfinite(rho):
-            worst_rank, worst_lam = _least_rank_combo(mats, p)
-            if worst_rank >= rho:
-                break
-            combo = np.tensordot(worst_lam, np.stack(mats), axes=1) % p
-            if combo.any():
-                raise AssertionError(
-                    "low-rank combination did not vanish; factor rank was misreported"
-                )
-            lam = worst_lam
-        else:
-            lam = None
-        if lam is None:
+        # rho is infinite only for q = 0, whose matrices all vanish above
+        worst_rank, lam = _least_rank_combo(mats, p)
+        if worst_rank >= rho:
             break
+        combo = np.tensordot(lam, np.stack(mats), axes=1) % p
+        if combo.any():
+            raise AssertionError(
+                "low-rank combination did not vanish; factor rank was misreported"
+            )
         i = min(j for j in range(len(pairs)) if lam[j])
         inv = pow(int(lam[i]), p - 2, p)
         w = pairs[i][1].copy()

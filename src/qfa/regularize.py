@@ -66,11 +66,6 @@ class AtomicityVerdict:
     def is_atomic(self) -> bool:
         return self.error_count == 0
 
-    def is_almost_atomic(self) -> bool:
-        """delta-almost eps-atomic: the union of error cells has measure at
-        most delta * |G|."""
-        return self.error_mass <= self.delta * self.total
-
     def __repr__(self):
         return (
             f"AtomicityVerdict(eps={self.eps}, delta={self.delta}, "
@@ -422,7 +417,6 @@ def stable_linear_decomposition(
             }
         )
         # try to commit a chain step (conditions checked by the validator)
-        strong_eps = eps * p ** (-float(psi(m)))
         gamma1 = [int(i) for i in np.nonzero(v_strong.near_one)[0]]
         gamma0 = [int(i) for i in np.nonzero(v_strong.near_zero)[0]]
         gamma_err = [int(i) for i in np.nonzero(v_strong.error)[0]]
@@ -447,9 +441,9 @@ def stable_linear_decomposition(
         new_dual = _lift_character(cur, lab.vector_of(t_star))
         cur = Subgroup(spec, cur.duals + [new_dual])
         if cur.codim - ell0 > max_codim:
+            table, m, v_plain, v_strong = classify(cur)
             break
 
-    table, m, v_plain, v_strong = classify(cur)
     omega_prime = [int(i) for i in np.nonzero(v_strong.error)[0]]
     mu = len(omega0) / max(1, p**ell0)
     bound = (mu + eps * p ** (-float(psi(m)))) * p ** (m + ell0)

@@ -14,17 +14,16 @@ import functools
 import numpy as np
 
 from .core import (
-    CapacityError, GroupSpec, GroupSubset, ShapeError, _sum_index_grid, dft,
+    CapacityError, GroupSpec, GroupSubset, ShapeError, _sum_index_grid, block_rows, dft,
 )
 from .factors import AtomLabel, label_index_table
 
 
-# Block sizes of the blocked kernels.  beta_graph and dev2_sum take _ROWS
-# rows at a time, so their temporaries are O(_ROWS |Y|) and O(_ROWS^2)
-# elements instead of |X| |Y| and |X|^2; oct_sum's two buffers hold at most
-# _OCT_ELEMS elements each (16 MB in float64).
-_ROWS = 256
-_OCT_ELEMS = 1 << 21
+# The blocked kernels here (u2_norm, u3_norm, beta_graph, dev2_sum, oct_sum
+# and _sum_membership_tensor) take their blocks from core.block_rows: each
+# counts the bytes of every temporary one row of its block creates, so a
+# block holds about core.BLOCK_BYTES whatever the sizes.  An index entry from
+# _sum_index_grid costs 24 bytes: its int64 result and two temporaries.
 
 
 class MeasureReport:
@@ -67,12 +66,12 @@ def u2_norm(f, spec: GroupSpec) -> float:
     product gives
     M[x_lo, h_hi, y_lo] = sum_(x_hi) F[x_hi, x_lo] conj F[x_hi + h_hi, y_lo].
     Then g(h_hi, h_lo) = (1/N) sum_(x_lo) M[x_lo, h_hi, x_lo + h_lo], gathered
-    through the addition table of the low half-group (`spec.add_tables`,
+    through the addition table of the low half-group (`spec.half_table`,
     the table `_sum_index_grid` reads).  That is O(N^2)
-    multiply-adds in BLAS; no table has more than max(N, p^2) entries, and each
-    block's temporaries hold at most 2^20 elements.  For n = 1 the low half
-    is the trivial group (Q = 1).  A real f stays real, which needs a
-    quarter of the multiply-adds.
+    multiply-adds in BLAS; no table has more than N entries, and the blocks
+    of h_hi come from `block_rows`.  For n = 1 the low half is the trivial
+    group (Q = 1).  A real f stays real, which needs a quarter of the
+    multiply-adds.
     """
     f = np.asarray(f)
     f = f.astype(np.result_type(f.dtype, np.float64))
@@ -87,10 +86,11 @@ def u2_norm(f, spec: GroupSpec) -> float:
     Fc = np.conj(F)
     # at n = 1 the high half is the group itself: share its p x p table
     hi_spec = GroupSpec(spec.p, spec.n - n_lo) if n_lo else spec
-    lo_table = spec.add_tables[0]
+    lo_table = spec.half_table
     rows = np.arange(Q)[:, None]
     total = 0.0
-    block = max(1, (1 << 20) // (Q * max(P, Q)))
+    # per h_hi: P sums, the N gathered conj F entries, M and its gather
+    block = block_rows(24 * P + F.itemsize * (N + 2 * Q * Q))
     for start in range(0, P, block):
         hs = np.arange(start, min(start + block, P))
         sums = _sum_index_grid(hi_spec, hs, np.arange(P))
@@ -109,18 +109,18 @@ def u2_norm_fourier(f, spec: GroupSpec) -> float:
 def u3_norm(f, spec: GroupSpec) -> float:
     """U^3 norm as E_c of the fourth U^2 power of the multiplicative
     derivative, each inner norm via the Fourier identity; the shifts x + c
-    come from `_sum_index_grid`, a block of c at a time."""
+    come from `_sum_index_grid`, a block of c at a time (`block_rows`)."""
     f = np.asarray(f, dtype=complex)
     if f.shape != (spec.order,):
         raise ShapeError("function table length mismatch")
     N = spec.order
     total = 0.0
-    block = max(1, (1 << 22) // N)
+    # per c and x: the sum; the gather, its conjugate, delta and two dft
+    # tables (complex); |hat| and its fourth power (float64)
+    block = block_rows((24 + 5 * 16 + 2 * 8) * N)
     for start in range(0, N, block):
-        idx = _sum_index_grid(spec, np.arange(start, min(start + block, N)), np.arange(N))
-        delta = f[None, :] * np.conj(f[idx])
-        hat = dft(delta, spec)
-        total += float((np.abs(hat) ** 4).sum())
+        shifted = _sum_index_grid(spec, np.arange(start, min(start + block, N)), np.arange(N))
+        total += float((np.abs(dft(f[None, :] * np.conj(f[shifted]), spec)) ** 4).sum())
     return float((total / N) ** 0.125)
 
 
@@ -222,29 +222,34 @@ def _bilin_matrix(factor, X_idx, Y_idx) -> np.ndarray:
     """(q, |X|, |Y|) stack of bilinear values x^T M y mod p over the parts.
 
     The products run in float64 BLAS, reduced mod p after the first one; this
-    is exact because every partial sum is at most n (p-1)^2 < 2^53."""
+    is exact because every partial sum is at most n (p-1)^2 < 2^53.  The
+    float64 product is cast once to the smallest unsigned dtype that holds
+    n (p-1)^2 and reduced mod p in place."""
     spec = factor.spec
     dX = spec.digits[np.asarray(X_idx, dtype=np.int64)].astype(np.float64)
     dY = spec.digits[np.asarray(Y_idx, dtype=np.int64)].astype(np.float64)
     if not factor.matrices:
-        return np.zeros((0, len(dX), len(dY)), dtype=np.int64)
+        return np.zeros((0, len(dX), len(dY)), dtype=np.uint8)
     Ms = np.stack(factor.matrices).astype(np.float64)
-    return (((dX @ Ms) % spec.p) @ dY.T).astype(np.int64) % spec.p
+    vals = (((dX @ Ms) % spec.p) @ dY.T).astype(np.min_scalar_type(spec.n * (spec.p - 1) ** 2))
+    vals %= spec.p
+    return vals
 
 
 def beta_graph(factor, X_idx, Y_idx, b_label) -> np.ndarray:
     """Edge matrix of the bilinear-form graph: (x, y) with x^T M_i y = b_i.
 
-    Built _ROWS rows of X at a time, so the bilinear values never exceed a
-    (q, _ROWS, |Y|) block."""
+    Built a block of rows of X at a time (`block_rows`), so the bilinear
+    values never exceed one float64 (q, rows, |Y|) product and its reduction."""
     X = np.asarray(X_idx, dtype=np.int64)
     b_label = np.asarray(b_label, dtype=np.int64) % factor.spec.p
-    out = np.ones((len(X), len(Y_idx)), dtype=bool)
-    for s in range(0, len(X), _ROWS):
-        vals = _bilin_matrix(factor, X[s : s + _ROWS], Y_idx)
-        block = out[s : s + _ROWS]
-        for i in range(factor.q):
-            block &= vals[i] == b_label[i]
+    out = np.empty((len(X), len(Y_idx)), dtype=bool)
+    # per row: two (q, n) float64 products of its digits, then the float64
+    # bilinear product, its reduction (at most 8 bytes), the comparison with
+    # b and their conjunction
+    rows = block_rows(factor.q * (16 * factor.spec.n + 17 * len(Y_idx)) + len(Y_idx))
+    for s in range(0, len(X), rows):
+        out[s : s + rows] = (_bilin_matrix(factor, X[s : s + rows], Y_idx) == b_label[:, None, None]).all(axis=0)
     return out
 
 
@@ -302,11 +307,11 @@ def dev2_sum(edges: np.ndarray) -> tuple:
 
     With r the row sums, t = r - d |Y| their deviations and K = m m^T the
     integer codegrees, |Y| C = |Y| K - r r^T + t t^T, whose first two terms
-    are integers, exact in float64 for |Y| <= 2^26.  K is built _ROWS x _ROWS block by block over the
-    upper triangle (off-diagonal blocks count twice), each block a float32
-    product of two row blocks converted on the fly.  Every codegree is an
-    integer at most |Y|, so float32 is exact up to |Y| = 2^24; wider rows
-    take float64."""
+    are integers, exact in float64 for |Y| <= 2^26.  K is built in square
+    blocks over the upper triangle (off-diagonal blocks count twice), each
+    block a float32 product of two row blocks converted on the fly.  Every
+    codegree is an integer at most |Y|, so float32 is exact up to
+    |Y| = 2^24; wider rows take float64."""
     nx, ny = edges.shape
     if nx == 0 or ny == 0:
         return 0.0, 0.0
@@ -314,15 +319,19 @@ def dev2_sum(edges: np.ndarray) -> tuple:
     total_edges = r.sum()
     t = r - total_edges / nx
     dtype = np.float32 if ny <= 1 << 24 else np.float64
+    # per row: its two converted row blocks, then a row of the square block
+    # (the product, its float64 copy and two outer products), which has as
+    # many columns as rows, so no more than block_rows(conv)
+    conv = 2 * np.dtype(dtype).itemsize * ny
+    R = block_rows(conv + (np.dtype(dtype).itemsize + 24) * min(nx, block_rows(conv)))
     total = 0.0
-    for i in range(0, nx, _ROWS):
-        mi = edges[i : i + _ROWS].astype(dtype)
-        for j in range(i, nx, _ROWS):
-            mj = mi if j == i else edges[j : j + _ROWS].astype(dtype)
-            block = (mi @ mj.T).astype(np.float64)  # K, then |Y| C
+    for i in range(0, nx, R):
+        mi = edges[i : i + R].astype(dtype)
+        for j in range(i, nx, R):
+            block = (mi @ (mi if j == i else edges[j : j + R].astype(dtype)).T).astype(np.float64)  # K, then |Y| C
             block *= ny
-            block -= np.outer(r[i : i + _ROWS], r[j : j + _ROWS])
-            block += np.outer(t[i : i + _ROWS], t[j : j + _ROWS])
+            block -= np.outer(r[i : i + R], r[j : j + R])
+            block += np.outer(t[i : i + R], t[j : j + R])
             total += (1 if j == i else 2) * float(np.square(block, out=block).sum())
     return total / ny**2, float(total_edges / (nx * ny))
 
@@ -356,12 +365,11 @@ def oct_sum(h: np.ndarray) -> float:
 
     The summand is symmetric in (u0, u1), so only u1 >= u0 is visited and
     the off-diagonal pairs count twice.  The u1 run is batched (to stay in
-    matrix-multiply kernels) in blocks whose two buffers, the products
-    h[u0] h[u1] and their codegree matrices, hold at most _OCT_ELEMS
-    elements each."""
+    matrix-multiply kernels) in blocks from `block_rows`, whose rows are two
+    buffers: the products h[u0] h[u1] and their codegree matrices."""
     U, V, W = h.shape
-    rows = max(1, min(U, _OCT_ELEMS // max(1, V * max(V, W))))
     dtype = np.result_type(h.dtype, np.float64)
+    rows = min(U, block_rows(dtype.itemsize * V * (V + W)))
     T, C = np.empty((rows, V, W), dtype=dtype), np.empty((rows, V, V), dtype=dtype)
     total = 0.0
     for u0 in range(U):
@@ -443,13 +451,13 @@ def dev23_measure(A: GroupSubset, d: TriadDescriptor, max_part: int = 256) -> De
 def _sum_membership_tensor(A: GroupSubset, *index_lists) -> np.ndarray:
     """(|X_1|, ..., |X_r|) membership of x_1 + ... + x_r in A, for r >= 2
     index lists.  The sums of all lists but the first are formed whole;
-    X_1 is then added in blocks of at most 2^22 sums."""
+    X_1 is then added in blocks from `block_rows`."""
     X, *rest = (np.asarray(L, dtype=np.int64) for L in index_lists)
     S = rest[0]
     for L in rest[1:]:
         S = _sum_index_grid(A.spec, S, L)
     out = np.empty(X.shape + S.shape, dtype=bool)
-    block = max(1, (1 << 22) // max(1, S.size))
+    block = block_rows(25 * S.size)  # the index grid and the membership read
     for s in range(0, len(X), block):
         out[s : s + block] = A.indicator[_sum_index_grid(A.spec, X[s : s + block], S)]
     return out

@@ -187,4 +187,5 @@ def refinement_stability_check(coarse, fine, A: GroupSubset, eps: float, mu: flo
     v_coarse = AtomicityVerdict(A, t_coarse, eps, eps)
     target = 2 * math.sqrt(eps)
     v_fine = AtomicityVerdict(A, t_fine, target, target)
-    return (not v_coarse.is_almost_atomic()) or v_fine.is_almost_atomic()
+    # delta-almost eps-atomic: the error cells have measure at most delta |G|
+    return v_coarse.error_mass > eps * v_coarse.total or v_fine.error_mass <= target * v_fine.total

@@ -112,6 +112,18 @@ def test_cli_detect_none(capsys):
     assert doc["status"] == "none"
 
 
+@pytest.mark.parametrize("kind,witness", [("vc", "VC"), ("vc2", "VC2"), ("cap2", "CUBE")])
+def test_cli_detect_value_searches_exit_1_when_the_budget_runs_out(kind, witness, capsys):
+    args = ["detect", kind, "--set", "gs:p=3,n=4", "--k", "3", "--witness"]
+    assert main(args) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["status"] == "exact" and doc["witness"]["kind"] == witness and "note" not in doc
+    assert main(args + ["--budget-nodes", "10"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["status"] == "bound-only"
+    assert doc["note"] == "the search budget does not cover the space"
+
+
 def test_cli_usage_error_exit_2(capsys):
     rc = main(["detect", "op", "--set", "nosuch:p=3", "--k", "2"])
     assert rc == 2

@@ -92,6 +92,16 @@ def test_gauss_sum_trivial_cases():
     assert abs(gauss_sum(z, np.array([1, 0, 0, 0]), spec)) < 1e-9
 
 
+def test_gauss_sum_needs_one_shift_per_matrix():
+    spec = GroupSpec(3, 2)
+    M = np.stack([np.eye(2, dtype=np.int64)] * 3)
+    for b in (np.zeros(2), np.zeros((2, 2)), np.zeros((3, 3))):
+        with pytest.raises(ShapeError):
+            gauss_sum(M, b, spec)
+    with pytest.raises(ShapeError):
+        gauss_sum(M[0], np.zeros(3), spec)
+
+
 def test_gauss_sum_identity_matrix():
     for n in range(1, 9):
         spec = GroupSpec(3, n)
@@ -203,13 +213,12 @@ def test_sum_index_grid_reads_read_only_tables_held_on_the_spec():
     rng = np.random.default_rng(6)
     for p, n in ((3, 1), (3, 2), (3, 5), (5, 3), (7, 2)):
         spec = GroupSpec(p, n)
-        half, top = spec.add_tables
-        assert spec.add_tables[0] is half and spec.add_tables[1] is top
-        assert half.shape == (p ** (n // 2),) * 2 and top.shape == (p, p)
-        for t in (half, top):
-            assert not t.flags.writeable
-            with pytest.raises(ValueError):
-                t[0, 0] = 1
+        half = spec.half_table
+        assert spec.half_table is half
+        assert half.shape == (p ** (n // 2),) * 2
+        assert not half.flags.writeable
+        with pytest.raises(ValueError):
+            half[0, 0] = 1
         X = rng.integers(0, spec.order, size=6)
         Y = rng.integers(0, spec.order, size=(2, 5))
         got = _sum_index_grid(spec, X, Y)
@@ -227,7 +236,7 @@ GRID_CASES = [
 def test_sum_index_grid_matches_digit_arithmetic():
     """_sum_index_grid against index arithmetic on digits i // p**j % p of
     the sampled indices alone (the spec's digit table would be 215 MB at
-    3^15).  Each spec, and so its add_tables, is built once."""
+    3^15).  Each spec, and so its half_table, is built once."""
     specs = {case: GroupSpec(*case) for case in GRID_CASES}
 
     @settings(max_examples=20, deadline=None, derandomize=True)

@@ -1,6 +1,7 @@
-"""Every public top-level function or class in src/qfa has a reader besides
-the tests: library code outside its own definition, a perfbench module,
-`qfa.__all__`, or a name in backticks in README.  An oracle, fixture or
+"""Every public top-level function or class in src/qfa, and every public
+method of a public class, has a reader besides the tests: library code
+outside its own definition, a perfbench module, `qfa.__all__`, or a name in
+backticks in README.  An oracle, fixture or
 check that only tests call lives in tests/support.py instead, so the library
 keeps no code that nothing else runs."""
 
@@ -33,8 +34,17 @@ def test_every_public_name_has_a_reader_outside_the_tests():
     readme = {word for span in re.findall(r"`([^`]+)`", prose) for word in re.findall(r"\w+", span)}
     unread = []
     for stem, tree in modules.items():
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+        defs = [node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+        public = [(node, node.name) for node in defs]
+        public += [
+            (method, f"{node.name}.{method.name}")
+            for node in defs
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+            for method in node.body
+            if isinstance(method, ast.FunctionDef)
+        ]
+        for node, label in public:
+            if node.name.startswith("_"):
                 continue
             in_library = any(
                 name == node.name and not (other == stem and node.lineno <= line <= node.end_lineno)
@@ -42,5 +52,5 @@ def test_every_public_name_has_a_reader_outside_the_tests():
                 for name, line in found
             )
             if not (in_library or node.name in perfbench or node.name in qfa.__all__ or node.name in readme):
-                unread.append(f"{stem}.{node.name}")
+                unread.append(f"{stem}.{label}")
     assert not unread, f"only tests reach {unread}: move them to tests/support.py or delete them"

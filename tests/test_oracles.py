@@ -439,45 +439,49 @@ def dev2_dense_oracle(edges):
     return float((C * C).sum()), float(d)
 
 
-ROWS = uniformity._ROWS
-
-
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(
-    nx=st.sampled_from([1, ROWS - 1, ROWS, ROWS + 1, 2 * ROWS + 1]),
+    budget=st.sampled_from([1, 2000, core.BLOCK_BYTES]),
+    nx=st.sampled_from([1, 4, 5, 8, 9, 40]),
     ny=st.sampled_from([1, 2, 7, 40]),
     fill=st.sampled_from(["random", "empty", "full"]),
     density=st.floats(0, 1),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(nx=2 * ROWS + 1, ny=1, fill="random", density=0.5, seed=0)
-@example(nx=ROWS + 1, ny=40, fill="empty", density=0.0, seed=0)
-@example(nx=2 * ROWS + 1, ny=7, fill="full", density=1.0, seed=0)
-def test_blocked_dev2_sum_matches_dense_oracle(nx, ny, fill, density, seed):
+@example(budget=2000, nx=9, ny=40, fill="random", density=0.5, seed=0)
+@example(budget=2000, nx=5, ny=40, fill="empty", density=0.0, seed=0)
+@example(budget=1, nx=9, ny=7, fill="full", density=1.0, seed=0)
+def test_blocked_dev2_sum_matches_dense_oracle(budget, nx, ny, fill, density, seed):
     """Row counts on both sides of one and two blocks, empty, full and
     single-column matrices: the blocked codegree sum equals the dense one to
-    a relative 1e-12, and the density exactly."""
+    a relative 1e-12, and the density exactly.  A block budget of 1 byte
+    gives blocks of one row; 2000 bytes at |Y| = 40 gives four."""
     if fill == "random":
         edges = np.random.default_rng(seed).random((nx, ny)) < density
     else:
         edges = np.full((nx, ny), fill == "full")
-    got, d = uniformity.dev2_sum(edges)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "BLOCK_BYTES", budget)
+        got, d = uniformity.dev2_sum(edges)
     want, want_d = dev2_dense_oracle(edges)
     assert d == want_d
     assert abs(got - want) <= 1e-12 * abs(want), (got, want)
 
 
 @pytest.mark.parametrize("p,n", [(3, 5), (5, 3), (7, 3)])
-def test_blocked_beta_graph_equals_whole_matrix_comparison(p, n):
-    """beta_graph builds its edges _ROWS rows at a time; the result is the
-    comparison of the whole (q, |X|, |Y|) bilinear stack, bit for bit."""
+def test_blocked_beta_graph_equals_whole_matrix_comparison(p, n, monkeypatch):
+    """beta_graph builds its edges a block of rows at a time; the result is
+    the comparison of the whole (q, |X|, |Y|) bilinear stack, bit for bit.
+    At |Y| = 37 the budgets give blocks of one row, two or three, and four
+    to six."""
     rng = np.random.default_rng(p * 100 + n)
     spec = GroupSpec(p, n)
-    for q in (2, 3):
+    for budget, q in itertools.product((1, 2400, 5000), (2, 3)):
+        monkeypatch.setattr(core, "BLOCK_BYTES", budget)
         mats = [(lambda R: (R + R.T) % p)(rng.integers(0, p, size=(n, n))) for _ in range(q)]
         F = QuadraticFactor(spec, [], mats)
         Y = rng.integers(0, spec.order, size=37)
-        for rows in (1, ROWS, ROWS + 1, 2 * ROWS + 1):
+        for rows in (1, 3, 7, 20):
             X = rng.integers(0, spec.order, size=rows)
             b = rng.integers(0, 2 * p, size=q)
             want = np.all(uniformity._bilin_matrix(F, X, Y) == (b % p)[:, None, None], axis=0)
@@ -832,7 +836,7 @@ def test_revalidation_reads_no_sum_table(witness_cases, monkeypatch):
         raise RuntimeError("revalidation read a search table")
 
     monkeypatch.setattr(GroupSpec, "sum_table", boom)
-    monkeypatch.setattr(GroupSpec, "add_tables", property(boom))
+    monkeypatch.setattr(GroupSpec, "half_table", property(boom))
     for module, name in ((core, "_sum_index_grid"), (detectors, "_sum_index_grid")):
         monkeypatch.setattr(module, name, boom)
     monkeypatch.setattr(detectors, "_Grid", boom)
@@ -845,7 +849,7 @@ def test_revalidation_reads_no_sum_table(witness_cases, monkeypatch):
 
 def test_oracles_read_no_fast_sum_path(monkeypatch):
     # The oracles run on add_perm digit sums, the other path from the code
-    # they check: with the sum table, add_tables and every by-name binding
+    # they check: with the sum table, half_table and every by-name binding
     # of _sum_index_grid made to raise, they return what they return
     # unblocked.
     rng = np.random.default_rng(0x0AC)
@@ -870,7 +874,7 @@ def test_oracles_read_no_fast_sum_path(monkeypatch):
         raise RuntimeError("an oracle read the fast sum path")
 
     monkeypatch.setattr(GroupSpec, "sum_table", boom)
-    monkeypatch.setattr(GroupSpec, "add_tables", property(boom))
+    monkeypatch.setattr(GroupSpec, "half_table", property(boom))
     bound = [m for m in (core, detectors, uniformity, regularize) if hasattr(m, "_sum_index_grid")]
     assert len(bound) == 4
     for module in bound:
@@ -887,7 +891,7 @@ def test_witness_check_reads_no_sum_table_under_optimize(run_optimized):
         "def boom(*args, **kwargs):\n"
         "    raise RuntimeError('revalidation read a search table')\n"
         "core.GroupSpec.sum_table = boom\n"
-        "core.GroupSpec.add_tables = property(boom)\n"
+        "core.GroupSpec.half_table = property(boom)\n"
         "core._sum_index_grid = det._sum_index_grid = det._Grid = det._Columns = boom\n"
         "det._check_witness(w)\n"
         "w.data['b'].reverse()\n"

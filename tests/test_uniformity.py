@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfa import uniformity
+from qfa import core, uniformity
 from qfa.core import CapacityError, GroupSpec, GroupSubset, ShapeError, dft
 from qfa.constructions import gs, trace_sym_space
 from qfa.factors import AtomLabel, LinearFactor, QuadraticFactor, atom_members, label_index_table
@@ -178,7 +178,7 @@ def test_sum_graph_kernels_match_digit_arithmetic():
             F = QuadraticFactor(sp, [], [M])
             want_b = np.array([[D[x] @ M @ D[y] % p for y in Y] for x in X])
             got = _bilin_matrix(F, X, Y)
-            assert got.dtype == np.int64 and np.array_equal(got[0], want_b)
+            assert got.dtype.kind == "u" and np.array_equal(got[0], want_b)
 
 
 def test_sum_graph_density_transfer_linear():
@@ -332,11 +332,11 @@ def test_beta_graph_dev2_at_n_8_stays_in_row_blocks(traced_peak):
 
 @pytest.mark.parametrize("rows", [1, 2, 3])
 def test_oct_sum_blocks_match_oracle(rows, monkeypatch):
-    # a block budget of `rows` u1 slices, so the runs from u0 split into full
-    # and partial blocks
+    # a block budget of `rows` u1 slices of two float64 buffers, (V, W) and
+    # (V, V), so the runs from u0 split into full and partial blocks
     for shape in ((7, 3, 4), (8, 5, 2), (5, 4, 6)):
         h = RNG.uniform(-1, 1, shape)
-        monkeypatch.setattr(uniformity, "_OCT_ELEMS", rows * shape[1] * max(shape[1:]))
+        monkeypatch.setattr(core, "BLOCK_BYTES", rows * 8 * shape[1] * sum(shape[1:]))
         assert abs(oct_sum(h) - oct_naive(h)) < 1e-8
 
 
