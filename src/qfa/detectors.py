@@ -8,8 +8,10 @@ Search strategy notes.  Since the group is abelian, a membership column over
 a chosen tuple collapses to a function of elementwise sums; every exhaustive
 search here enumerates one side of a configuration and matches the other side
 against precomputed level sets of the required column patterns.  Searches pin
-the first element of each translatable role at 0; a NONE verdict is reported
-only when the pruned search provably covered the whole space.
+the first element of each translatable role at 0: a_1 in find_op and vc_dim,
+x_1 and y_1 in find_hop2, x_1 and z_1 in find_fop2, b_1 and c_1 in vc2_dim,
+and the cube's y_1 and z_1 in cap2_check.  A NONE verdict is reported only
+when the pruned search provably covered the whole space.
 
 The staircase, shattering and tree searches (find_op, find_hop2, vc_dim,
 find_good_copy, the tree search behind regularize.find_dense_subspace and the
@@ -132,6 +134,10 @@ class Witness:
 
     def revalidate(self) -> bool:
         A, k, data = self.subset, self.k, self.data
+        reads = {"OP": "ab", "HOP2": "xyz", "FOP2": "xyz", "VC": "ab", "VC2": "abc", "CUBE": "xyz",
+                 "TREE": ("nodes", "leaves"), "GOODCOPY": ("red", "pattern", "side")}
+        if not all(role in data for role in reads.get(self.kind, ())):
+            return False  # a role the kind reads is absent
         role_lists = {"OP": "ab", "HOP2": "xyz", "FOP2": "xz", "VC": "a", "VC2": "bc"}.get(self.kind, "")
         if any(len(data[role]) != k for role in role_lists):
             return False  # a k-witness lists exactly k elements per role
@@ -154,10 +160,14 @@ class Witness:
             return np.array_equal(got.reshape(want.shape), want)
         if self.kind == "VC":
             bS = data["b"]
+            if set(bS) != _subsets(tuple(range(1, k + 1))):
+                return False  # one b per subset of [k]
             want = np.array([[i in S for S in bS] for i in range(1, k + 1)], dtype=bool).reshape(k, len(bS))
             return np.array_equal(_members(A, data["a"], list(bS.values())), want)
         if self.kind == "VC2":
             aS = data["a"]
+            if set(aS) != _subsets(tuple(itertools.product(range(1, k + 1), repeat=2))):
+                return False  # one a per subset of [k]^2
             cells = itertools.product(range(1, k + 1), repeat=2)
             want = np.array([[ij in S for S in aS] for ij in cells], dtype=bool).reshape(k, k, len(aS))
             return np.array_equal(_members(A, data["b"], data["c"], list(aS.values())), want)
@@ -176,23 +186,32 @@ class Witness:
             # want[i, j]: the code of left_i + right_j (red.code: 0 sparse,
             # 1 dense), or -1 where any code but an error will do
             red, pattern = data["red"], data["pattern"]
+            if pattern not in ("T", "H", "U"):
+                raise ValueError(f"unknown good-copy pattern {pattern!r}")
+            if not all(role in data for role in (("nodes", "leaves") if pattern == "T" else ("left", "right"))):
+                return False
             if pattern == "T":
                 left, right = data["nodes"], data["leaves"]
                 want = [[e[len(s)] if len(s) < len(e) and e[: len(s)] == s else -1 for e in right] for s in left]
             elif pattern == "H":
                 left, right = dict(enumerate(data["left"])), dict(enumerate(data["right"]))
                 want = [[int(i <= j) for j in right] for i in left]
-            elif pattern == "U":  # right is keyed by the bits of S
+            else:  # U: right is keyed by the bits of S
                 left, right = dict(enumerate(data["left"])), data["right"]
                 want = [[int(S) >> i & 1 for S in right] for i in left]
-            else:
-                raise ValueError(f"unknown good-copy pattern {pattern!r}")
             # row 0 adds the zero label, so it holds the right elements themselves
             lab = red.label_spec
             idx = _role_sums(lab, [np.zeros(lab.n), *left.values()], list(right.values()))
             got, want = red.code[idx[1:]], np.reshape(want, idx[1:].shape)
             return bool(data["side"][idx[0]].all() and np.where(want < 0, got < 2, got == want).all())
         raise ValueError(f"unknown witness kind {self.kind!r}")
+
+
+@functools.cache
+def _subsets(items: tuple) -> frozenset:
+    """Every subset of items, as frozensets; kept per tuple, since a check
+    reads the same few key sets again and again."""
+    return frozenset(frozenset(itertools.compress(items, bits)) for bits in itertools.product((0, 1), repeat=len(items)))
 
 
 def _role_sums(spec: GroupSpec, *roles) -> np.ndarray:
@@ -462,11 +481,11 @@ def find_hop2(A: GroupSubset, k: int, budget: SearchBudget | None = None) -> Det
 
     def yz_leaf(xpicks, levels):
         xs = [0, *xpicks]
-        xcol = np.array(xs)[:, None]
+        zsums = grid.add(np.array(xs)[:, None], grid.all[None, :])  # zsums[u - 1, z] = x_u + z
 
         def refine(zs, z, ymasks):  # ymasks hold y_2..y_k
             w = len(zs) + 1
-            shifted = [cols[s] for s in grid.add(xcol, np.array([[z]])).ravel().tolist()]
+            shifted = [cols[s] for s in zsums[:, z].tolist()]
             new = []
             for v, m in enumerate(ymasks, 2):
                 for u, col in enumerate(shifted, 1):
@@ -582,6 +601,10 @@ def vc_dim(A: GroupSubset, kmax: int, budget: SearchBudget | None = None):
 
     Returns (k, witness_or_None, status); status is BOUND_ONLY when the
     search for k+1 was cut short (the value is then only a lower bound).
+    The first element a_1 is pinned at 0: a shattered family minus its
+    first element is a shattered family holding 0, the least index, so the
+    lexicographic first hit has a_1 = 0.  Each level keeps its raw hit;
+    only the witness returned is built and re-tested.
     """
     spec = A.spec
     budget = (budget or SearchBudget()).start()
@@ -592,54 +615,59 @@ def vc_dim(A: GroupSubset, kmax: int, budget: SearchBudget | None = None):
     cols = _Columns(_Grid(spec, A.indicator))
 
     def after_last(picks):  # the family's elements in increasing order
-        return range(picks[-1] + 1 if picks else 0, N)
+        return range(picks[-1] + 1, N) if picks else (0,)
 
-    best_k, best_witness = 0, None
+    best, status = None, NONE
     for k in range(1, kmax + 1):
         if 2**k > N:
             break
         status, hit = _search(_dfs, k, [(1 << N) - 1], after_last, _shatter(cols), _take, budget)
         if status != FOUND:
-            return best_k, best_witness, FOUND if status == NONE else BOUND_ONLY
-        elems, masks = hit
-        subsets = itertools.chain.from_iterable(
-            itertools.combinations(range(1, k + 1), r) for r in range(k + 1)
-        )
-        bS = {frozenset(S): spec.vector_of(_low(masks[sum(1 << (i - 1) for i in S)])) for S in subsets}
-        roles = {"a": [spec.vector_of(e) for e in elems], "b": bS}
-        best_k, best_witness = k, Witness("VC", A, roles, k=k)
-        _check_witness(best_witness)
-    return best_k, best_witness, FOUND
+            break
+        best = k, hit
+    status = BOUND_ONLY if status == BOUND_ONLY else FOUND
+    if best is None:
+        return 0, None, status
+    k, (elems, masks) = best
+    subsets = itertools.chain.from_iterable(itertools.combinations(range(1, k + 1), r) for r in range(k + 1))
+    bS = {frozenset(S): spec.vector_of(_low(masks[sum(1 << (i - 1) for i in S)])) for S in subsets}
+    w = Witness("VC", A, {"a": [spec.vector_of(e) for e in elems], "b": bS}, k=k)
+    _check_witness(w)
+    return k, w, status
 
 
 def vc2_dim(A: GroupSubset, kmax: int, budget: SearchBudget | None = None):
-    """Largest k <= kmax with a shattered k x k sum grid, with witness."""
+    """Largest k <= kmax with a shattered k x k sum grid, with witness.
+
+    b_1 = c_1 = 0 by the two translation symmetries.  Each level keeps its
+    raw hit; only the witness returned is built and re-tested.
+    """
     spec = A.spec
     budget = (budget or SearchBudget()).start()
     N = spec.order
     size = len(A)
     if size == 0 or size == N:
         return 0, None, FOUND
-    best_k, best_witness = 0, None
+    best, status = None, FOUND
     for k in range(1, kmax + 1):
         if 2 ** (k * k) > N:
-            return best_k, best_witness, FOUND
-        # b_1 = c_1 = 0 by the two translation symmetries
+            break
         over, hit = _grid_search(A, k, np.arange(2 ** (k * k)), 4, budget)
-        if over:
-            return best_k, best_witness, BOUND_ONLY
         if hit is None:
-            return best_k, best_witness, FOUND
-        bs, cs, pats = hit
-        aS = {
-            frozenset((t // k + 1, t % k + 1) for t in range(k * k) if bits >> t & 1):
-            spec.vector_of(int(np.argmax(pats == bits)))
-            for bits in range(2 ** (k * k))
-        }
-        roles = {"b": [spec.vector_of(i) for i in bs], "c": [spec.vector_of(i) for i in cs], "a": aS}
-        best_k, best_witness = k, Witness("VC2", A, roles, k=k)
-        _check_witness(best_witness)
-    return best_k, best_witness, FOUND
+            status = BOUND_ONLY if over else FOUND
+            break
+        best = k, hit
+    if best is None:
+        return 0, None, status
+    k, (bs, cs, pats) = best
+    aS = {
+        frozenset((t // k + 1, t % k + 1) for t in range(k * k) if bits >> t & 1):
+        spec.vector_of(int(np.argmax(pats == bits)))
+        for bits in range(2 ** (k * k))
+    }
+    w = Witness("VC2", A, {"b": [spec.vector_of(i) for i in bs], "c": [spec.vector_of(i) for i in cs], "a": aS}, k=k)
+    _check_witness(w)
+    return k, w, status
 
 
 def cap2_check(A: GroupSubset, budget: SearchBudget | None = None):

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qfa
 from qfa.cli import main
 from qfa.core import GroupSpec, write_subset, GroupSubset
 from qfa.setspec import SetSpecError, parse_set_spec
@@ -83,6 +88,17 @@ def test_cli_verify_exit_code(tmp_path, capsys):
     assert doc["verdict"] == "PASS"
     text = capsys.readouterr().out
     assert "quadric-cap2" in text
+
+
+def test_python_m_qfa_runs_the_cli(tmp_path):
+    # the qfa command without a console script on PATH
+    src = str(Path(qfa.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-m", "qfa", "verify", "--suite", "quadric"],
+        env=dict(os.environ, PYTHONPATH=src), cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 0, out.stderr
+    assert "suite quadric  [PASS]" in out.stdout
 
 
 def test_cli_verify_takes_no_unread_flags(tmp_path, capsys):

@@ -192,6 +192,13 @@ def test_vc_dim_layered_sets():
     assert (k3, st3) == (3, FOUND) and w3.revalidate()
 
 
+def test_vc_dim_reaches_k3_in_gs53_within_200k_nodes():
+    # the unpinned search proves no shattered 4-set in 6.4M nodes, so this
+    # budget left it at k = 3 with BOUND_ONLY
+    k, w, status = vc_dim(gs(5, 3), 4, SearchBudget(node_limit=200_000))
+    assert (k, status) == (3, FOUND) and w.revalidate()
+
+
 def test_vc_dim_trivial_sets():
     sp = GroupSpec(3, 2)
     assert vc_dim(GroupSubset(sp), 3)[0] == 0
@@ -331,7 +338,7 @@ def test_grid_kernel_without_sum_table_matches():
     limits = (50_000_000, 1_000, 37)
 
     def rows(A):
-        return _grid_search_rows(A, limits) + _dfs_search_rows(A, limits)
+        return _grid_search_rows(A, limits) + _dfs_search_rows(A, limits) + _vc_dim_rows(A, limits)
 
     for p, n in ((3, 2), (3, 3), (5, 2), (3, 4)):
         plain = GroupSpec(p, n)
@@ -348,8 +355,8 @@ def _jsonable(w):
 
 
 def _dfs_search_rows(A, node_limits=(50_000_000, 2_000)):
-    """(name, node_limit, status, value, nodes, witness JSON) for the
-    staircase and shattering searches under each node limit."""
+    """(name, node_limit, status, k, nodes, witness JSON) for the staircase
+    searches under each node limit."""
     rows = []
     searches = (("find_op", 2, find_op), ("find_op", 3, find_op), ("find_hop2", 1, find_hop2), ("find_hop2", 2, find_hop2))
     for name, k, run in searches:
@@ -357,6 +364,12 @@ def _dfs_search_rows(A, node_limits=(50_000_000, 2_000)):
             budget = SearchBudget(node_limit=limit)
             res = run(A, k, budget)
             rows.append([name, limit, res.status, k, budget.nodes, _jsonable(res.witness)])
+    return rows
+
+
+def _vc_dim_rows(A, node_limits):
+    """The same row for vc_dim at kmax 3 under each node limit."""
+    rows = []
     for limit in node_limits:
         budget = SearchBudget(node_limit=limit)
         k, w, status = vc_dim(A, 3, budget)
@@ -448,6 +461,9 @@ def test_dfs_searches_fingerprint_matches_hand_written_bodies():
     # the shared engine on bitset columns (numpy masks in find_op, find_hop2,
     # find_good_copy and _find_tree_encoding): identical statuses, values,
     # node counts and witnesses, also when a node limit cuts the search.
+    # The search digest holds find_op and find_hop2 only: pinning vc_dim's
+    # a_1 at 0 cut its node counts, and test_oracles compares it with the
+    # unpinned search instead.
     rng = np.random.default_rng(11)
     digest = hashlib.sha256()
     for p, n in ((3, 2), (3, 3), (3, 4), (5, 2), (5, 3)):
@@ -465,7 +481,7 @@ def test_dfs_searches_fingerprint_matches_hand_written_bodies():
         "tree": hashlib.sha256(json.dumps(_tree_rows(), sort_keys=True).encode()).hexdigest(),
     }
     assert digests == {
-        "search": "0f97e8e637d6b0811cca0f3bea6a08f2385affa7a4d422e75a3de74fae077b3c",
+        "search": "fb5a6e78dc57a266a4d8177f392a9c8363399a6e2cc9632cb58a229b26966d6f",
         "good copy": "0a3a38e339fbf9fd6bcb9465f81e3a4a3b6023cba100a72302883bba2726e7e0",
         "tree": "83c1e6fe0c8a34b8e96e2460986854a68e58bec8c4ade647370c82b287a8c2ea",
     }

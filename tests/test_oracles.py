@@ -1,7 +1,9 @@
 """Cross-validation of the pruned exhaustive searches against fully naive
 enumeration on tiny groups.  The searches pin translation-invariant
 coordinates and match level sets; the oracles here iterate every tuple with
-no reductions at all, so agreement certifies the exhaustiveness claims."""
+no reductions at all, so agreement certifies the exhaustiveness claims.
+vc_dim_unpinned_oracle is the one exception: vc_dim's own DFS without the
+a_1 = 0 pin, so that the pin is shown to keep every output."""
 
 import itertools
 
@@ -14,8 +16,10 @@ from qfa import core, detectors, regularize, uniformity
 from qfa.constructions import gs
 from qfa.core import GroupSpec, GroupSubset
 from qfa.detectors import (
+    BOUND_ONLY,
     FOUND,
     NONE,
+    SearchBudget,
     Witness,
     cap2_check,
     complement_hop2_witness,
@@ -102,6 +106,40 @@ def vc_oracle(A, kmax):
                 best = k
                 break
     return best
+
+
+def vc_dim_unpinned_oracle(A, kmax, budget):
+    """vc_dim without the a_1 = 0 pin: the same shattering DFS with every
+    index a candidate for a_1, in lexicographic order, and a witness built
+    and re-tested at every level."""
+    spec = A.spec
+    budget = budget.start()
+    N = spec.order
+    size = len(A)
+    if size == 0 or size == N:
+        return 0, None, FOUND
+    cols = detectors._Columns(detectors._Grid(spec, A.indicator))
+
+    def after_last(picks):  # the family's elements in increasing order
+        return range(picks[-1] + 1 if picks else 0, N)
+
+    best_k, best_witness = 0, None
+    for k in range(1, kmax + 1):
+        if 2**k > N:
+            break
+        refine = detectors._shatter(cols)
+        status, hit = detectors._search(detectors._dfs, k, [(1 << N) - 1], after_last, refine, detectors._take, budget)
+        if status != FOUND:
+            return best_k, best_witness, FOUND if status == NONE else BOUND_ONLY
+        elems, masks = hit
+        subsets = itertools.chain.from_iterable(
+            itertools.combinations(range(1, k + 1), r) for r in range(k + 1)
+        )
+        bS = {frozenset(S): spec.vector_of(detectors._low(masks[sum(1 << (i - 1) for i in S)])) for S in subsets}
+        roles = {"a": [spec.vector_of(e) for e in elems], "b": bS}
+        best_k, best_witness = k, Witness("VC", A, roles, k=k)
+        detectors._check_witness(best_witness)
+    return best_k, best_witness, FOUND
 
 
 def fop2_oracle(A, k):
@@ -194,6 +232,28 @@ def test_searches_match_naive_oracles_on_random_sets(pn, density, seed):
         assert find_fop2(A, 1).status == (FOUND if fop2_oracle(A, 1) else NONE)
         assert vc2_dim(A, 2)[::2] == (max((k for k in (1, 2) if vc2_oracle(A, k)), default=0), FOUND)
         assert cap2_check(A)[::2] == (cap2_oracle(A), FOUND)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    st.sampled_from([(3, 1), (3, 2), (3, 3), (3, 4), (5, 1), (5, 2), (5, 3)]),
+    st.floats(0.05, 0.95),
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 4),
+)
+def test_pinned_vc_dim_matches_unpinned_oracle(pn, density, seed, kmax):
+    # a shattered family minus its first element is shattered and holds 0,
+    # so pinning a_1 = 0 keeps the first hit and only shortens the
+    # exhaustive levels, also under node limits that cut the search
+    spec = GroupSpec(*pn)
+    A = GroupSubset(spec, np.random.default_rng(seed).random(spec.order) < density)
+    for limit in (50_000_000, 2_000, 30):
+        budget, oracle_budget = SearchBudget(node_limit=limit), SearchBudget(node_limit=limit)
+        k, w, status = vc_dim(A, kmax, budget)
+        want_k, want_w, want_status = vc_dim_unpinned_oracle(A, kmax, oracle_budget)
+        assert (k, w and w.to_jsonable()) == (want_k, want_w and want_w.to_jsonable()), limit
+        assert status == FOUND or want_status == BOUND_ONLY, limit
+        assert budget.nodes <= oracle_budget.nodes, limit
 
 
 def test_hop2_search_matches_oracle():
@@ -576,6 +636,12 @@ def revalidate_oracle(w):
     good copy's labels are judged by label_kind, never by red.code."""
     A, k, data = w.subset, w.k, w.data
     spec = A.spec
+    reads = {"OP": "ab", "HOP2": "xyz", "FOP2": "xyz", "VC": "ab", "VC2": "abc", "CUBE": "xyz", "TREE": ["nodes", "leaves"]}
+    if w.kind == "GOODCOPY":
+        sides = ["nodes", "leaves"] if data.get("pattern") == "T" else ["left", "right"]
+        reads["GOODCOPY"] = ["red", "pattern", "side", *sides]
+    if any(role not in data for role in reads.get(w.kind, "")):
+        return False
     role_lists = {"OP": "ab", "HOP2": "xyz", "FOP2": "xz", "VC": "a", "VC2": "bc"}.get(w.kind, "")
     if any(len(data[role]) != k for role in role_lists):
         return False
@@ -608,10 +674,14 @@ def revalidate_oracle(w):
         return True
     if w.kind == "VC":
         a = data["a"]
+        if set(data["b"]) != {frozenset(S) for r in range(k + 1) for S in itertools.combinations(one_based, r)}:
+            return False
         return all(member(a[i], b) == (i + 1 in S) for S, b in data["b"].items() for i in range(k))
     if w.kind == "VC2":
         b, c = data["b"], data["c"]
         cells = list(itertools.product(one_based, repeat=2))
+        if set(data["a"]) != {frozenset(S) for r in range(k * k + 1) for S in itertools.combinations(cells, r)}:
+            return False
         return all(member(b[i - 1], c[j - 1], a) == ((i, j) in S) for S, a in data["a"].items() for i, j in cells)
     if w.kind == "TREE":
         for sigma, h in data["nodes"].items():
@@ -796,15 +866,19 @@ def mutants(w):
 
 
 @pytest.fixture(scope="module")
-def witness_cases():
+def searched():
+    return searched_witnesses()
+
+
+@pytest.fixture(scope="module")
+def witness_cases(searched):
     """(witness, loop-oracle verdict) for every searched witness and each of
     its mutants, computed before any test patches the library.  A good copy
     is also judged against every reduced pair drawn, all on one label space,
     so that its cells meet dense, sparse and error labels."""
-    witnesses = searched_witnesses()
-    reds = {id(w.data["red"]): w.data["red"] for w in witnesses if w.kind == "GOODCOPY"}.values()
+    reds = {id(w.data["red"]): w.data["red"] for w in searched if w.kind == "GOODCOPY"}.values()
     cases = []
-    for w in witnesses:
+    for w in searched:
         moved = [Witness(w.kind, w.subset, dict(w.data, red=red), k=w.k) for red in reds if w.kind == "GOODCOPY"]
         cases += [(m, revalidate_oracle(m)) for m in [w, *mutants(w), *moved]]
     return cases
@@ -819,6 +893,38 @@ def test_revalidate_matches_loop_oracle_on_witnesses_and_mutants(witness_cases):
     assert patterns == set(itertools.product("HUT", (True, False)))
     for w, want in witness_cases:
         assert w.revalidate() == want, (w.kind, w.k, w.to_jsonable())
+
+
+def test_a_missing_role_gives_false(searched):
+    # d, a tree's depth, is the one key of a witness that no check reads
+    kinds = set()
+    for w in searched:
+        for role in set(w.data) - {"d"}:
+            rest = {key: val for key, val in w.data.items() if key != role}
+            damaged = Witness(w.kind, w.subset, rest, k=w.k)
+            assert not damaged.revalidate(), (w.kind, role)
+            assert not revalidate_oracle(damaged), (w.kind, role)
+            kinds.add(w.kind)
+    assert kinds == {"OP", "HOP2", "FOP2", "VC", "VC2", "CUBE", "TREE", "GOODCOPY"}
+
+
+def test_vc_witnesses_must_list_every_subset(searched):
+    zero = [np.zeros(3, dtype=np.int64)] * 3
+    damaged = [
+        Witness("VC", gs(3, 3), {"a": zero, "b": {}}, k=3),
+        Witness("VC2", gs(3, 3), {"b": zero, "c": zero, "a": {}}, k=3),
+    ]
+    for w in searched:
+        if w.kind in ("VC", "VC2"):
+            role, foreign = ("b", frozenset({w.k + 1})) if w.kind == "VC" else ("a", frozenset({(w.k + 1, 1)}))
+            sets = w.data[role]
+            # the foreign set holds no cell of the grid, so the shatterer of the empty set fits its pattern
+            for bad in ({}, dict(list(sets.items())[:-1]), {**sets, foreign: sets[frozenset()]}):
+                damaged.append(Witness(w.kind, w.subset, dict(w.data, **{role: bad}), k=w.k))
+    assert {w.kind for w in damaged[2:]} == {"VC", "VC2"}
+    for w in damaged:
+        assert not w.revalidate(), (w.kind, w.k, list(w.data["b" if w.kind == "VC" else "a"]))
+        assert not revalidate_oracle(w), (w.kind, w.k)
 
 
 def test_revalidation_reads_no_sum_table(witness_cases, monkeypatch):
