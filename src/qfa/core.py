@@ -1,6 +1,12 @@
 """Exact arithmetic over F_p^n: vectors, symmetric matrices, group enumeration,
-quadratic/bilinear evaluation, exact elimination (rref), Gauss sums, the
-group DFT, and the subset file format.
+quadratic/bilinear evaluation, exact elimination, Gauss sums, the group DFT,
+and the subset file format.
+
+Exact elimination has two routines: `_rref_rows`, Gauss-Jordan on Python int
+rows, behind `rref` and `matrix_rank` on one matrix, and the vectorized
+forward elimination in `ranks`, which gives the rank of each matrix in a
+stack.  Forms over the whole group (`quad_values`, `linear_values`,
+`gauss_sum`) are evaluated by halves of the coordinates (`_form_values`).
 
 All group elements are addressed by their little-endian base-p index,
 idx = sum_i v_i * p**i (coordinate 0 varies fastest).  Every table in this
@@ -84,6 +90,7 @@ class GroupSpec:
         self._powers = p ** np.arange(n, dtype=np.int64)
         self._digits = None
         self._half_table = None
+        self._half_digits = None
         self._sum_table = None
 
     def __eq__(self, other):
@@ -117,6 +124,22 @@ class GroupSpec:
             self._half_table = addition_table(self.p, k).astype(np.min_scalar_type(self.p**k - 1))
             self._half_table.setflags(write=False)
         return self._half_table
+
+    @property
+    def half_digits(self) -> tuple:
+        """(lo, hi): the float64 digit rows of F_p^k and of F_p^(n-k), with
+        k = n // 2, so that x = hi_row * p^k + lo_row; the tables
+        `_form_values` reads, at most p * sqrt(N) rows each, built once and
+        read-only."""
+        if self._half_digits is None:
+            k = self.n // 2
+            self._half_digits = tuple(
+                (np.arange(self.p**m)[:, None] // self._powers[:m] % self.p).astype(np.float64)
+                for m in (k, self.n - k)
+            )
+            for t in self._half_digits:
+                t.setflags(write=False)
+        return self._half_digits
 
     def index_of(self, v) -> int:
         v = np.asarray(v, dtype=np.int64)
@@ -221,67 +244,76 @@ def bilin_eval(M: np.ndarray, x, y, p: int) -> int:
 
 def quad_values(M: np.ndarray, spec: GroupSpec) -> np.ndarray:
     """x^T M x mod p for every x in the group, indexed little-endian: an
-    (order,) array for one (n, n) matrix, (B, order) for a (B, n, n) stack."""
-    X = spec.digits.astype(np.int64)
+    (order,) int64 array for one (n, n) matrix, (B, order) for a (B, n, n)
+    stack.  Evaluated by halves (`_form_values`), so no entry of the digits
+    table is read and no product overflows at any p the group cap allows."""
     M = np.asarray(M, dtype=np.int64)
     if M.shape[-2:] != (spec.n, spec.n) or M.ndim not in (2, 3):
         raise ShapeError(f"matrix shape {M.shape} does not match dimension {spec.n}")
-    return np.einsum("ij,...jk,ik->...i", X, M % spec.p, X) % spec.p
+    vals = _form_values(spec, M.reshape(-1, spec.n, spec.n), None)
+    return vals.astype(np.int64).reshape(M.shape[:-2] + (spec.order,))
 
 
 def linear_values(v, spec: GroupSpec) -> np.ndarray:
-    """x . v mod p for every x in the group: an (order,) array for one
-    vector, (B, order) for a (B, n) stack."""
-    v = np.asarray(v, dtype=np.int64) % spec.p
+    """x . v mod p for every x in the group: an (order,) int64 array for one
+    vector, (B, order) for a (B, n) stack.  Evaluated by halves."""
+    v = np.asarray(v, dtype=np.int64)
     if v.shape[-1:] != (spec.n,) or v.ndim not in (1, 2):
         raise ShapeError(f"vector shape {v.shape} does not match dimension {spec.n}")
-    return (spec.digits.astype(np.int64) @ v.T).T % spec.p
+    vals = _form_values(spec, None, v.reshape(-1, spec.n))
+    return vals.astype(np.int64).reshape(v.shape[:-1] + (spec.order,))
+
+
+def _form_values(spec: GroupSpec, M, v) -> np.ndarray:
+    """x^T M_b x + v_b . x mod p for every x, as a (B, order) array of the
+    smallest unsigned dtype that holds n (p-1)^2, for a (B, n, n) int64
+    stack M and a (B, n) int64 stack v, either of which may be None.
+
+    With k = n // 2, write x = x_hi * p^k + x_lo, the split `_sum_index_grid`
+    uses.  Then x^T M x = Q_hi(x_hi) + Q_lo(x_lo) + x_hi^T C x_lo with
+    C = M_hl + M_lh^T (2 M_hl for a symmetric M), and v . x splits the same
+    way.  The two halves give tables of p^(n-k) and p^k entries per matrix;
+    the cross term is one float64 BLAS product, and the values are the outer
+    sum of the three.  Each product is reduced mod p after its first stage,
+    so no partial sum exceeds 2 n (p-1)^2 < 2^53, and the values before
+    their last reduction are at most k (p-1)^2 + 2 (p-1) <= n (p-1)^2."""
+    p, k = spec.p, spec.n // 2
+    lo, hi = spec.half_digits
+    B = len(M) if M is not None else len(v)
+    tab_lo, tab_hi = np.zeros((B, len(lo))), np.zeros((B, len(hi)))
+    if v is not None:
+        v = (v % p).astype(np.float64)
+        tab_lo += v[:, :k] @ lo.T
+        tab_hi += v[:, k:] @ hi.T
+    if M is not None:
+        M = (M % p).astype(np.float64)
+        tab_lo += (((lo @ M[:, :k, :k]) % p) * lo).sum(axis=2)
+        tab_hi += (((hi @ M[:, k:, k:]) % p) * hi).sum(axis=2)
+    tab_lo, tab_hi = tab_lo % p, tab_hi % p
+    if M is None:
+        out = tab_hi[:, :, None] + tab_lo[:, None, :]
+    else:
+        C = (M[:, k:, :k] + M[:, :k, k:].transpose(0, 2, 1)) % p
+        out = ((hi @ C) % p) @ lo.T
+        out += tab_hi[:, :, None]
+        out += tab_lo[:, None, :]
+    # cast once to the smallest unsigned dtype that holds n (p-1)^2 and
+    # reduce there, which is faster than in float64
+    out = out.reshape(B, spec.order).astype(np.min_scalar_type(spec.n * (p - 1) ** 2))
+    out %= p
+    return out
 
 
 def rref(A, p: int):
-    """Reduced row echelon form over F_p of a matrix, or of each matrix in a
-    (B, m, k) stack, with the pivot columns.
-
-    A matrix gives (R, pivots) with pivots a list of columns; a stack gives
-    the (B, m, k) stack of forms and a (B, k) boolean pivot mask.  A matrix,
-    or a stack of one, takes Gauss-Jordan on Python int rows: faster up to
-    about 24 x 24, slower on tall or large matrices.  A larger stack runs one
-    loop over its columns: at column c, each matrix with a nonzero entry at
-    or below its current rank takes the first such row as its pivot, and all
-    of them get one vectorized swap, scale and eliminate.  Over a field the
-    RREF is unique, so both paths give the same bits.
-    """
+    """Reduced row echelon form over F_p of one matrix, with its pivot
+    columns: (R, pivots), pivots a list of ints.  Gauss-Jordan on Python int
+    rows (`_rref_rows`).  A stack of matrices is a ShapeError: `ranks` takes
+    stacks, since no caller reads a stack's forms."""
     R = np.array(A, dtype=np.int64) % p
-    if R.ndim not in (2, 3):
-        raise ShapeError(f"expected a matrix or a stack of matrices, got shape {R.shape}")
-    if R.ndim == 2 or len(R) == 1:
-        rows, pivots = _rref_rows(R.reshape(R.shape[-2:]).tolist(), p)
-        out = np.fromiter(chain.from_iterable(rows), np.int64, R.size).reshape(R.shape)
-        return (out, pivots) if R.ndim == 2 else (out, np.isin(np.arange(R.shape[2]), pivots)[None])
-    B, m, k = R.shape
-    rank = np.zeros(B, dtype=np.int64)
-    pivot = np.zeros((B, k), dtype=bool)
-    below = np.arange(m)[None, :] >= rank[:, None]
-    for c in range(k):
-        cand = below & (R[:, :, c] != 0)
-        b = np.flatnonzero(cand.any(axis=1))
-        if not b.size:
-            continue
-        r = rank[b]
-        first = cand[b].argmax(axis=1)
-        lead = R[b, first]
-        R[b, first] = R[b, r]
-        lead = lead * _inverse_mod(lead[:, c], p)[:, None] % p
-        R[b, r] = lead
-        col = R[b, :, c]
-        col[np.arange(b.size), r] = 0
-        R[b] = (R[b] - col[:, :, None] * lead[:, None, :]) % p
-        pivot[b, c] = True
-        rank[b] += 1
-        below[b, r] = False
-        if (rank == m).all():
-            break
-    return R, pivot
+    if R.ndim != 2:
+        raise ShapeError(f"expected one matrix, got shape {R.shape}")
+    rows, pivots = _rref_rows(R.tolist(), p)
+    return np.fromiter(chain.from_iterable(rows), np.int64, R.size).reshape(R.shape), pivots
 
 
 def _rref_rows(rows: list, p: int) -> tuple:
@@ -306,7 +338,9 @@ def _rref_rows(rows: list, p: int) -> tuple:
 
 
 def _inverse_mod(a: np.ndarray, p: int) -> np.ndarray:
-    """Elementwise a^(p-2) mod p: the inverse of each nonzero entry of a."""
+    """Elementwise a^(p-2) mod p: the inverse of each nonzero entry of a.
+    Every product is of two entries below p, so a dtype that holds (p-1)^2
+    is enough."""
     out, e = np.ones_like(a), p - 2
     while True:
         if e & 1:
@@ -317,9 +351,61 @@ def _inverse_mod(a: np.ndarray, p: int) -> np.ndarray:
         a = a * a % p
 
 
+# A stack of at most this many entries is ranked matrix by matrix on Python
+# int rows, a larger one by the vectorized loop of `ranks`: the two take
+# equal time between about 120 and 230 entries for 3 x 8 to 8 x 8 matrices
+# at p = 3 and 5.
+_RANKS_LIST_ENTRIES = 160
+
+
+def ranks(S, p: int) -> np.ndarray:
+    """The F_p rank of each matrix in a (B, m, k) integer stack, as a (B,)
+    int64 array, by forward elimination alone.
+
+    A stack of at most _RANKS_LIST_ENTRIES entries takes `_rref_rows` per
+    matrix.  A larger one runs one loop over the columns: at column c, each
+    matrix with a nonzero entry in a still-free row takes the first such row
+    as its pivot, which is then no longer free; every other free row with a
+    nonzero entry at c subtracts its multiple of the pivot row, on the
+    columns right of c only.  No row moves, and entries stay in the smallest
+    signed dtype that holds (p-1)^2 + p."""
+    S = np.asarray(S)
+    if S.ndim != 3:
+        raise ShapeError(f"expected a (B, m, k) stack of matrices, got shape {S.shape}")
+    if S.size <= _RANKS_LIST_ENTRIES:
+        return np.array([len(_rref_rows(A, p)[1]) for A in (S % p).tolist()], dtype=np.int64)
+    B, m, k = S.shape
+    # row b * m + i of R is row i of matrix b
+    R = (S % p).astype(np.min_scalar_type(-((p - 1) ** 2 + p))).reshape(B * m, k)
+    free = np.ones(B * m, dtype=bool)
+    rank = np.zeros(B, dtype=np.int64)
+    first = np.arange(B) * m
+    for c in range(k if m else 0):
+        col = R[:, c]
+        cand = free & (col != 0)
+        lead = cand.reshape(B, m).argmax(axis=1) + first
+        has = cand[lead]
+        if not has.any():
+            continue
+        rank += has
+        cand[lead] = False
+        free[lead] &= ~has
+        if not free.any():
+            break
+        rows = np.flatnonzero(cand)
+        if rows.size:
+            piv = lead[rows // m]
+            f = col[rows] * _inverse_mod(col[piv], p) % p
+            R[rows, c + 1 :] = (R[rows, c + 1 :] - f[:, None] * R[piv, c + 1 :]) % p
+    return rank
+
+
 def matrix_rank(M: np.ndarray, p: int) -> int:
-    """Rank over F_p by exact Gaussian elimination."""
-    return len(rref(M, p)[1])
+    """Rank over F_p of one matrix: the pivot count of `_rref_rows`."""
+    M = np.asarray(M, dtype=np.int64)
+    if M.ndim != 2:
+        raise ShapeError(f"expected one matrix, got shape {M.shape}")
+    return len(_rref_rows((M % p).tolist(), p)[1])
 
 
 def nullspace_basis(rows, p: int, n: int) -> np.ndarray:
@@ -359,23 +445,28 @@ def gauss_sum(M: np.ndarray, b, spec: GroupSpec):
     for one (n, n) matrix and shift, or as a (B,) array for a (B, n, n)
     stack of matrices with a (B, n) stack of shifts.
 
-    A stack is taken in blocks of matrices, each one quad_values pass and
-    one bincount, whose bins are offset by p per matrix.  |result| <=
-    p^(-rank(M)/2) up to floating error (classical estimate).
+    A stack is taken in blocks of matrices, each one `_form_values` pass
+    (the form and its shift evaluated together, by halves) and one bincount,
+    whose bins are offset by p per matrix.  |result| <= p^(-rank(M)/2) up
+    to floating error (classical estimate).
     """
-    p, M, b = spec.p, np.asarray(M), np.asarray(b)
+    p, M, b = spec.p, np.asarray(M, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    if M.shape[-2:] != (spec.n, spec.n) or M.ndim not in (2, 3):
+        raise ShapeError(f"matrix shape {M.shape} does not match dimension {spec.n}")
     if b.shape != M.shape[:-1]:
         raise ShapeError(f"shift shape {b.shape} does not match matrix shape {M.shape}")
     one = M.ndim == 2
     if one:
         M, b = M[None], b[None]
-    # per matrix, seven int64 tables of N entries: the quadratic and linear
-    # values and their remainders, their sum, its remainder and the bins
-    step = block_rows(7 * 8 * spec.order)
+    # per matrix, N float64 values or N int64 bins at a time, plus the
+    # compact values of this block and the last: two tables of N entries of
+    # 8 bytes cover them
+    step = block_rows(2 * 8 * spec.order)
     counts = []
     for s in range(0, max(len(M), 1), step):
-        vals = (quad_values(M[s : s + step], spec) + linear_values(b[s : s + step], spec)) % p
-        counts.append(np.bincount((vals + p * np.arange(len(vals))[:, None]).ravel(), minlength=len(vals) * p))
+        vals = _form_values(spec, M[s : s + step], b[s : s + step])
+        offsets = p * np.arange(len(vals))[:, None]
+        counts.append(np.bincount(np.add(vals, offsets, dtype=np.int64).ravel(), minlength=len(vals) * p))
     roots = np.exp(2j * np.pi * np.arange(p) / p)
     out = np.dot(np.concatenate(counts).reshape(-1, p).astype(np.float64), roots) / spec.order
     return complex(out[0]) if one else out
@@ -438,7 +529,7 @@ def _character_sums(f: np.ndarray, spec: GroupSpec, sign: int) -> np.ndarray:
 def dft(f: np.ndarray, spec: GroupSpec) -> np.ndarray:
     """hat f(t) = E_x f(x) omega^(-x.t), as a flat array over character
     indices: an (order,) array for one table, (B, order) for a (B, order)
-    stack, each row transformed on its own (as rref and gauss_sum take
+    stack, each row transformed on its own (as ranks and gauss_sum take
     stacks).
 
     Computed as products with the character tables of F_p^g over chunks of

@@ -149,8 +149,10 @@ class Witness:
             return np.array_equal(_members(A, data["x"], data["y"], data["z"]), r[:, None, None] < r[:, None] + r)
         if self.kind == "FOP2":
             yfam = data["y"]
-            if len(yfam) != k ** (k * k):
-                return False  # must cover every selector function
+            # one y list per selector in [k]^(k^2); the count first, so that a
+            # k too large to enumerate costs nothing
+            if len(yfam) != k ** (k * k) or set(yfam) != _selectors(k):
+                return False
             if any(len(ys) != k for ys in yfam.values()):
                 return False
             # f[s, i, j] = f(i, j) of selector s; got[i, s, j, kk] is x_i + y^s_j + z_kk
@@ -212,6 +214,13 @@ def _subsets(items: tuple) -> frozenset:
     """Every subset of items, as frozensets; kept per tuple, since a check
     reads the same few key sets again and again."""
     return frozenset(frozenset(itertools.compress(items, bits)) for bits in itertools.product((0, 1), repeat=len(items)))
+
+
+@functools.cache
+def _selectors(k: int) -> frozenset:
+    """Every selector f: [k]^2 -> [k], as the tuple of its values f(i, j)
+    row by row; kept per k, as `_subsets` keeps its key sets."""
+    return frozenset(itertools.product(range(1, k + 1), repeat=k * k))
 
 
 def _role_sums(spec: GroupSpec, *roles) -> np.ndarray:
@@ -570,8 +579,6 @@ def find_fop2(A: GroupSubset, k: int, budget: SearchBudget | None = None) -> Det
     budget = (budget or SearchBudget()).start()
     if k < 1:
         raise ValueError("k must be >= 1")
-    if k > 2 and spec.order ** (2 * (k - 1)) > budget.node_limit:
-        return DetectResult(BOUND_ONLY, nodes=0)
     N = spec.order
     targets = {
         mbar: sum(1 << (i * k + kk) for i in range(k) for kk in range(mbar[i]))

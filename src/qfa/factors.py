@@ -11,6 +11,7 @@ linear part is the dimension of its span (duplicates are permitted in storage).
 from __future__ import annotations
 
 import ast
+import itertools
 import math
 import operator
 
@@ -28,6 +29,7 @@ from .core import (
     linear_values,
     matrix_rank,
     quad_values,
+    ranks,
     rref,
 )
 
@@ -168,10 +170,11 @@ class LinearFactor:
         return matrix_rank(np.stack(self.vectors), self.spec.p)
 
     def label_columns(self) -> np.ndarray:
-        """(order, ell) array of x.v_j values over the whole group."""
+        """(order, ell) array of x.v_j values over the whole group: the
+        transpose of one linear_values call on the stacked vectors."""
         if not self.vectors:
             return np.zeros((self.spec.order, 0), dtype=np.int64)
-        return np.stack([linear_values(v, self.spec) for v in self.vectors], axis=1)
+        return linear_values(np.stack(self.vectors), self.spec).T
 
     def zero_atom(self) -> GroupSubset:
         cols = self.label_columns()
@@ -207,7 +210,7 @@ class QuadraticFactor:
     def quad_columns(self) -> np.ndarray:
         if not self.matrices:
             return np.zeros((self.spec.order, 0), dtype=np.int64)
-        return np.stack([quad_values(M, self.spec) for M in self.matrices], axis=1)
+        return quad_values(np.stack(self.matrices), self.spec).T
 
     def label_matrix(self) -> np.ndarray:
         """(order, ell+q) label coordinates of every group element."""
@@ -246,11 +249,8 @@ class GeneralQuadraticFactor:
     def quad_columns(self) -> np.ndarray:
         if not self.pairs:
             return np.zeros((self.spec.order, 0), dtype=np.int64)
-        cols = [
-            (quad_values(M, self.spec) + linear_values(u, self.spec)) % self.spec.p
-            for M, u in self.pairs
-        ]
-        return np.stack(cols, axis=1)
+        M, u = (np.stack(part) for part in zip(*self.pairs))
+        return ((quad_values(M, self.spec) + linear_values(u, self.spec)) % self.spec.p).T
 
     def label_matrix(self) -> np.ndarray:
         return np.concatenate([self.linear.label_columns(), self.quad_columns()], axis=1)
@@ -265,12 +265,19 @@ def _coerce_factor(B):
 
 
 def label_index_table(B) -> np.ndarray:
-    """Combined little-endian label index of every group element."""
-    spec, cols, ell, q = _coerce_factor(B)
-    if cols.shape[1] == 0:
-        return np.zeros(spec.order, dtype=np.int64)
-    powers = spec.p ** np.arange(cols.shape[1], dtype=np.int64)
-    return cols @ powers
+    """Combined little-endian label index of every group element: the sum of
+    p^j times label coordinate j, added one coordinate at a time from the
+    factor's linear and quadratic columns, with no label matrix stacked."""
+    if isinstance(B, LinearFactor):
+        parts = [B.label_columns()]
+    elif isinstance(B, (QuadraticFactor, GeneralQuadraticFactor)):
+        parts = [B.linear.label_columns(), B.quad_columns()]
+    else:
+        raise TypeError(f"not a factor: {type(B)!r}")
+    out = np.zeros(B.spec.order, dtype=np.int64)
+    for j, row in enumerate(itertools.chain.from_iterable(cols.T for cols in parts)):
+        out += B.spec.p**j * row
+    return out
 
 
 def atom_label(x, B) -> AtomLabel:
@@ -324,22 +331,32 @@ def _least_rank_combo(mats, p: int, lams=None) -> tuple:
     """(rank, lam) of the first combination sum_j lam_j M_j of least F_p-rank,
     over the rows of lams (default: every nontrivial combination, in
     _nontrivial_combos order).  Each block of combinations is formed by one
-    tensordot and ranked by one stacked rref; the scan stops after the first
-    block that holds a rank-0 combination, since none can be lower."""
+    float64 product, exact while q (p-1)^2 < 2^53, and ranked by `ranks`;
+    the scan stops after the first block that holds a rank-0 combination,
+    since none can be lower."""
     stack = np.stack([np.asarray(M, dtype=np.int64) % p for M in mats])
+    q, shape = len(stack), stack.shape[1:]
+    if q * (p - 1) ** 2 >= 2**53:
+        raise CapacityError(f"{q} combined matrices at p = {p} exceed exact float64 sums")
     if lams is None:
-        lams = _nontrivial_combos(len(mats), p)
+        lams = _nontrivial_combos(q, p)
+    flat = stack.reshape(q, -1).astype(np.float64)
     best, best_lam = math.inf, None
-    # per combination, eight int64 matrices: the tensordot and its remainder,
-    # rref's copy and its remainder, and the four of its elimination step
-    step = block_rows(8 * stack[0].nbytes)
+    # entries of a product are at most q (p-1)^2: cast once to the smallest
+    # unsigned dtype that holds that and reduce there, as _bilin_matrix does
+    dtype = np.min_scalar_type(q * (p - 1) ** 2)
+    # per combination, one float64 matrix (the product) and at most four of
+    # 8 bytes per entry (its cast, ranks' remainder and compact copy, and
+    # its gathers)
+    step = block_rows(5 * 8 * flat.shape[1])
     for start in range(0, len(lams), step):
         block = lams[start : start + step]
-        _, pivots = rref(np.tensordot(block, stack, axes=1) % p, p)
-        ranks = pivots.sum(axis=1)
-        i = int(ranks.argmin())
-        if ranks[i] < best:
-            best, best_lam = int(ranks[i]), block[i]
+        combos = (block @ flat).astype(dtype)
+        combos %= p
+        rk = ranks(combos.reshape(len(block), *shape), p)
+        i = int(rk.argmin())
+        if rk[i] < best:
+            best, best_lam = int(rk[i]), block[i]
         if best == 0:
             break
     return best, best_lam

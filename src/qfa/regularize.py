@@ -187,7 +187,7 @@ def find_uniform_dense_coset(A: GroupSubset, H: Subgroup, eps: float):
             break
         lab, t_star, _ = top
         # refine by the character's kernel, keep the densest coset
-        t_vec = lab.vector_of(t_star)
+        t_vec = t_star // spec.p ** np.arange(lab.n) % spec.p  # its digits, with no digits table
         sub_coords = nullspace_basis([t_vec], spec.p, cur.dim)
         new_basis = (sub_coords @ cur.basis) % spec.p
         # direction with t.w = 1 inside the current coordinates: the first
@@ -438,7 +438,7 @@ def stable_linear_decomposition(
         if mag <= 1e-12:
             chain.add_step(cur.factor(), gamma0, gamma1, gamma_err)
             break
-        new_dual = _lift_character(cur, lab.vector_of(t_star))
+        new_dual = _lift_character(cur, t_star // p ** np.arange(lab.n) % p)
         cur = Subgroup(spec, cur.duals + [new_dual])
         if cur.codim - ell0 > max_codim:
             table, m, v_plain, v_strong = classify(cur)

@@ -20,7 +20,7 @@ from . import constructions as cons
 from . import detectors as det
 from . import regularize as reg
 from . import uniformity as unif
-from .core import GroupSpec, GroupSubset, _canonical_lines, dft, gauss_sum, rref
+from .core import GroupSpec, GroupSubset, _canonical_lines, dft, gauss_sum, ranks
 from .factors import (
     AtomLabel,
     LinearFactor,
@@ -300,8 +300,7 @@ def _check_gauss_bound(params):
         Ms.append((M + M.T) % 3)
         bs.append(rng.integers(0, 3, size=6))
     Ms = np.stack(Ms)
-    ranks = rref(Ms, 3)[1].sum(axis=1)
-    slack = np.abs(gauss_sum(Ms, np.stack(bs), sp)) - 3.0 ** (-ranks / 2)
+    slack = np.abs(gauss_sum(Ms, np.stack(bs), sp)) - 3.0 ** (-ranks(Ms, 3) / 2)
     worst = max(0.0, float(slack.max()))
     return _ok(worst <= 1e-9, measured=float(worst), bound=1e-9)
 
@@ -597,8 +596,7 @@ def _check_sparse_span(params):
     members = A.members()
     for r in range(1, 9):
         combos = list(itertools.combinations(range(len(members)), r))
-        ranks = rref(members[combos], 3)[1].sum(axis=1)
-        bad = np.flatnonzero(ranks < np.sqrt(r) - 1e-12)
+        bad = np.flatnonzero(ranks(members[combos], 3) < np.sqrt(r) - 1e-12)
         if bad.size:
             return _ok(False, note=f"subset {combos[bad[0]]}")
     return _ok(True)

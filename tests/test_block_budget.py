@@ -7,9 +7,9 @@ import pytest
 
 from qfa import core, detectors
 from qfa.constructions import gs, quadric, trace_sym_space
-from qfa.core import GroupSpec, GroupSubset, block_rows, gauss_sum
+from qfa.core import GroupSpec, GroupSubset, block_rows, gauss_sum, ranks
 from qfa.detectors import SearchBudget, cap2_check, find_fop2, vc2_dim
-from qfa.factors import AtomLabel, QuadraticFactor, _least_rank_combo, atom_members
+from qfa.factors import AtomLabel, QuadraticFactor, _least_rank_combo, _nontrivial_combos, atom_members
 from qfa.uniformity import _sum_membership_tensor, beta_graph, dev2_sum, oct_sum, u2_norm, u3_norm
 
 MB = 2**20
@@ -72,9 +72,23 @@ def _gauss():
     return lambda: gauss_sum(M, b, sp)
 
 
+def _gauss_wide():
+    rng = np.random.default_rng(6)
+    M = rng.integers(0, 3, size=(300, 8, 8))
+    M, b, sp = (M + M.transpose(0, 2, 1)) % 3, rng.integers(0, 3, size=(300, 8)), GroupSpec(3, 8)
+    return lambda: gauss_sum(M, b, sp)
+
+
 def _rank():
     mats = trace_sym_space(8, 3)
     return lambda: _least_rank_combo(mats, 3)
+
+
+def _ranks():
+    """The whole (3280, 8, 8) stack of trace_sym_space(8, 3)'s nontrivial
+    combinations in one call, past any block."""
+    combos = np.tensordot(_nontrivial_combos(8, 3), np.stack(trace_sym_space(8, 3)), axes=1) % 3
+    return lambda: ranks(combos, 3)
 
 
 def _grid():
@@ -102,7 +116,9 @@ def _cap2():
         pytest.param(_membership, 5, id="sum_membership-3^8"),
         pytest.param(_oct, 10, id="oct_sum-16x243x243"),
         pytest.param(_gauss, 8, id="gauss_sum-1000x3^6"),
+        pytest.param(_gauss_wide, 8, id="gauss_sum-300x3^8"),
         pytest.param(_rank, 8, id="least_rank_combo-8x8"),
+        pytest.param(_ranks, 3, id="ranks-3280x8x8"),
         pytest.param(_grid, 8, id="grid_kernel-3^6"),
         pytest.param(_cap2, 8, id="cap2_check-3^8"),
     ],

@@ -22,6 +22,7 @@ from qfa.core import (
     matrix_rank,
     nullspace_basis,
     quad_eval,
+    ranks,
     read_subset,
     rref,
     write_subset,
@@ -362,25 +363,30 @@ stacks_mod_p = st.tuples(
 @example((7, np.arange(12, dtype=np.int64).reshape(1, 3, 4) % 7))
 @example((11, np.zeros((2, 0, 5), dtype=np.int64)))
 @example((61, np.zeros((3, 4, 0), dtype=np.int64)))
-def test_rref_stack_matches_slices(case):
-    """A stack of one takes the list path with a pivot mask; every matrix of a
-    larger stack, reduced by the vectorized loop, equals its own list-path
-    call bit for bit."""
+@example((4093, np.full((6, 16, 16), 4092, dtype=np.int64)))
+def test_ranks_match_slices(case):
+    """Every matrix of a stack gets the pivot count of its own rref, on the
+    per-matrix list path and on the vectorized loop alike: the list-path
+    limit is set below and then at the stack's size, so that each stack,
+    the empty shapes included, takes both."""
     p, A = case
-    R, pivot = rref(A, p)
-    assert R.shape == A.shape and pivot.shape == (A.shape[0], A.shape[2])
-    assert R.dtype == np.int64 and pivot.dtype == bool
-    for i in range(A.shape[0]):
-        Ri, pivots_i = rref(A[i], p)
-        assert Ri.dtype == np.int64 and np.array_equal(R[i], Ri)
-        assert np.flatnonzero(pivot[i]).tolist() == pivots_i
-        assert all(type(c) is int for c in pivots_i)
+    want = [len(rref(Ai, p)[1]) for Ai in A]
+    limit = core._RANKS_LIST_ENTRIES
+    try:
+        for forced in (-1, A.size):
+            core._RANKS_LIST_ENTRIES = forced
+            got = ranks(A, p)
+            assert got.dtype == np.int64 and got.shape == (len(A),)
+            assert got.tolist() == want
+    finally:
+        core._RANKS_LIST_ENTRIES = limit
 
 
 def test_rref_dispatch_one_matrix_never_reaches_the_stacked_loop(monkeypatch):
     """With the stacked loop's inverse broken, every one-matrix caller still
-    returns the values the vectorized loop gave (pinned here), and a stack of
-    two raises, which shows that the patch takes effect."""
+    returns the values the vectorized loop gave (pinned here), ranks takes
+    the list path up to _RANKS_LIST_ENTRIES entries, and ranks on one more
+    matrix raises, which shows that the patch takes effect."""
     from qfa.factors import _row_space_basis
     from qfa.regularize import Subgroup, _lift_character
 
@@ -392,8 +398,8 @@ def test_rref_dispatch_one_matrix_never_reaches_the_stacked_loop(monkeypatch):
     want = [[1, 0, 0, 4, 3], [0, 1, 0, 1, 2], [0, 0, 1, 4, 1], [0, 0, 0, 0, 0]]
     R, pivots = rref(A, 5)
     assert R.tolist() == want and pivots == [0, 1, 2]
-    R1, mask = rref(A[None], 5)
-    assert R1.tolist() == [want] and mask.tolist() == [[True, True, True, False, False]]
+    fit = core._RANKS_LIST_ENTRIES // A.size  # the most copies of A the list path takes
+    assert ranks(A[None], 5).tolist() == [3] and ranks(np.stack([A] * fit), 5).tolist() == [3] * fit
     assert matrix_rank(A, 5) == 3
     assert nullspace_basis(list(A), 5, 5).tolist() == [[1, 4, 1, 1, 0], [2, 3, 4, 0, 1]]
     assert [r.tolist() for r in _row_space_basis(A, 5)] == want[:3]
@@ -401,14 +407,18 @@ def test_rref_dispatch_one_matrix_never_reaches_the_stacked_loop(monkeypatch):
     assert H.basis.tolist() == [[3, 1, 0], [2, 0, 1]]
     assert _lift_character(H, [3, 1]).tolist() == [3, 4, 0]
     with pytest.raises(AssertionError, match="stacked loop reached"):
-        rref(np.stack([A, A]), 5)
+        ranks(np.stack([A] * (fit + 1)), 5)
 
 
 def test_rref_rejects_other_ranks():
-    with pytest.raises(ShapeError):
-        rref(np.zeros(3, dtype=np.int64), 3)
-    with pytest.raises(ShapeError):
-        rref(np.zeros((2, 2, 2, 2), dtype=np.int64), 3)
+    for shape in ((3,), (2, 2, 2), (2, 2, 2, 2)):
+        with pytest.raises(ShapeError):
+            rref(np.zeros(shape, dtype=np.int64), 3)
+        with pytest.raises(ShapeError):
+            matrix_rank(np.zeros(shape, dtype=np.int64), 3)
+    for shape in ((3,), (2, 2), (2, 2, 2, 2)):
+        with pytest.raises(ShapeError):
+            ranks(np.zeros(shape, dtype=np.int64), 3)
 
 
 def test_group_bits_env_override(monkeypatch):

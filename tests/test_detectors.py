@@ -285,6 +285,13 @@ def test_grid_searches_charge_nodes_like_scalar_loops():
     assert cap2_check(q43, budget)[::2] == (True, FOUND) and budget.nodes == 531_441
 
 
+def test_fop2_at_k_3_searches_up_to_its_node_limit():
+    # N^(2k-2) = 243^4 tuples is far beyond the limit, but the grid kernel
+    # stops exactly at it: the search is spent, not refused with 0 nodes
+    res = find_fop2(gs(5, 3), 3, SearchBudget(node_limit=5_000))
+    assert (res.status, res.nodes, res.witness) == (BOUND_ONLY, 5_001, None)
+
+
 def _grid_search_rows(A, node_limits=(50_000_000, 2_000)):
     """(name, node_limit, status, k, nodes, witness JSON) for the three
     grid-kernel searches under each node limit."""

@@ -31,7 +31,7 @@ from qfa.factors import (
     refines,
     write_factor,
 )
-from qfa.factors import _nontrivial_combos
+from qfa.factors import _least_rank_combo, _nontrivial_combos
 
 RNG = np.random.default_rng(0xF0F2)
 
@@ -178,8 +178,8 @@ def naive_worst_combo(mats, p):
     return best, best_lam
 
 
-def random_family(rng, p):
-    n, q = int(rng.integers(2, 6)), int(rng.integers(1, 5))
+def random_family(rng, p, qmax=4):
+    n, q = int(rng.integers(2, 6)), int(rng.integers(1, qmax + 1))
     mats = []
     for _ in range(q):
         V = rng.integers(0, p, size=(int(rng.integers(0, n + 1)), n))
@@ -193,11 +193,16 @@ def test_matrix_family_rank_matches_naive_oracle():
     for q in range(5):
         for p in (3, 5):
             assert _nontrivial_combos(q, p).tolist() == naive_combos(q, p)
+    # the first 120 families are the p = 3, 5 draws this test always made;
+    # at the wider primes q is capped so the oracle's p^q loop stays small
     rng = np.random.default_rng(7)
-    for trial in range(120):
-        p = (3, 5)[trial % 2]
-        _, mats = random_family(rng, p)
-        assert matrix_family_rank(mats, p) == naive_worst_combo(mats, p)[0]
+    cases = [((3, 5)[t % 2], 4) for t in range(120)] + [(7, 3), (11, 3), (61, 2)] * 10
+    for p, qmax in cases:
+        _, mats = random_family(rng, p, qmax)
+        rank, lam = _least_rank_combo(mats, p)
+        want_rank, want_lam = naive_worst_combo(mats, p)
+        assert (rank, lam.tolist()) == (want_rank, want_lam), p
+        assert matrix_family_rank(mats, p) == want_rank
 
 
 def naive_make_high_rank(B, r):

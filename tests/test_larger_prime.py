@@ -22,6 +22,7 @@ from qfa.factors import (
     RankFunction,
     atom_sizes,
     factor_rank,
+    label_index_table,
     make_high_rank,
     refines,
 )
@@ -119,3 +120,18 @@ def test_wide_prime_digits_do_not_wrap():
     x = 125 + 131 * 130
     sums = [(a + 125) % 131 + 131 * ((b + 130) % 131) for a, b in vecs]
     assert sp.add_perm(x).tolist() == sums
+
+
+def test_quadratic_values_do_not_wrap_at_n_1():
+    # x (p-1) x passes 2^63 for x near p once p > 2^21; the group cap allows
+    # p up to 2^24 at n = 1, and every value must still be exact
+    p = 3_000_017
+    sp = GroupSpec(p, 1)
+    xs = [0, 1, 2, 1_234_567, p - 5, p - 1]
+    want = [x * (p - 1) * x % p for x in xs]
+    assert want[4] == 2_999_992
+    assert quad_values([[p - 1]], sp)[xs].tolist() == want
+    F = QuadraticFactor(sp, [[3]], [[[p - 1]]])
+    assert label_index_table(F)[xs].tolist() == [3 * x % p + p * w for x, w in zip(xs, want)]
+    # a nonzero 1 x 1 form has rank 1, so |E omega^(-x^2)| = p^(-1/2)
+    assert abs(abs(gauss_sum(np.array([[p - 1]]), np.zeros(1), sp)) - p**-0.5) < 1e-9

@@ -37,7 +37,7 @@ from qfa.detectors import (
     vc_dim,
 )
 from qfa.uniformity import reduced_pair
-from qfa.factors import QuadraticFactor
+from qfa.factors import GeneralQuadraticFactor, LinearFactor, QuadraticFactor, label_index_table
 from support import gowers_inner, plant_tree_encoding
 
 RNG = np.random.default_rng(0xF0F2)
@@ -662,7 +662,7 @@ def revalidate_oracle(w):
         return all(member(x[u - 1], y[v - 1], z[t - 1]) == (u < v + t) for u, v, t in cells)
     if w.kind == "FOP2":
         x, z, yfam = data["x"], data["z"], data["y"]
-        if len(yfam) != k ** (k * k):
+        if set(yfam) != set(itertools.product(one_based, repeat=k * k)):
             return False
         for f_flat, ys in yfam.items():
             if len(ys) != k:
@@ -833,11 +833,22 @@ def _shift(v, p):
     return v
 
 
+def _raised_selector(yfam, k):
+    """yfam with one entry k of its first key that has one raised to k + 1:
+    every value from k up gives the same column pattern, so only the key
+    set can tell that the selector it replaces is missing."""
+    key = next(f for f in yfam if k in f)
+    j = key.index(k)
+    raised = key[:j] + (k + 1,) + key[j + 1 :]
+    return {raised if f == key else f: ys for f, ys in yfam.items()}
+
+
 def mutants(w):
     """Copies of w with one change each: one element of one role shifted by
     1 in its first coordinate (every role), and by kind, one FOP2 selector
-    key replaced or two selectors' y-lists swapped, one VC/VC2 set key
-    changed or two sets' elements swapped, and two TREE nodes swapped."""
+    key replaced by one outside [k] or one with an entry k raised to k + 1,
+    or two selectors' y-lists swapped, one VC/VC2 set key changed or two
+    sets' elements swapped, and two TREE nodes swapped."""
     p = w.subset.spec.p
     out = []
 
@@ -859,6 +870,7 @@ def mutants(w):
         out.append(copy(**{keyed: dict([(k0, v1), (k1, v0)] + items[2:])}))  # swapped
         if w.kind == "FOP2":
             out.append(copy(y=dict([((0,) + k0[1:], v0)] + items[1:])))  # key outside [k]
+            out.append(copy(y=_raised_selector(w.data["y"], w.k)))
         if w.kind in ("VC", "VC2"):
             flip = 1 if w.kind == "VC" else (1, 1)
             out.append(copy(**{keyed: dict([(k0 ^ {flip}, v0)] + items[1:])}))
@@ -925,6 +937,19 @@ def test_vc_witnesses_must_list_every_subset(searched):
     for w in damaged:
         assert not w.revalidate(), (w.kind, w.k, list(w.data["b" if w.kind == "VC" else "a"]))
         assert not revalidate_oracle(w), (w.kind, w.k)
+
+
+def test_fop2_witnesses_must_key_exactly_the_selectors(searched):
+    # a key with an entry raised from k to k + 1 asks for the same column
+    # as the selector it replaces, which is then missing
+    fop2 = [w for w in searched if w.kind == "FOP2"]
+    assert {w.k for w in fop2} == {1, 2}
+    for w in fop2:
+        assert w.revalidate() and revalidate_oracle(w)
+        damaged = Witness("FOP2", w.subset, dict(w.data, y=_raised_selector(w.data["y"], w.k)), k=w.k)
+        assert len(damaged.data["y"]) == len(w.data["y"])
+        assert not damaged.revalidate(), w.k
+        assert not revalidate_oracle(damaged), w.k
 
 
 def test_revalidation_reads_no_sum_table(witness_cases, monkeypatch):
@@ -1088,3 +1113,80 @@ def test_walks_and_decompositions_do_not_depend_on_the_dft_kernel(monkeypatch):
     want = _walk_outputs()
     monkeypatch.setattr(regularize, "dft", dft_fftn_oracle)
     assert _walk_outputs() == want
+
+
+def quad_values_oracle(M, spec):
+    """x^T M x as the int64 einsum over the digits table that preceded
+    evaluation by halves, reduced once at the end; exact while n (p-1)^3 <
+    2^63, which holds for every group these tests build."""
+    X = spec.digits.astype(np.int64)
+    return np.einsum("ij,...jk,ik->...i", X, np.asarray(M, dtype=np.int64) % spec.p, X) % spec.p
+
+
+def linear_values_oracle(v, spec):
+    """x . v as one int64 product with the digits table."""
+    v = np.asarray(v, dtype=np.int64) % spec.p
+    return (spec.digits.astype(np.int64) @ v.T).T % spec.p
+
+
+def gauss_sum_oracle(M, b, spec):
+    """gauss_sum's counts from the oracle values, one matrix at a time, and
+    the same float64 product with the roots."""
+    p = spec.p
+    vals = (quad_values_oracle(M, spec) + linear_values_oracle(b, spec)) % p
+    counts = np.stack([np.bincount(row, minlength=p) for row in vals.reshape(-1, spec.order)])
+    out = np.dot(counts.astype(np.float64), np.exp(2j * np.pi * np.arange(p) / p)) / spec.order
+    return complex(out[0]) if np.ndim(M) == 2 else out
+
+
+def label_index_table_oracle(F):
+    """The (N, ell + q) int64 label matrix from the oracle values, times the
+    powers of p."""
+    spec = F.spec
+    lin = F if isinstance(F, LinearFactor) else F.linear
+    cols = [linear_values_oracle(v, spec) for v in lin.vectors]
+    if isinstance(F, GeneralQuadraticFactor):
+        cols += [(quad_values_oracle(M, spec) + linear_values_oracle(u, spec)) % spec.p for M, u in F.pairs]
+    elif isinstance(F, QuadraticFactor):
+        cols += [quad_values_oracle(M, spec) for M in F.matrices]
+    labels = np.stack(cols, axis=1) if cols else np.zeros((spec.order, 0), dtype=np.int64)
+    return labels @ spec.p ** np.arange(labels.shape[1], dtype=np.int64)
+
+
+# n = 1, an odd and an even n per prime, each group small enough for the
+# oracle's digits table (at p = 4093 only n = 1 is)
+FORM_CASES = [(3, 1), (3, 5), (3, 6), (5, 1), (5, 3), (5, 4), (7, 1), (7, 3), (7, 2),
+              (11, 1), (11, 3), (11, 2), (61, 1), (61, 3), (61, 2), (4093, 1)]
+
+
+@pytest.mark.parametrize("p,n", FORM_CASES)
+def test_form_kernels_match_the_einsum_oracle_bit_for_bit(p, n):
+    """quad_values, linear_values, gauss_sum and label_index_table equal the
+    einsum/int64 path on one input and on stacks of 1 and 3, matrices not
+    necessarily symmetric and entries outside [0, p) included."""
+    spec = GroupSpec(p, n)
+    rng = np.random.default_rng(p * 100 + n)
+    M = rng.integers(-p, 2 * p, size=(3, n, n))
+    v = rng.integers(-p, 2 * p, size=(3, n))
+    for got, want in (
+        (core.quad_values(M[0], spec), quad_values_oracle(M[0], spec)),
+        (core.quad_values(M, spec), quad_values_oracle(M, spec)),
+        (core.quad_values(M[:1], spec), quad_values_oracle(M[:1], spec)),
+        (core.linear_values(v[0], spec), linear_values_oracle(v[0], spec)),
+        (core.linear_values(v, spec), linear_values_oracle(v, spec)),
+    ):
+        assert got.dtype == want.dtype == np.int64
+        assert got.shape == want.shape and np.array_equal(got, want)
+    S = (M + M.transpose(0, 2, 1)) % p
+    assert core.gauss_sum(S[0], v[0], spec) == gauss_sum_oracle(S[0], v[0], spec)
+    assert np.array_equal(core.gauss_sum(S, v, spec), gauss_sum_oracle(S, v, spec))
+    factors = [
+        LinearFactor(spec, []),
+        LinearFactor(spec, list(v[:2])),
+        QuadraticFactor(spec, list(v[:1]), list(S[:2])),
+        QuadraticFactor(spec, [], list(S)),
+        GeneralQuadraticFactor(spec, list(v[1:]), list(zip(S[:2], v[:2]))),
+    ]
+    for F in factors:
+        got, want = label_index_table(F), label_index_table_oracle(F)
+        assert got.dtype == want.dtype == np.int64 and np.array_equal(got, want)
