@@ -5,12 +5,11 @@ from .core import (
     GroupSpec,
     GroupSubset,
     ShapeError,
-    bilin_eval,
     dft,
     gauss_sum,
     idft,
     matrix_rank,
-    quad_eval,
+    write_subset,
 )
 from .factors import (
     AtomLabel,
@@ -18,7 +17,6 @@ from .factors import (
     LinearFactor,
     QuadraticFactor,
     RankFunction,
-    atom_label,
     atom_members,
     atom_sizes,
     factor_rank,
@@ -41,10 +39,8 @@ __all__ = [
     "RankFunction",
     "SUITES",
     "ShapeError",
-    "atom_label",
     "atom_members",
     "atom_sizes",
-    "bilin_eval",
     "dft",
     "emit_report",
     "factor_rank",
@@ -55,7 +51,7 @@ __all__ = [
     "pad_with_high_rank",
     "parse_set_spec",
     "pullback_factor",
-    "quad_eval",
     "refines",
     "run_suite",
+    "write_subset",
 ]

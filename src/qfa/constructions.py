@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import GroupSpec, GroupSubset, ShapeError, as_sym_matrix, quad_values
+from .core import GroupSpec, GroupSubset, as_sym_matrix, quad_values
 from .factors import (
     LinearFactor,
     QuadraticFactor,
@@ -25,18 +25,6 @@ def first_nonzero(x) -> int:
     if nz.size == 0:
         return int(x.size)
     return int(nz[0]) + 1
-
-
-def gs_metric(x, y) -> tuple:
-    """(lam, d): lam is the largest i with x, y in the same coset of
-    H_i = {first i coords zero}; d = 1/(lam+1)."""
-    x = np.asarray(x, dtype=np.int64)
-    y = np.asarray(y, dtype=np.int64)
-    if x.shape != y.shape:
-        raise ShapeError("metric arguments must have equal length")
-    diff = np.nonzero(x != y)[0]
-    lam = int(diff[0]) if diff.size else int(x.size)
-    return lam, 1.0 / (lam + 1)
 
 
 def tau(i: int, alpha: int, a, p: int) -> np.ndarray:

@@ -225,23 +225,6 @@ def as_sym_matrix(entries, p: int) -> np.ndarray:
     return m
 
 
-def quad_eval(M: np.ndarray, x, p: int) -> int:
-    x = np.asarray(x, dtype=np.int64)
-    M = np.asarray(M, dtype=np.int64)
-    if M.shape != (x.size, x.size):
-        raise ShapeError(f"matrix shape {M.shape} does not match vector length {x.size}")
-    return int(x @ M @ x) % p
-
-
-def bilin_eval(M: np.ndarray, x, y, p: int) -> int:
-    x = np.asarray(x, dtype=np.int64)
-    y = np.asarray(y, dtype=np.int64)
-    M = np.asarray(M, dtype=np.int64)
-    if M.shape != (x.size, x.size) or y.size != x.size:
-        raise ShapeError("dimension mismatch in bilinear evaluation")
-    return int(x @ M @ y) % p
-
-
 def quad_values(M: np.ndarray, spec: GroupSpec) -> np.ndarray:
     """x^T M x mod p for every x in the group, indexed little-endian: an
     (order,) int64 array for one (n, n) matrix, (B, order) for a (B, n, n)
@@ -592,9 +575,6 @@ class GroupSubset:
 
     def intersect(self, other: "GroupSubset") -> "GroupSubset":
         return GroupSubset(self.spec, self.indicator & other.indicator)
-
-    def union(self, other: "GroupSubset") -> "GroupSubset":
-        return GroupSubset(self.spec, self.indicator | other.indicator)
 
     def indices(self) -> np.ndarray:
         return np.nonzero(self.indicator)[0]

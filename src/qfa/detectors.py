@@ -135,7 +135,7 @@ class Witness:
     def revalidate(self) -> bool:
         A, k, data = self.subset, self.k, self.data
         reads = {"OP": "ab", "HOP2": "xyz", "FOP2": "xyz", "VC": "ab", "VC2": "abc", "CUBE": "xyz",
-                 "TREE": ("nodes", "leaves"), "GOODCOPY": ("red", "pattern", "side")}
+                 "TREE": ("nodes", "leaves", "d"), "GOODCOPY": ("red", "pattern", "side")}
         if not all(role in data for role in reads.get(self.kind, ())):
             return False  # a role the kind reads is absent
         role_lists = {"OP": "ab", "HOP2": "xyz", "FOP2": "xz", "VC": "a", "VC2": "bc"}.get(self.kind, "")
@@ -175,6 +175,8 @@ class Witness:
             return np.array_equal(_members(A, data["b"], data["c"], list(aS.values())), want)
         if self.kind == "TREE":
             nodes, leaves = data["nodes"], data["leaves"]
+            if not _keys_the_tree(nodes, leaves, data["d"]):
+                return False
             pairs = [(s, e) for s in nodes for e in leaves]
             branch = np.array([len(s) < len(e) and e[: len(s)] == s for s, e in pairs], dtype=bool)
             up = np.array([len(s) < len(e) and e[len(s)] == 1 for s, e in pairs], dtype=bool)
@@ -190,16 +192,22 @@ class Witness:
             red, pattern = data["red"], data["pattern"]
             if pattern not in ("T", "H", "U"):
                 raise ValueError(f"unknown good-copy pattern {pattern!r}")
-            if not all(role in data for role in (("nodes", "leaves") if pattern == "T" else ("left", "right"))):
+            if not all(role in data for role in (("nodes", "leaves", "d") if pattern == "T" else ("left", "right"))):
                 return False
             if pattern == "T":
                 left, right = data["nodes"], data["leaves"]
+                if not _keys_the_tree(left, right, data["d"]):
+                    return False
                 want = [[e[len(s)] if len(s) < len(e) and e[: len(s)] == s else -1 for e in right] for s in left]
             elif pattern == "H":
                 left, right = dict(enumerate(data["left"])), dict(enumerate(data["right"]))
+                if not len(left) == len(right) == k:
+                    return False
                 want = [[int(i <= j) for j in right] for i in left]
-            else:  # U: right is keyed by the bits of S
+            else:  # U: right is keyed by the bits of S, one per S
                 left, right = dict(enumerate(data["left"])), data["right"]
+                if len(left) != k or set(right) != set(range(2**k)):
+                    return False
                 want = [[int(S) >> i & 1 for S in right] for i in left]
             # row 0 adds the zero label, so it holds the right elements themselves
             lab = red.label_spec
@@ -221,6 +229,12 @@ def _selectors(k: int) -> frozenset:
     """Every selector f: [k]^2 -> [k], as the tuple of its values f(i, j)
     row by row; kept per k, as `_subsets` keeps its key sets."""
     return frozenset(itertools.product(range(1, k + 1), repeat=k * k))
+
+
+def _keys_the_tree(nodes: dict, leaves: dict, d: int) -> bool:
+    """Whether a depth-d tree's roles key exactly every node and every leaf."""
+    sigmas, etas = _tree_keys(d)
+    return set(nodes) == set(sigmas) and set(leaves) == set(etas)
 
 
 def _role_sums(spec: GroupSpec, *roles) -> np.ndarray:

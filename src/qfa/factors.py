@@ -176,10 +176,6 @@ class LinearFactor:
             return np.zeros((self.spec.order, 0), dtype=np.int64)
         return linear_values(np.stack(self.vectors), self.spec).T
 
-    def zero_atom(self) -> GroupSubset:
-        cols = self.label_columns()
-        return GroupSubset(self.spec, (cols == 0).all(axis=1))
-
 
 class QuadraticFactor:
     """A pair (L, Q): a linear factor plus symmetric matrices M_1..M_q."""
@@ -278,18 +274,6 @@ def label_index_table(B) -> np.ndarray:
     for j, row in enumerate(itertools.chain.from_iterable(cols.T for cols in parts)):
         out += B.spec.p**j * row
     return out
-
-
-def atom_label(x, B) -> AtomLabel:
-    spec, _, ell, q = _coerce_factor(B)
-    x = np.asarray(x, dtype=np.int64)
-    lin = [int(np.dot(x, v)) % spec.p for v in B.linear.vectors] if ell else []
-    quad = []
-    if isinstance(B, QuadraticFactor):
-        quad = [int(x @ M @ x) % spec.p for M in B.matrices]
-    elif isinstance(B, GeneralQuadraticFactor):
-        quad = [(int(x @ M @ x) + int(np.dot(x, u))) % spec.p for M, u in B.pairs]
-    return AtomLabel(lin, quad)
 
 
 def atom_members(B, label: AtomLabel) -> GroupSubset:

@@ -1,7 +1,6 @@
 """Constructive decomposition engines: uniform-dense-coset finding, dense
 subspaces under tree-encoding scarcity, the stable linear-regularization
-engine with factor chains, atomicity checkers, a brute-force quadratic
-atomizer, and staircase-guided functional-order extraction.
+engine with factor chains, and atomicity checkers.
 
 Subgroups are represented by their dual description: a LinearFactor whose
 zero atom is the subgroup, so cosets are atoms and refinement means adding
@@ -13,12 +12,11 @@ target conclusion shapes, with honest FAIL states when a budget ran out.
 from __future__ import annotations
 
 import functools
-import itertools
 
 import numpy as np
 
 from .core import (
-    CapacityError, GroupSpec, GroupSubset, _canonical_lines, _sum_index_grid, dft, nullspace_basis, rref,
+    CapacityError, GroupSpec, GroupSubset, _sum_index_grid, dft, nullspace_basis, rref,
 )
 from .detectors import SearchBudget, Witness, _Columns, _Grid, _tree_search, count_tree_encodings
 from .factors import (
@@ -63,20 +61,11 @@ class AtomicityVerdict:
     def error_fraction(self) -> float:
         return self.error_mass / self.total if self.total else 0.0
 
-    def is_atomic(self) -> bool:
-        return self.error_count == 0
-
     def __repr__(self):
         return (
             f"AtomicityVerdict(eps={self.eps}, delta={self.delta}, "
             f"errors={self.error_count}/{self.cells}, mass={self.error_fraction:.4f})"
         )
-
-
-def atomicity_check(partition, A: GroupSubset, eps: float, delta: float) -> AtomicityVerdict:
-    """Exact per-cell densities for a factor or a precomputed label table."""
-    table = partition if isinstance(partition, np.ndarray) else label_index_table(partition)
-    return AtomicityVerdict(A, table, eps, delta)
 
 
 def aqale_check(B: QuadraticFactor, A: GroupSubset, eps: float, delta: float):
@@ -305,10 +294,6 @@ class FactorChain:
         self.factors = []      # LinearFactor, length T+1
         self.partitions = []   # per step i >= 1: dict with sets of label ids
 
-    @property
-    def T(self) -> int:
-        return max(0, len(self.factors) - 1)
-
     def add_base(self, L: LinearFactor):
         self.factors.append(L)
 
@@ -458,174 +443,3 @@ def stable_linear_decomposition(
         "history": history,
     }
     return result
-
-
-# --- brute-force quadratic atomizer ---
-
-
-def brute_quad_atomize(A: GroupSubset, eps: float, max_complexity: int = 5, max_q: int = 2):
-    """Exhaustive search for an eps-atomic quadratic factor of minimal total
-    complexity (n <= 3, q <= 2); matrices are canonicalized up to scalar and
-    quadratic pairs up to their span.  Returns the factor or None."""
-    spec = A.spec
-    if spec.n > 3:
-        raise CapacityError("brute-force atomizer limited to n <= 3")
-    p, n = spec.p, spec.n
-    sym_dim = n * (n + 1) // 2
-    mats = []
-    for code in range(p**sym_dim):
-        c = code
-        M = np.zeros((n, n), dtype=np.int64)
-        for i in range(n):
-            for j in range(i, n):
-                M[i, j] = M[j, i] = c % p
-                c //= p
-        if M.any():
-            mats.append(M)
-    mat_lines = _canonical_lines(
-        (M[np.triu_indices(n)] for M in mats), p
-    )
-
-    def mat_from_flat(flat):
-        M = np.zeros((n, n), dtype=np.int64)
-        iu = np.triu_indices(n)
-        M[iu] = flat
-        M[(iu[1], iu[0])] = flat
-        return M
-
-    line_mats = [mat_from_flat(v) for v in mat_lines]
-    dual_lines = _canonical_lines(spec.digits.astype(np.int64), p)
-
-    def linear_parts(ell):
-        from .core import matrix_rank
-
-        if ell == 0:
-            yield []
-            return
-        for combo in itertools.combinations(range(len(dual_lines)), ell):
-            vecs = [dual_lines[i] for i in combo]
-            if matrix_rank(np.stack(vecs), p) == ell:
-                yield vecs
-
-    def quad_parts(q):
-        if q == 0:
-            yield []
-            return
-        if q == 1:
-            for M in line_mats:
-                yield [M]
-            return
-        for i, j in itertools.combinations(range(len(line_mats)), 2):
-            span_ok = True
-            flat_i, flat_j = mat_lines[i], mat_lines[j]
-            # skip pairs whose span was already seen via a smaller pair
-            for lam in range(1, p):
-                combo = (flat_i * lam + flat_j) % p
-                lead = np.nonzero(combo)[0]
-                if lead.size:
-                    inv = pow(int(combo[lead[0]]), p - 2, p)
-                    canon = tuple((combo * inv) % p)
-                    if canon < tuple(flat_i):
-                        span_ok = False
-                        break
-            if span_ok:
-                yield [line_mats[i], line_mats[j]]
-
-    for total in range(0, max_complexity + 1):
-        for q in range(0, min(max_q, total) + 1):
-            ell = total - q
-            if ell > n:
-                continue
-            for mats_choice in quad_parts(q):
-                for vecs in linear_parts(ell):
-                    B = QuadraticFactor(spec, LinearFactor(spec, list(vecs)), mats_choice)
-                    verdict = atomicity_check(B, A, eps, 0.0)
-                    if verdict.is_atomic():
-                        return B
-    return None
-
-
-def fop2_guided_extraction(
-    A: GroupSubset,
-    factor: QuadraticFactor,
-    left_labels,
-    right_labels,
-    k: int = 2,
-    max_pairs: int = 4096,
-):
-    """Search for an actual functional-order witness guided by a staircase
-    good copy in the reduced pair: the x and y families are drawn from the
-    all-zero atom and the z family from the atoms named by the copy's left
-    labels, with the membership pattern filtered directly.
-
-    NOT-FOUND is reported honestly with search statistics; existence is only
-    guaranteed in groups far larger than desk scale.
-    Returns (witness_or_None, stats).
-    """
-    if k != 2:
-        raise ValueError("guided extraction implemented for k = 2")
-    spec = A.spec
-    p = spec.p
-    ell = factor.ell
-    lab = GroupSpec(p, ell + factor.q)
-    u_idx = [lab.index_of(np.asarray(t) % p) for t in left_labels]
-    for w in right_labels:
-        w = np.asarray(w, dtype=np.int64) % p
-        if w.size == ell + factor.q and w[:ell].any():
-            raise ValueError("right labels must lie in the quadratic-label subgroup")
-    table = label_index_table(factor)
-    zero_atom = np.nonzero(table == 0)[0]
-    r_atoms = [np.nonzero(table == ui)[0] for ui in u_idx]
-    stats = {"pairs_tried": 0, "atom_sizes": [len(zero_atom)] + [len(r) for r in r_atoms]}
-    if len(zero_atom) == 0 or any(len(r) == 0 for r in r_atoms):
-        return None, stats
-
-    fgrid = list(itertools.product((1, 2), repeat=4))
-    for s1, s2 in itertools.combinations([int(t) for t in zero_atom], 2):
-        for r1 in r_atoms[0]:
-            for r2 in r_atoms[1]:
-                if stats["pairs_tried"] >= max_pairs:
-                    return None, stats
-                stats["pairs_tried"] += 1
-                got = _membership_y_search(
-                    A, spec, zero_atom, (s1, s2), (int(r1), int(r2)), fgrid
-                )
-                if got is not None:
-                    return got, stats
-    return None, stats
-
-
-def _membership_y_search(A, spec, zero_atom, s_pair, r_pair, fgrid):
-    """For fixed x and z families, find one y per selector function with the
-    required membership column over the (i, m) grid."""
-    s1, s2 = s_pair
-    r1, r2 = r_pair
-    bases = _sum_index_grid(spec, np.array(s_pair), np.array(r_pair))  # s_i + r_m at [i - 1, m - 1]
-    member = A.indicator[_sum_index_grid(spec, bases, zero_atom)]
-    yfam = {}
-    for f_vals in fgrid:
-        f = dict(zip(itertools.product((1, 2), repeat=2), f_vals))
-        ys = []
-        for j in (1, 2):
-            mask = np.ones(len(zero_atom), dtype=bool)
-            for i in (1, 2):
-                for m in (1, 2):
-                    mask &= member[i - 1, m - 1] == (m <= f[(i, j)])
-            pos = np.nonzero(mask)[0]
-            if pos.size == 0:
-                return None
-            ys.append(spec.vector_of(int(zero_atom[pos[0]])))
-        yfam[f_vals] = ys
-    w = Witness(
-        "FOP2",
-        A,
-        {
-            "x": [spec.vector_of(s1), spec.vector_of(s2)],
-            "z": [spec.vector_of(r1), spec.vector_of(r2)],
-            "y": yfam,
-        },
-        k=2,
-    )
-    if w.revalidate():
-        return w
-    return None

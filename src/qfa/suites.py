@@ -245,22 +245,10 @@ def _check_qgs_density(params):
 
 
 def _check_qgs_goodcopy(params):
-    k = 3
     A, F = cons.qgs(6, 3)
-    FD = QuadraticFactor(F.spec, [], F.matrices[: k + 1])
-    lab = GroupSpec(3, k + 1)
-
-    def e(i):
-        v = np.zeros(k + 1, dtype=np.int64)
-        v[i - 1] = 1
-        return v
-
-    left = [(e(i) + e(i + 1)) % 3 for i in range(1, k + 1)]
-    right = [(2 * e(i)) % 3 for i in range(1, k + 1)]
-    rp = unif.reduced_pair(A, FD, 0.01)
-    w = det.Witness("GOODCOPY", A, {"left": left, "right": right, "pattern": "H", "red": rp, "side": rp.H_B}, k=k)
-    nonempty = all(rp.sizes[lab.index_of((left[i] + right[j]) % 3)] > 0 for i in range(k) for j in range(k))
-    return _ok(w.revalidate() and nonempty)
+    rp = unif.reduced_pair(A, QuadraticFactor(F.spec, [], F.matrices[:4]), 0.01)
+    res = det.find_good_copy(rp, "H", 3)
+    return _ok(res.status == det.FOUND and res.witness.revalidate())
 
 
 def _check_qgs_aqale(params):
@@ -567,6 +555,21 @@ def _check_uniform_coset_postconditions(params):
     return _ok(True, measured=100.0, bound=100.0)
 
 
+def _check_dense_subspace(params):
+    # fixed inputs, whatever the run's seed: gs(6, 3) has a dense coset, and
+    # a random set of density 1/2 has none, so it must yield tree encodings
+    # whose staircases hodges_extract recovers
+    sp, d = GroupSpec(3, 6), 1
+    H = reg.Subgroup(sp, [])
+    if reg.find_dense_subspace(cons.gs(6, 3), H, 0.1, d)[0] != "dense":
+        return _ok(False, note="gs(6, 3): no dense coset")
+    A = GroupSubset(sp, np.random.default_rng(0).random(sp.order) < 0.5)
+    res = reg.find_dense_subspace(A, H, 0.1, d)
+    if res[0] != "evidence" or not res[1].revalidate():
+        return _ok(False, note="random set: no revalidating tree evidence")
+    return _ok(all(det.hodges_extract(res[1].witness, k).revalidate() for k in range(1, d + 1)))
+
+
 def _check_gs_regularize(params):
     res = reg.stable_linear_decomposition(cons.gs(8, 3), eps=0.1, max_codim=6)
     best = min(
@@ -669,6 +672,7 @@ SUITES = {
     "regularize": [
         ("stable-coset-input", "exact-recovery-of-coset-structure", _check_stable_input),
         ("uniform-coset-postconditions", "codim-density-uniformity", _check_uniform_coset_postconditions),
+        ("dense-subspace-dichotomy", "dense-coset-or-tree-encodings", _check_dense_subspace),
         ("gs-regularization", "error-fraction-decay", _check_gs_regularize),
         ("chain-validity", "emitted-chains-pass-conditions", _check_chain_validity),
     ],

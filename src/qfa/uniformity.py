@@ -548,9 +548,6 @@ class ReducedPair:
         else:
             self.H_B = np.ones(1, dtype=bool)
 
-    def classify(self, label_index: int) -> str:
-        return ("sparse", "dense", "error")[self.code[label_index]]
-
 
 def reduced_pair(A: GroupSubset, factor, eps: float) -> ReducedPair:
     return ReducedPair(A, factor, eps)

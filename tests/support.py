@@ -9,9 +9,9 @@ import math
 
 import numpy as np
 
-from qfa.core import GroupSpec, GroupSubset, dft
+from qfa.core import CapacityError, GroupSpec, GroupSubset, _canonical_lines, dft, matrix_rank
 from qfa.detectors import Witness, _bitset, _check_witness, _good_copy_columns, _tree_keys
-from qfa.factors import _refines, label_index_table
+from qfa.factors import LinearFactor, QuadraticFactor, _refines, label_index_table
 from qfa.regularize import AtomicityVerdict
 from qfa.uniformity import (
     MeasureReport,
@@ -21,6 +21,11 @@ from qfa.uniformity import (
     triad_graphs,
     triangle_tensor,
 )
+
+
+def form_value(M, x, y, p: int) -> int:
+    """x^T M y mod p on Python ints, entry by entry: exact at every p."""
+    return sum(int(a) * int(m) * int(b) for a, row in zip(x, M) for m, b in zip(row, y)) % p
 
 
 def gowers_inner(fs, spec: GroupSpec) -> complex:
@@ -171,6 +176,12 @@ def count_good_copies_H(red, k: int, side=None) -> int:
     return total
 
 
+def atomicity_check(partition, A: GroupSubset, eps: float, delta: float) -> AtomicityVerdict:
+    """Exact per-cell densities for a factor or a precomputed label table."""
+    table = partition if isinstance(partition, np.ndarray) else label_index_table(partition)
+    return AtomicityVerdict(A, table, eps, delta)
+
+
 def refinement_stability_check(coarse, fine, A: GroupSubset, eps: float, mu: float) -> bool:
     """Average-of-averages stability: a near-equipartition refinement of an
     almost eps-atomic partition is almost 2*sqrt(eps)-atomic.  Verifies the
@@ -189,3 +200,83 @@ def refinement_stability_check(coarse, fine, A: GroupSubset, eps: float, mu: flo
     v_fine = AtomicityVerdict(A, t_fine, target, target)
     # delta-almost eps-atomic: the error cells have measure at most delta |G|
     return v_coarse.error_mass > eps * v_coarse.total or v_fine.error_mass <= target * v_fine.total
+
+
+def brute_quad_atomize(A: GroupSubset, eps: float, max_complexity: int = 5, max_q: int = 2):
+    """Exhaustive search for an eps-atomic quadratic factor of minimal total
+    complexity (n <= 3, q <= 2); matrices are canonicalized up to scalar and
+    quadratic pairs up to their span.  Returns the factor or None."""
+    spec = A.spec
+    if spec.n > 3:
+        raise CapacityError("brute-force atomizer limited to n <= 3")
+    p, n = spec.p, spec.n
+    sym_dim = n * (n + 1) // 2
+    mats = []
+    for code in range(p**sym_dim):
+        c = code
+        M = np.zeros((n, n), dtype=np.int64)
+        for i in range(n):
+            for j in range(i, n):
+                M[i, j] = M[j, i] = c % p
+                c //= p
+        if M.any():
+            mats.append(M)
+    mat_lines = _canonical_lines(
+        (M[np.triu_indices(n)] for M in mats), p
+    )
+
+    def mat_from_flat(flat):
+        M = np.zeros((n, n), dtype=np.int64)
+        iu = np.triu_indices(n)
+        M[iu] = flat
+        M[(iu[1], iu[0])] = flat
+        return M
+
+    line_mats = [mat_from_flat(v) for v in mat_lines]
+    dual_lines = _canonical_lines(spec.digits.astype(np.int64), p)
+
+    def linear_parts(ell):
+        if ell == 0:
+            yield []
+            return
+        for combo in itertools.combinations(range(len(dual_lines)), ell):
+            vecs = [dual_lines[i] for i in combo]
+            if matrix_rank(np.stack(vecs), p) == ell:
+                yield vecs
+
+    def quad_parts(q):
+        if q == 0:
+            yield []
+            return
+        if q == 1:
+            for M in line_mats:
+                yield [M]
+            return
+        for i, j in itertools.combinations(range(len(line_mats)), 2):
+            span_ok = True
+            flat_i, flat_j = mat_lines[i], mat_lines[j]
+            # skip pairs whose span was already seen via a smaller pair
+            for lam in range(1, p):
+                combo = (flat_i * lam + flat_j) % p
+                lead = np.nonzero(combo)[0]
+                if lead.size:
+                    inv = pow(int(combo[lead[0]]), p - 2, p)
+                    canon = tuple((combo * inv) % p)
+                    if canon < tuple(flat_i):
+                        span_ok = False
+                        break
+            if span_ok:
+                yield [line_mats[i], line_mats[j]]
+
+    for total in range(0, max_complexity + 1):
+        for q in range(0, min(max_q, total) + 1):
+            ell = total - q
+            if ell > n:
+                continue
+            for mats_choice in quad_parts(q):
+                for vecs in linear_parts(ell):
+                    B = QuadraticFactor(spec, LinearFactor(spec, list(vecs)), mats_choice)
+                    verdict = atomicity_check(B, A, eps, 0.0)
+                    if verdict.error_count == 0:
+                        return B
+    return None

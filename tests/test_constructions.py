@@ -5,7 +5,6 @@ from qfa.core import GroupSpec, GroupSubset, matrix_rank, quad_values
 from qfa.constructions import (
     first_nonzero,
     gs,
-    gs_metric,
     qgs,
     quadric,
     sparse_example,
@@ -85,26 +84,15 @@ def test_quadric_examples():
     assert len(quadric(3, 3)) == 9
     q2 = quadric(2, 3)
     assert len(q2) == 1 and [0, 0] in q2
-    a = quadric(2, 5, c=0).union(quadric(2, 5, c=1))
+    a = GroupSubset(GroupSpec(5, 2), quadric(2, 5, c=0).indicator | quadric(2, 5, c=1).indicator)
     assert len(a) > 0  # constructible; staircase search is a harness item
 
 
-def test_first_nonzero_and_metric_and_tau():
+def test_first_nonzero_and_tau():
     assert first_nonzero([0, 0, 1]) == 3
     assert first_nonzero([1, 2, 0]) == 1
     assert first_nonzero([0, 0, 0]) == 3
-    lam, d = gs_metric([1, 2, 0], [1, 1, 0])
-    assert lam == 1 and d == 0.5
-    lam, d = gs_metric([1, 1], [1, 1])
-    assert lam == 2
     assert np.array_equal(tau(1, 1, [0, 0], 3), np.array([1, 0]))
-
-
-def test_metric_ultrametric_property():
-    for _ in range(300):
-        x, y, z = (RNG.integers(0, 3, size=5) for _ in range(3))
-        lxz = gs_metric(x, z)[0]
-        assert lxz >= min(gs_metric(x, y)[0], gs_metric(y, z)[0])
 
 
 def test_gs_intersections_random_pairs():

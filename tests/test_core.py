@@ -15,18 +15,18 @@ from qfa.core import (
     GroupSubset,
     ShapeError,
     _sum_index_grid,
-    bilin_eval,
     dft,
     gauss_sum,
     idft,
     matrix_rank,
     nullspace_basis,
-    quad_eval,
+    quad_values,
     ranks,
     read_subset,
     rref,
     write_subset,
 )
+from support import form_value
 
 
 def test_index_examples():
@@ -60,14 +60,18 @@ def test_group_spec_validation():
 
 def test_quad_eval_examples():
     I3 = np.eye(3, dtype=np.int64)
-    assert quad_eval(I3, [1, 1, 1], 3) == 0
-    assert quad_eval(I3, [1, 0, 0], 3) == 1
-    assert quad_eval(np.array([[0, 1], [1, 0]]), [1, 1], 3) == 2
+    spec = GroupSpec(3, 3)
+    values = quad_values(I3, spec)
+    assert values[spec.index_of([1, 1, 1])] == 0
+    assert values[spec.index_of([1, 0, 0])] == 1
+    assert quad_values(np.array([[0, 1], [1, 0]]), GroupSpec(3, 2))[GroupSpec(3, 2).index_of([1, 1])] == 2
     with pytest.raises(ShapeError):
-        quad_eval(I3, [1, 0], 3)
+        quad_values(I3, GroupSpec(3, 2))
 
 
 def test_bilinear_identity_sampled():
+    # Q(x + y) = Q(x) + 2 B(x, y) + Q(y), with Q read off quad_values and B
+    # formed on Python ints
     rng = np.random.default_rng(0xF0F2)
     spec = GroupSpec(3, 4)
     for _ in range(200):
@@ -75,9 +79,11 @@ def test_bilinear_identity_sampled():
         M = (M + M.T) % 3
         x = rng.integers(0, 3, size=4)
         y = rng.integers(0, 3, size=4)
-        lhs = quad_eval(M, (x + y) % 3, 3)
-        rhs = (quad_eval(M, x, 3) + 2 * bilin_eval(M, x, y, 3) + quad_eval(M, y, 3)) % 3
+        Q = quad_values(M, spec)
+        lhs = Q[spec.index_of((x + y) % 3)]
+        rhs = (Q[spec.index_of(x)] + 2 * form_value(M, x, y, 3) + Q[spec.index_of(y)]) % 3
         assert lhs == rhs
+        assert Q[spec.index_of(x)] == form_value(M, x, x, 3)
 
 
 def test_matrix_rank_examples():

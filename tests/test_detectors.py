@@ -78,6 +78,33 @@ def test_witness_check_survives_optimize(run_optimized):
     assert "AssertionError: OP witness failed revalidation" in out.stderr
 
 
+def test_extraction_and_good_copy_checks_survive_optimize(run_optimized):
+    # the catalogue reaches hodges_extract and find_good_copy: under python
+    # -O a bad witness from either must still raise
+    out = run_optimized(
+        "import numpy as np\n"
+        "from qfa import detectors as det, uniformity as unif\n"
+        "from qfa.constructions import qgs\n"
+        "from qfa.core import GroupSpec, GroupSubset\n"
+        "from qfa.factors import QuadraticFactor\n"
+        "from qfa.regularize import Subgroup, find_dense_subspace\n"
+        "assert False, 'asserts are live'\n"
+        "sp = GroupSpec(3, 6)\n"
+        "A = GroupSubset(sp, np.random.default_rng(0).random(sp.order) < 0.5)\n"
+        "tree = find_dense_subspace(A, Subgroup(sp, []), 0.1, 1)[1].witness\n"
+        "B, F = qgs(6, 3)\n"
+        "rp = unif.reduced_pair(B, QuadraticFactor(F.spec, [], F.matrices[:4]), 0.01)\n"
+        "valid = det.Witness.revalidate\n"
+        "for kind, call in (('OP', lambda: det.hodges_extract(tree, 1)), ('GOODCOPY', lambda: det.find_good_copy(rp, 'H', 3))):\n"
+        "    det.Witness.revalidate = lambda self, kind=kind: self.kind != kind and valid(self)\n"
+        "    try:\n"
+        "        call()\n"
+        "    except AssertionError as exc:\n"
+        "        print(exc)\n"
+    )
+    assert out.stdout.splitlines() == ["OP witness failed revalidation", "GOODCOPY witness failed revalidation"], out.stderr
+
+
 def test_op_budget_exhaustion_reports_bound_only():
     A = gs(4, 3)
     res = find_op(A, 4, SearchBudget(node_limit=10))
@@ -633,7 +660,7 @@ def test_good_copy_found_in_qgs_reduced_pair():
 
 def test_good_copy_reads_labels_both_dense_and_sparse_as_sparse():
     # At eps >= 1/2 a label can be both dense and sparse.  The search, the
-    # revalidation of its witnesses and classify must all read it as sparse.
+    # revalidation of its witnesses and rp.code must all read it as sparse.
     sp = GroupSpec(3, 4)
     F = QuadraticFactor(sp, [sp.basis_vector(1)], [trace_sym_space(4, 3)[0]])
     rng = np.random.default_rng(0xB07)
@@ -646,7 +673,7 @@ def test_good_copy_reads_labels_both_dense_and_sparse_as_sparse():
             both += 1
             neg, pos, _ = _good_copy_columns(rp)[0]  # bit s: the search's verdict on label s
             for s in range(rp.label_spec.order):
-                assert rp.classify(s) == ("sparse" if neg >> s & 1 else "dense" if pos >> s & 1 else "error")
+                assert rp.code[s] == (0 if neg >> s & 1 else 1 if pos >> s & 1 else 2)
             for pattern, k in itertools.product("HUT", (1, 2)):
                 res = find_good_copy(rp, pattern, k)
                 assert res.status == NONE or (res.status == FOUND and res.witness.revalidate())
@@ -794,9 +821,9 @@ def test_union_closure_empirical_at_searchable_depths():
         for _ in range(6):
             M1 = rng.integers(0, 3, size=(n, n)); M1 = (M1 + M1.T) % 3
             M2 = rng.integers(0, 3, size=(n, n)); M2 = (M2 + M2.T) % 3
-            A = quadric(n, 3, M1, int(rng.integers(0, 3))).union(
-                quadric(n, 3, M2, int(rng.integers(0, 3)))
-            )
+            A1 = quadric(n, 3, M1, int(rng.integers(0, 3)))
+            A2 = quadric(n, 3, M2, int(rng.integers(0, 3)))
+            A = GroupSubset(sp, A1.indicator | A2.indicator)
             for k in (2, 3):
                 res = find_hop2(A, k)
                 assert res.status in (FOUND, NONE)

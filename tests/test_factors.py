@@ -17,7 +17,6 @@ from qfa.factors import (
     LinearFactor,
     QuadraticFactor,
     RankFunction,
-    atom_label,
     atom_members,
     atom_sizes,
     factor_rank,
@@ -54,10 +53,14 @@ def test_trivial_factor_conventions():
 
 def test_atom_label_examples():
     spec = GroupSpec(3, 4)
+
+    def label(x, B):
+        return AtomLabel.from_index(int(label_index_table(B)[spec.index_of(x)]), 3, B.ell, B.q)
+
     triv = QuadraticFactor(spec, [], [])
-    assert atom_label([1, 2, 0, 1], triv) == AtomLabel([], [])
+    assert label([1, 2, 0, 1], triv) == AtomLabel([], [])
     B = QuadraticFactor(spec, [spec.basis_vector(1)], [np.eye(4, dtype=np.int64)])
-    lab = atom_label([1, 1, 0, 0], B)
+    lab = label([1, 1, 0, 0], B)
     assert lab.linear_part == (1,) and lab.quadratic_part == (2,)
 
 

@@ -38,7 +38,7 @@ from qfa.detectors import (
 )
 from qfa.uniformity import reduced_pair
 from qfa.factors import GeneralQuadraticFactor, LinearFactor, QuadraticFactor, label_index_table
-from support import gowers_inner, plant_tree_encoding
+from support import form_value, gowers_inner, plant_tree_encoding
 
 RNG = np.random.default_rng(0xF0F2)
 
@@ -396,8 +396,6 @@ def dev23_from_definitions(A, factor, a_labels, b_labels, cross_labels):
     """Recompute the relative quasirandomness data from the raw definitions:
     elementwise bilinear evaluations, triple loops for the triangle density,
     and the six-fold octahedron sum."""
-    from qfa.core import bilin_eval, quad_eval
-
     spec = A.spec
     p = spec.p
     atoms = []
@@ -410,7 +408,7 @@ def dev23_from_definitions(A, factor, a_labels, b_labels, cross_labels):
                 for t, lv in enumerate(factor.linear.vectors)
             )
             quad_ok = all(
-                quad_eval(M, v, p) == b_lab[t] for t, M in enumerate(factor.matrices)
+                form_value(M, v, v, p) == b_lab[t] for t, M in enumerate(factor.matrices)
             )
             if lin_ok and quad_ok:
                 members.append(v)
@@ -418,7 +416,7 @@ def dev23_from_definitions(A, factor, a_labels, b_labels, cross_labels):
 
     def beta(u, v, lab):
         return all(
-            bilin_eval(M, u, v, p) == lab[t] for t, M in enumerate(factor.matrices)
+            form_value(M, u, v, p) == lab[t] for t, M in enumerate(factor.matrices)
         )
 
     U, V, W = atoms
@@ -636,15 +634,20 @@ def revalidate_oracle(w):
     good copy's labels are judged by label_kind, never by red.code."""
     A, k, data = w.subset, w.k, w.data
     spec = A.spec
-    reads = {"OP": "ab", "HOP2": "xyz", "FOP2": "xyz", "VC": "ab", "VC2": "abc", "CUBE": "xyz", "TREE": ["nodes", "leaves"]}
+    reads = {"OP": "ab", "HOP2": "xyz", "FOP2": "xyz", "VC": "ab", "VC2": "abc", "CUBE": "xyz", "TREE": ["nodes", "leaves", "d"]}
     if w.kind == "GOODCOPY":
-        sides = ["nodes", "leaves"] if data.get("pattern") == "T" else ["left", "right"]
+        sides = ["nodes", "leaves", "d"] if data.get("pattern") == "T" else ["left", "right"]
         reads["GOODCOPY"] = ["red", "pattern", "side", *sides]
     if any(role not in data for role in reads.get(w.kind, "")):
         return False
     role_lists = {"OP": "ab", "HOP2": "xyz", "FOP2": "xz", "VC": "a", "VC2": "bc"}.get(w.kind, "")
     if any(len(data[role]) != k for role in role_lists):
         return False
+
+    def keys_the_tree():  # every 0/1 tuple shorter than d is a node, every one of length d a leaf
+        d = data["d"]
+        tuples = {m: set(itertools.product((0, 1), repeat=m)) for m in range(d + 1)}
+        return set(data["nodes"]) == set().union(*(tuples[m] for m in range(d))) and set(data["leaves"]) == tuples[d]
 
     def member(*vs):
         total = np.zeros(spec.n, dtype=np.int64)
@@ -684,6 +687,8 @@ def revalidate_oracle(w):
             return False
         return all(member(b[i - 1], c[j - 1], a) == ((i, j) in S) for S, a in data["a"].items() for i, j in cells)
     if w.kind == "TREE":
+        if not keys_the_tree():
+            return False
         for sigma, h in data["nodes"].items():
             for eta, g in data["leaves"].items():
                 if len(sigma) < len(eta) and eta[: len(sigma)] == sigma:
@@ -706,7 +711,9 @@ def revalidate_oracle(w):
 
         if data["pattern"] == "H":
             left, right = data["left"], data["right"]
-            for j, b in enumerate(right):  # every right element, also past k
+            if len(left) != k or len(right) != k:
+                return False
+            for j, b in enumerate(right):
                 if not in_side(b):
                     return False
                 for i, a in enumerate(left):
@@ -715,6 +722,8 @@ def revalidate_oracle(w):
             return True
         if data["pattern"] == "U":
             left = data["left"]
+            if len(left) != k or sorted(data["right"]) != list(range(2**k)):
+                return False
             for bits, b in data["right"].items():
                 if not in_side(b):
                     return False
@@ -722,7 +731,9 @@ def revalidate_oracle(w):
                     if kind_of(a, b) != ("dense" if int(bits) >> i & 1 else "sparse"):
                         return False
             return True
-        for eta, g in data["leaves"].items():  # T
+        if not keys_the_tree():  # T
+            return False
+        for eta, g in data["leaves"].items():
             if not in_side(g):
                 return False
             for sigma, h in data["nodes"].items():
@@ -908,10 +919,9 @@ def test_revalidate_matches_loop_oracle_on_witnesses_and_mutants(witness_cases):
 
 
 def test_a_missing_role_gives_false(searched):
-    # d, a tree's depth, is the one key of a witness that no check reads
     kinds = set()
     for w in searched:
-        for role in set(w.data) - {"d"}:
+        for role in w.data:
             rest = {key: val for key, val in w.data.items() if key != role}
             damaged = Witness(w.kind, w.subset, rest, k=w.k)
             assert not damaged.revalidate(), (w.kind, role)
@@ -950,6 +960,41 @@ def test_fop2_witnesses_must_key_exactly_the_selectors(searched):
         assert len(damaged.data["y"]) == len(w.data["y"])
         assert not damaged.revalidate(), w.k
         assert not revalidate_oracle(damaged), w.k
+
+
+def test_tree_and_good_copy_witnesses_must_key_the_whole_pattern(searched):
+    # a key left out is a cell never checked: empty, truncated and
+    # foreign-keyed trees, U families and H staircases must all fail
+    empty_tree = {"nodes": {}, "leaves": {}}
+    damaged = [Witness("TREE", gs(3, 3), empty_tree), Witness("TREE", gs(3, 3), dict(empty_tree, d=2))]
+    kinds = set()
+    for w in searched:
+        pattern = w.data.get("pattern") if w.kind == "GOODCOPY" else w.kind
+        if pattern in ("TREE", "T"):
+            d, nodes, leaves = w.data["d"], w.data["nodes"], w.data["leaves"]
+            some_leaf = next(iter(leaves.values()))
+            bad = [
+                dict(empty_tree),
+                {"nodes": dict(list(nodes.items())[:-1])},
+                {"leaves": dict(list(leaves.items())[:-1])},
+                {"leaves": {**leaves, (0,) * (d + 1): some_leaf}},
+                {"nodes": {**nodes, (0,) * d: some_leaf}},
+                {"d": d + 1},
+            ]
+        elif pattern == "U":
+            left, right = w.data["left"], w.data["right"]
+            bad = [{"right": {}}, {"right": dict(list(right.items())[:-1])}, {"left": left[:-1]}]
+            bad.append({"right": {**right, 2**w.k: right[0]}})
+        elif pattern == "H":
+            bad = [{"left": w.data["left"][:-1]}, {"right": w.data["right"][:-1]}]
+        else:
+            continue
+        kinds.add(pattern)
+        damaged += [Witness(w.kind, w.subset, dict(w.data, **roles), k=w.k) for roles in bad]
+    assert kinds == {"TREE", "T", "U", "H"}
+    for w in damaged:
+        assert not w.revalidate(), (w.kind, w.k, w.to_jsonable())
+        assert not revalidate_oracle(w), (w.kind, w.k)
 
 
 def test_revalidation_reads_no_sum_table(witness_cases, monkeypatch):
