@@ -11,6 +11,7 @@ from .core import (
     matrix_rank,
     write_subset,
 )
+from .detectors import hodges_extract
 from .factors import (
     AtomLabel,
     GeneralQuadraticFactor,
@@ -25,6 +26,7 @@ from .factors import (
     pullback_factor,
     refines,
 )
+from .regularize import find_dense_subspace
 from .setspec import parse_set_spec
 from .suites import SUITES, emit_report, run_suite
 
@@ -44,7 +46,9 @@ __all__ = [
     "dft",
     "emit_report",
     "factor_rank",
+    "find_dense_subspace",
     "gauss_sum",
+    "hodges_extract",
     "idft",
     "make_high_rank",
     "matrix_rank",

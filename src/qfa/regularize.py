@@ -212,22 +212,6 @@ def _lift_character(H: Subgroup, t_vec) -> np.ndarray:
     return v
 
 
-class EncodingEvidence:
-    """A counted batch of tree-pattern encodings produced when no dense
-    subspace was found (the constructive side of the dichotomy)."""
-
-    def __init__(self, d: int, count: int, witness: Witness):
-        self.d = d
-        self.count = count
-        self.witness = witness
-
-    def revalidate(self) -> bool:
-        return self.witness.revalidate()
-
-    def __repr__(self):
-        return f"EncodingEvidence(d={self.d}, count={self.count})"
-
-
 def _find_tree_encoding(A_loc: GroupSubset, d: int, budget: SearchBudget | None = None) -> dict | None:
     """One encoding of the depth-d pattern in (H, A'), all elements from H:
     the tree search of find_good_copy's T pattern with dense = A', sparse =
@@ -242,7 +226,8 @@ def find_dense_subspace(A: GroupSubset, H: Subgroup, eps: float, d: int):
     """Either a (1-eps)-dense translated subspace of bounded codimension, or
     explicit tree-encoding evidence inside (H, A cap H); total by case split.
 
-    Returns ("dense", H', y, stats) or ("evidence", EncodingEvidence).
+    Returns ("dense", H', y, stats), or ("evidence", w, count): a revalidated
+    TREE witness w of depth d and the number of encodings in its coset.
     """
     spec = A.spec
     base = A.indicator[H.coset_indices(np.zeros(spec.n, dtype=np.int64))].mean()
@@ -276,7 +261,7 @@ def find_dense_subspace(A: GroupSubset, H: Subgroup, eps: float, d: int):
                 }
                 w = Witness("TREE", A, {"leaves": leaves, "nodes": nodes, "d": d})
                 if w.revalidate():
-                    return "evidence", EncodingEvidence(d, cnt, w)
+                    return "evidence", w, cnt
         eps_unif /= 2
     raise RuntimeError("dense-subspace dichotomy did not resolve within budget")
 

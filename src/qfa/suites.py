@@ -248,7 +248,11 @@ def _check_qgs_goodcopy(params):
     A, F = cons.qgs(6, 3)
     rp = unif.reduced_pair(A, QuadraticFactor(F.spec, [], F.matrices[:4]), 0.01)
     res = det.find_good_copy(rp, "H", 3)
-    return _ok(res.status == det.FOUND and res.witness.revalidate())
+    if res.status != det.FOUND:
+        return _ok(False, note=res.status)
+    w, lab = res.witness, rp.label_spec
+    # revalidation reads an empty atom as sparse, so every a_i + b_j must also be occupied
+    return _ok(w.revalidate() and all(rp.sizes[lab.index_of(a + b)] for a in w.data["left"] for b in w.data["right"]))
 
 
 def _check_qgs_aqale(params):
@@ -555,21 +559,6 @@ def _check_uniform_coset_postconditions(params):
     return _ok(True, measured=100.0, bound=100.0)
 
 
-def _check_dense_subspace(params):
-    # fixed inputs, whatever the run's seed: gs(6, 3) has a dense coset, and
-    # a random set of density 1/2 has none, so it must yield tree encodings
-    # whose staircases hodges_extract recovers
-    sp, d = GroupSpec(3, 6), 1
-    H = reg.Subgroup(sp, [])
-    if reg.find_dense_subspace(cons.gs(6, 3), H, 0.1, d)[0] != "dense":
-        return _ok(False, note="gs(6, 3): no dense coset")
-    A = GroupSubset(sp, np.random.default_rng(0).random(sp.order) < 0.5)
-    res = reg.find_dense_subspace(A, H, 0.1, d)
-    if res[0] != "evidence" or not res[1].revalidate():
-        return _ok(False, note="random set: no revalidating tree evidence")
-    return _ok(all(det.hodges_extract(res[1].witness, k).revalidate() for k in range(1, d + 1)))
-
-
 def _check_gs_regularize(params):
     res = reg.stable_linear_decomposition(cons.gs(8, 3), eps=0.1, max_codim=6)
     best = min(
@@ -672,7 +661,6 @@ SUITES = {
     "regularize": [
         ("stable-coset-input", "exact-recovery-of-coset-structure", _check_stable_input),
         ("uniform-coset-postconditions", "codim-density-uniformity", _check_uniform_coset_postconditions),
-        ("dense-subspace-dichotomy", "dense-coset-or-tree-encodings", _check_dense_subspace),
         ("gs-regularization", "error-fraction-decay", _check_gs_regularize),
         ("chain-validity", "emitted-chains-pass-conditions", _check_chain_validity),
     ],

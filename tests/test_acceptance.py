@@ -39,7 +39,6 @@ CRITERIA = [
     ("7b uniform-coset-postconditions", "regularize", "uniform-coset-postconditions"),
     ("7c layered-set-error-decay", "regularize", "gs-regularization"),
     ("7d chains-pass-conditions", "regularize", "chain-validity"),
-    ("7e dense-subspace-dichotomy", "regularize", "dense-subspace-dichotomy"),
     ("8a sparse-span-bound", "appendix", "sparse-span-bound"),
     ("8b affine-embedding-cases", "appendix", "affine-embeddings"),
     ("8c tree-count-dp-vs-naive", "appendix", "tree-count-oracle"),

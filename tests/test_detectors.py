@@ -79,8 +79,8 @@ def test_witness_check_survives_optimize(run_optimized):
 
 
 def test_extraction_and_good_copy_checks_survive_optimize(run_optimized):
-    # the catalogue reaches hodges_extract and find_good_copy: under python
-    # -O a bad witness from either must still raise
+    # hodges_extract is public and the catalogue reaches find_good_copy:
+    # under python -O a bad witness from either must still raise
     out = run_optimized(
         "import numpy as np\n"
         "from qfa import detectors as det, uniformity as unif\n"
@@ -91,7 +91,7 @@ def test_extraction_and_good_copy_checks_survive_optimize(run_optimized):
         "assert False, 'asserts are live'\n"
         "sp = GroupSpec(3, 6)\n"
         "A = GroupSubset(sp, np.random.default_rng(0).random(sp.order) < 0.5)\n"
-        "tree = find_dense_subspace(A, Subgroup(sp, []), 0.1, 1)[1].witness\n"
+        "tree = find_dense_subspace(A, Subgroup(sp, []), 0.1, 1)[1]\n"
         "B, F = qgs(6, 3)\n"
         "rp = unif.reduced_pair(B, QuadraticFactor(F.spec, [], F.matrices[:4]), 0.01)\n"
         "valid = det.Witness.revalidate\n"

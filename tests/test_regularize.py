@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from qfa.core import GroupSpec, GroupSubset
 from qfa.constructions import gs, quadric, trace_sym_space, union_of_cosets
+from qfa.detectors import hodges_extract
 from qfa.factors import AtomLabel, LinearFactor, QuadraticFactor, label_index_table
 from qfa.regularize import (
     FactorChain,
@@ -145,9 +146,7 @@ def test_dense_subspace_cases():
     A0 = GroupSubset(sp, sp.digits[:, 0] == 0)
     res = find_dense_subspace(A0, H, 0.2, 1)
     assert res[0] == "dense" and res[3]["density"] >= 0.8
-    res = find_dense_subspace(gs(6, 3), H, 0.1, 1)
-    if res[0] == "evidence":
-        assert res[1].count >= 1 and res[1].revalidate()
+    assert find_dense_subspace(gs(6, 3), H, 0.1, 1)[0] == "dense"
     with pytest.raises(ValueError):
         find_dense_subspace(GroupSubset(sp), H, 0.2, 1)
 
@@ -158,8 +157,10 @@ def test_dense_subspace_evidence_branch():
     sp = GroupSpec(3, 6)
     A = GroupSubset(sp, RNG.random(sp.order) < 0.5)
     res = find_dense_subspace(A, Subgroup(sp, []), 0.1, 1)
-    assert res[0] == "evidence"
-    assert res[1].revalidate()
+    assert res[0] == "evidence" and res[2] >= 1
+    assert res[1].kind == "TREE" and res[1].data["d"] == 1 and res[1].revalidate()
+    # its staircase of length d = 1; longer ones run the guided search (test_detectors)
+    assert hodges_extract(res[1], 1).revalidate()
 
 
 def test_dense_subspace_lets_a_real_memory_error_through(monkeypatch):
