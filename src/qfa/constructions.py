@@ -14,6 +14,7 @@ from .factors import (
     QuadraticFactor,
     _least_rank_combo,
     label_index_table,
+    label_values,
     matrix_family_rank,
 )
 
@@ -191,15 +192,13 @@ def qgs(n: int, p: int) -> tuple:
     """The quadratic analogue of gs: A = union_i Q_i(e_i) for the trace
     matrix family, together with the generating purely quadratic factor."""
     spec = GroupSpec(p, n)
-    mats = trace_sym_space(n, p)
-    cols = np.stack([quad_values(M, spec) for M in mats], axis=1)
+    factor = QuadraticFactor(spec, [], trace_sym_space(n, p))
+    cols = label_values(factor).T
     nonzero = cols != 0
     any_nz = nonzero.any(axis=1)
     first = np.argmax(nonzero, axis=1)
     vals = cols[np.arange(spec.order), first]
-    subset = GroupSubset(spec, any_nz & (vals == 1))
-    factor = QuadraticFactor(spec, LinearFactor(spec, []), mats)
-    return subset, factor
+    return GroupSubset(spec, any_nz & (vals == 1)), factor
 
 
 def quadric(n: int, p: int, M=None, c: int = 0) -> GroupSubset:

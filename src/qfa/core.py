@@ -5,8 +5,9 @@ and the subset file format.
 Exact elimination has two routines: `_rref_rows`, Gauss-Jordan on Python int
 rows, behind `rref` and `matrix_rank` on one matrix, and the vectorized
 forward elimination in `ranks`, which gives the rank of each matrix in a
-stack.  Forms over the whole group (`quad_values`, `linear_values`,
-`gauss_sum`) are evaluated by halves of the coordinates (`_form_values`).
+stack.  Forms over the whole group (`quad_values`, `gauss_sum`, and a
+factor's labels in `factors.label_values`) are evaluated by halves of the
+coordinates (`_form_values`).
 
 All group elements are addressed by their little-endian base-p index,
 idx = sum_i v_i * p**i (coordinate 0 varies fastest).  Every table in this
@@ -106,11 +107,14 @@ class GroupSpec:
     def digits(self) -> np.ndarray:
         """(order, n) table: row i holds the coordinates of the vector with
         index i, in the smallest signed dtype that holds p - 1 (int8 for
-        p <= 127)."""
+        p <= 127), written straight into it a block of rows at a time."""
         if self._digits is None:
-            idx = np.arange(self.order, dtype=np.int64)
-            cols = [(idx // self._powers[i]) % self.p for i in range(self.n)]
-            self._digits = np.stack(cols, axis=1).astype(np.min_scalar_type(1 - self.p))
+            self._digits = np.empty((self.order, self.n), dtype=np.min_scalar_type(1 - self.p))
+            # per row: its int64 index and two (rows, n) int64 temporaries
+            step = block_rows(8 + 16 * self.n)
+            for s in range(0, self.order, step):
+                idx = np.arange(s, min(s + step, self.order), dtype=np.int64)
+                self._digits[s : s + step] = idx[:, None] // self._powers % self.p
             self._digits.setflags(write=False)
         return self._digits
 
@@ -121,7 +125,7 @@ class GroupSpec:
         entries; built once and read-only like `digits`."""
         if self._half_table is None:
             k = self.n // 2
-            self._half_table = addition_table(self.p, k).astype(np.min_scalar_type(self.p**k - 1))
+            self._half_table = addition_table(self.p, k)
             self._half_table.setflags(write=False)
         return self._half_table
 
@@ -163,12 +167,13 @@ class GroupSpec:
         return ((self.digits.astype(np.int64) + x) % self.p) @ self._powers
 
     def sum_table(self) -> np.ndarray | None:
-        """Cached (order, order) table of pairwise sum indices, or None when
-        the group is too large for it to be worthwhile."""
+        """Cached (order, order) table of pairwise sum indices in
+        `addition_table`'s dtype (uint16 at every order it is built for), or
+        None when the group is too large for it to be worthwhile."""
         if self.order**2 > _SUM_TABLE_ENTRIES:
             return None
         if self._sum_table is None:
-            self._sum_table = addition_table(self.p, self.n).astype(np.int32)
+            self._sum_table = addition_table(self.p, self.n)
         return self._sum_table
 
     def basis_vector(self, i: int) -> np.ndarray:
@@ -182,16 +187,19 @@ class GroupSpec:
 
 def addition_table(p: int, m: int) -> np.ndarray:
     """(p^m, p^m) table T with T[i, j] = index of vector_of(i) + vector_of(j)
-    in F_p^m, for any m >= 0 (the table of the trivial group is [[0]]).
+    in F_p^m, for any m >= 0 (the table of the trivial group is [[0]]), in
+    the smallest unsigned dtype that holds p^m - 1.
 
-    Built one coordinate at a time: with i = i0 + p*i' (little-endian),
-    T_m[i, j] = (i0 + j0) % p + p * T_(m-1)[i', j'].
+    Built one coordinate at a time, in that dtype: with i = i0 + p*i'
+    (little-endian), T_m[i, j] = (i0 + j0) % p + p * T_(m-1)[i', j'].
     """
-    table = np.zeros((1, 1), dtype=np.int64)
+    dtype = np.min_scalar_type(p**m - 1)
+    table = np.zeros((1, 1), dtype=dtype)
     for _ in range(m):
-        digit = np.add.outer(np.arange(p), np.arange(p)) % p
+        digit = (np.add.outer(np.arange(p), np.arange(p)) % p).astype(dtype)
         k = len(table)
-        table = (p * table[:, None, :, None] + digit[None, :, None, :]).reshape(k * p, k * p)
+        table *= p
+        table = (table[:, None, :, None] + digit[None, :, None, :]).reshape(k * p, k * p)
     return table
 
 
@@ -235,16 +243,6 @@ def quad_values(M: np.ndarray, spec: GroupSpec) -> np.ndarray:
         raise ShapeError(f"matrix shape {M.shape} does not match dimension {spec.n}")
     vals = _form_values(spec, M.reshape(-1, spec.n, spec.n), None)
     return vals.astype(np.int64).reshape(M.shape[:-2] + (spec.order,))
-
-
-def linear_values(v, spec: GroupSpec) -> np.ndarray:
-    """x . v mod p for every x in the group: an (order,) int64 array for one
-    vector, (B, order) for a (B, n) stack.  Evaluated by halves."""
-    v = np.asarray(v, dtype=np.int64)
-    if v.shape[-1:] != (spec.n,) or v.ndim not in (1, 2):
-        raise ShapeError(f"vector shape {v.shape} does not match dimension {spec.n}")
-    vals = _form_values(spec, None, v.reshape(-1, spec.n))
-    return vals.astype(np.int64).reshape(v.shape[:-1] + (spec.order,))
 
 
 def _form_values(spec: GroupSpec, M, v) -> np.ndarray:

@@ -6,12 +6,16 @@ A label (a-bar; b-bar) is addressed inside the label space F_p^(l+q) using the
 same little-endian convention as group elements, with the linear coordinates
 first.  Labels carry one entry per *stored* constraint; the complexity of the
 linear part is the dimension of its span (duplicates are permitted in storage).
+
+A factor has one labelling: `label_values`, the (l+q, N) label coordinates of
+every group element from one `_form_values` pass, and the `label_index_table`
+built from it.  Atoms, atom sizes, refinement and pullback partitions read the
+table, and every per-cell size and density is counted by `cell_counts`.
 """
 
 from __future__ import annotations
 
 import ast
-import itertools
 import math
 import operator
 
@@ -22,13 +26,12 @@ from .core import (
     GroupSpec,
     GroupSubset,
     ShapeError,
+    _form_values,
     _format_row,
     _row_tokens,
     as_sym_matrix,
     block_rows,
-    linear_values,
     matrix_rank,
-    quad_values,
     ranks,
     rref,
 )
@@ -152,6 +155,8 @@ class AtomLabel:
 class LinearFactor:
     """An ordered list of vectors in F_p^n; atoms are the joint level sets."""
 
+    q = 0
+
     def __init__(self, spec: GroupSpec, vectors=()):
         self.spec = spec
         self.vectors = [np.asarray(v, dtype=np.int64) % spec.p for v in vectors]
@@ -168,13 +173,6 @@ class LinearFactor:
         if not self.vectors:
             return 0
         return matrix_rank(np.stack(self.vectors), self.spec.p)
-
-    def label_columns(self) -> np.ndarray:
-        """(order, ell) array of x.v_j values over the whole group: the
-        transpose of one linear_values call on the stacked vectors."""
-        if not self.vectors:
-            return np.zeros((self.spec.order, 0), dtype=np.int64)
-        return linear_values(np.stack(self.vectors), self.spec).T
 
 
 class QuadraticFactor:
@@ -203,15 +201,6 @@ class QuadraticFactor:
     def complexity(self) -> tuple:
         return (self.linear.complexity, self.q)
 
-    def quad_columns(self) -> np.ndarray:
-        if not self.matrices:
-            return np.zeros((self.spec.order, 0), dtype=np.int64)
-        return quad_values(np.stack(self.matrices), self.spec).T
-
-    def label_matrix(self) -> np.ndarray:
-        """(order, ell+q) label coordinates of every group element."""
-        return np.concatenate([self.linear.label_columns(), self.quad_columns()], axis=1)
-
 
 class GeneralQuadraticFactor:
     """Like a quadratic factor, but quadratic constraints carry linear shifts:
@@ -226,6 +215,9 @@ class GeneralQuadraticFactor:
         self.pairs = [
             (as_sym_matrix(M, spec.p), np.asarray(u, dtype=np.int64) % spec.p) for M, u in pairs
         ]
+        for M, u in self.pairs:
+            if M.shape != (spec.n, spec.n) or u.shape != (spec.n,):
+                raise ShapeError(f"pair shapes {M.shape} and {u.shape} do not match dimension {spec.n}")
 
     @property
     def ell(self) -> int:
@@ -242,58 +234,61 @@ class GeneralQuadraticFactor:
     def is_purely_linear(self) -> bool:
         return self.q == 0
 
-    def quad_columns(self) -> np.ndarray:
-        if not self.pairs:
-            return np.zeros((self.spec.order, 0), dtype=np.int64)
-        M, u = (np.stack(part) for part in zip(*self.pairs))
-        return ((quad_values(M, self.spec) + linear_values(u, self.spec)) % self.spec.p).T
 
-    def label_matrix(self) -> np.ndarray:
-        return np.concatenate([self.linear.label_columns(), self.quad_columns()], axis=1)
-
-
-def _coerce_factor(B):
+def label_values(B) -> np.ndarray:
+    """(ell + q, order) int64 label coordinates of every group element: the
+    linear values x.v_j, then the quadratic values x^T M_i x (plus x.u_i on a
+    general factor), from one `_form_values` pass on the stacked forms, with
+    zero matrices on the linear rows and no matrices when q = 0.  A factor
+    without constraints has no coordinates and needs no pass."""
     if isinstance(B, LinearFactor):
-        return B.spec, B.label_columns(), B.ell, 0
-    if isinstance(B, (QuadraticFactor, GeneralQuadraticFactor)):
-        return B.spec, B.label_matrix(), B.ell, B.q
-    raise TypeError(f"not a factor: {type(B)!r}")
+        B = QuadraticFactor(B.spec, B)
+    if isinstance(B, QuadraticFactor):
+        mats, shifts = B.matrices, [np.zeros(B.spec.n, dtype=np.int64)] * B.q
+    elif isinstance(B, GeneralQuadraticFactor):
+        mats, shifts = [M for M, _ in B.pairs], [u for _, u in B.pairs]
+    else:
+        raise TypeError(f"not a factor: {type(B)!r}")
+    if B.ell + B.q == 0:
+        return np.zeros((0, B.spec.order), dtype=np.int64)
+    v = np.array([*B.linear.vectors, *shifts], dtype=np.int64)
+    M = np.concatenate([np.zeros((B.ell, B.spec.n, B.spec.n), dtype=np.int64), mats]) if mats else None
+    return _form_values(B.spec, M, v).astype(np.int64)
 
 
 def label_index_table(B) -> np.ndarray:
     """Combined little-endian label index of every group element: the sum of
-    p^j times label coordinate j, added one coordinate at a time from the
-    factor's linear and quadratic columns, with no label matrix stacked."""
-    if isinstance(B, LinearFactor):
-        parts = [B.label_columns()]
-    elif isinstance(B, (QuadraticFactor, GeneralQuadraticFactor)):
-        parts = [B.linear.label_columns(), B.quad_columns()]
-    else:
-        raise TypeError(f"not a factor: {type(B)!r}")
-    out = np.zeros(B.spec.order, dtype=np.int64)
-    for j, row in enumerate(itertools.chain.from_iterable(cols.T for cols in parts)):
-        out += B.spec.p**j * row
-    return out
+    p^j times label coordinate j of `label_values`."""
+    vals = label_values(B)
+    return B.spec.p ** np.arange(len(vals), dtype=np.int64) @ vals
+
+
+def cell_counts(table: np.ndarray, indicator, cells: int) -> tuple:
+    """(sizes, densities) of the cells of a partition table: each cell's
+    element count and the fraction of them in the indicator (None: the whole
+    group), 0 on an empty cell; at least `cells` entries each."""
+    sizes = np.bincount(table, minlength=cells)
+    hits = np.bincount(table, weights=indicator, minlength=cells)
+    return sizes, hits / np.maximum(sizes, 1)
 
 
 def atom_members(B, label: AtomLabel) -> GroupSubset:
-    spec, cols, ell, q = _coerce_factor(B)
-    want = np.array(label.combined(), dtype=np.int64)
-    if want.size != cols.shape[1]:
+    """The atom with this label; empty when an entry lies outside 0..p-1."""
+    table, want, p = label_index_table(B), label.combined(), B.spec.p
+    if len(want) != B.ell + B.q:
         raise ShapeError("label length does not match the factor")
-    mask = (cols == want).all(axis=1)
-    return GroupSubset(spec, mask)
+    if not all(0 <= d < p for d in want):
+        return GroupSubset(B.spec)
+    return GroupSubset(B.spec, table == label.index(p))
 
 
 def atom_sizes(B) -> dict:
     """Map from AtomLabel to atom size, over nonempty atoms only."""
-    spec, cols, ell, q = _coerce_factor(B)
-    table = label_index_table(B)
-    sizes = np.bincount(table, minlength=1)
-    out = {}
-    for idx in np.nonzero(sizes)[0]:
-        out[AtomLabel.from_index(int(idx), spec.p, ell, q)] = int(sizes[idx])
-    return out
+    sizes, _ = cell_counts(label_index_table(B), None, 1)
+    return {
+        AtomLabel.from_index(int(idx), B.spec.p, B.ell, B.q): int(sizes[idx])
+        for idx in np.flatnonzero(sizes)
+    }
 
 
 def _nontrivial_combos(q: int, p: int) -> np.ndarray:
@@ -372,11 +367,10 @@ def matrix_family_rank(mats, p: int) -> float:
 def refines(B1, B2) -> bool:
     """True iff the atom partition of B1 refines that of B2 (decided by
     checking that elements sharing a B1 label share their B2 label)."""
-    spec1, _, _, _ = _coerce_factor(B1)
-    spec2, _, _, _ = _coerce_factor(B2)
-    if spec1 != spec2:
+    t1, t2 = label_index_table(B1), label_index_table(B2)
+    if B1.spec != B2.spec:
         raise ShapeError("factors live on different groups")
-    return _refines(label_index_table(B1), label_index_table(B2))
+    return _refines(t1, t2)
 
 
 def _refines(t1: np.ndarray, t2: np.ndarray) -> bool:
@@ -462,17 +456,9 @@ def pad_with_high_rank(Q: QuadraticFactor, S, q_extra: int):
 def pullback_partition(B, R: LinearFactor) -> np.ndarray:
     """Partition table of X_R: for each x, the little-endian index of the
     R-label of x's B-label."""
-    spec, cols, ell, q = _coerce_factor(B)
-    if R.spec.n != ell + q:
-        raise ShapeError(
-            f"pullback factor lives on F_p^{R.spec.n}, expected label space of dim {ell + q}"
-        )
-    out = np.zeros(spec.order, dtype=np.int64)
-    mult = 1
-    for rv in R.vectors:
-        out += mult * ((cols @ rv) % spec.p)
-        mult *= spec.p
-    return out
+    if (R.spec.p, R.spec.n) != (B.spec.p, B.ell + B.q):
+        raise ShapeError(f"pullback factor lives on {R.spec}, expected the label space F_{B.spec.p}^{B.ell + B.q}")
+    return label_index_table(R)[label_index_table(B)]
 
 
 def pullback_factor(B: QuadraticFactor, R: LinearFactor, verify: bool = True):

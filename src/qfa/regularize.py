@@ -23,6 +23,7 @@ from .factors import (
     LinearFactor,
     QuadraticFactor,
     _MonotoneFormula,
+    cell_counts,
     label_index_table,
 )
 
@@ -42,10 +43,7 @@ class AtomicityVerdict:
         self.eps = eps
         self.delta = delta
         M = int(table.max()) + 1 if table.size else 1
-        sizes = np.bincount(table, minlength=M)
-        hits = np.bincount(table, weights=A.indicator.astype(np.float64), minlength=M)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            dens = np.where(sizes > 0, hits / np.maximum(sizes, 1), 0.0)
+        sizes, dens = cell_counts(table, A.indicator, M)
         occupied = sizes > 0
         self.cell_sizes = sizes
         self.cell_densities = dens
@@ -305,15 +303,14 @@ def factor_chain_check(chain: FactorChain, A: GroupSubset) -> dict:
             if not (f(ell_prev - ell0) < ell_cur - ell0 <= D):
                 out["growth"] = False
         table = label_index_table(cur)
-        sizes = np.bincount(table, minlength=1)
-        hits = np.bincount(table, weights=A.indicator.astype(np.float64), minlength=1)
+        sizes, dens = cell_counts(table, A.indicator, 1)
         part = chain.partitions[i - 1]
         thresh = eps * p ** (-float(g(ell_prev - ell0)))
         for lab in part["one"]:
-            if sizes[lab] == 0 or hits[lab] / sizes[lab] < 1 - thresh:
+            if sizes[lab] == 0 or dens[lab] < 1 - thresh:
                 out["accuracy"] = False
         for lab in part["zero"]:
-            if sizes[lab] == 0 or hits[lab] / sizes[lab] > thresh:
+            if sizes[lab] == 0 or dens[lab] > thresh:
                 out["accuracy"] = False
         # condition (4): error cells spread thinly below every coarse cell
         coarse_table = label_index_table(prev)

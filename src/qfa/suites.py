@@ -28,6 +28,7 @@ from .factors import (
     RankFunction,
     atom_members,
     atom_sizes,
+    cell_counts,
     factor_rank,
     label_index_table,
     make_high_rank,
@@ -246,7 +247,7 @@ def _check_qgs_density(params):
 
 def _check_qgs_goodcopy(params):
     A, F = cons.qgs(6, 3)
-    rp = unif.reduced_pair(A, QuadraticFactor(F.spec, [], F.matrices[:4]), 0.01)
+    rp = unif.ReducedPair(A, QuadraticFactor(F.spec, [], F.matrices[:4]), 0.01)
     res = det.find_good_copy(rp, "H", 3)
     if res.status != det.FOUND:
         return _ok(False, note=res.status)
@@ -355,8 +356,7 @@ def _binary_transfer_errors(A: GroupSubset, F: QuadraticFactor) -> np.ndarray:
     pair's edge counts do not sum to |t1| |t2|."""
     spec, p = F.spec, F.spec.p
     table = label_index_table(F)
-    sizes = np.bincount(table, minlength=p * p)
-    alpha = np.bincount(table[A.indicator], minlength=p * p) / np.maximum(sizes, 1)
+    sizes, alpha = cell_counts(table, A.indicator, p * p)
     atoms = table == np.arange(p * p)[:, None]
     level = table // p == np.arange(p)[:, None]
     hat = dft(np.concatenate([atoms, level, level & A.indicator]).astype(np.float64), spec)

@@ -16,7 +16,7 @@ import numpy as np
 from .core import (
     CapacityError, GroupSpec, GroupSubset, ShapeError, _sum_index_grid, block_rows, dft,
 )
-from .factors import AtomLabel, label_index_table
+from .factors import AtomLabel, cell_counts, label_index_table, label_values
 
 
 # The blocked kernels here (u2_norm, u3_norm, beta_graph, dev2_sum, oct_sum
@@ -284,11 +284,10 @@ def triad_membership_check(factor) -> bool:
     # (columns, N) labels and (columns, N, N) cross terms: 2 B(x, y) on the
     # quadratic columns, 0 on the linear ones.  The table exists only for
     # N^2 <= 2^23, so p < 2^12 and int16 holds every sum below.
-    labels = factor.label_matrix().T.astype(np.int16)
-    digits = spec.digits.astype(np.int64)
+    labels = label_values(factor).astype(np.int16)
     cross = np.zeros((len(labels), spec.order, spec.order), dtype=np.int16)
-    for i, M in enumerate(factor.matrices):
-        cross[factor.ell + i] = (2 * ((digits @ M) @ digits.T)) % p
+    everything = np.arange(spec.order)
+    cross[factor.ell :] = 2 * _bilin_matrix(factor, everything, everything) % p
     pair = (labels[:, :, None] + labels[:, None, :] + cross) % p
     for z in range(spec.order):
         cz = cross[:, :, z]
@@ -528,26 +527,12 @@ class ReducedPair:
         spec = A.spec
         ell, q = factor.ell, factor.q
         self.label_spec = GroupSpec(spec.p, ell + q) if ell + q > 0 else None
-        table = label_index_table(factor)
-        M = spec.p ** (ell + q)
-        sizes = np.bincount(table, minlength=M)
-        hits = np.bincount(table, weights=A.indicator.astype(np.float64), minlength=M)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            dens = np.where(sizes > 0, hits / np.maximum(sizes, 1), 0.0)
-        self.sizes = sizes
-        self.densities = dens
+        self.sizes, dens = cell_counts(label_index_table(factor), A.indicator, spec.p ** (ell + q))
         self.A1 = dens >= 1 - eps
         self.A0 = dens <= eps
         self.err = ~(self.A1 | self.A0)
         # the one dense/sparse rule: code 0 sparse, 1 dense, 2 error; a label
         # that is both (possible for eps >= 1/2) is sparse
         self.code = np.where(self.A0, 0, np.where(self.A1, 1, 2)).astype(np.int8)
-        if self.label_spec is not None:
-            lab_digits = self.label_spec.digits
-            self.H_B = (lab_digits[:, :ell] == 0).all(axis=1)
-        else:
-            self.H_B = np.ones(1, dtype=bool)
-
-
-def reduced_pair(A: GroupSubset, factor, eps: float) -> ReducedPair:
-    return ReducedPair(A, factor, eps)
+        # labels with a zero linear part: the linear coordinates are the low digits
+        self.H_B = np.arange(len(dens)) % spec.p**ell == 0

@@ -35,7 +35,7 @@ from qfa.detectors import (
     _good_copy_columns,
 )
 from qfa.factors import LinearFactor, QuadraticFactor
-from qfa.uniformity import reduced_pair
+from qfa.uniformity import ReducedPair
 from support import count_good_copies_H, plant_tree_encoding
 
 RNG = np.random.default_rng(0xF0F2)
@@ -93,7 +93,7 @@ def test_extraction_and_good_copy_checks_survive_optimize(run_optimized):
         "A = GroupSubset(sp, np.random.default_rng(0).random(sp.order) < 0.5)\n"
         "tree = find_dense_subspace(A, Subgroup(sp, []), 0.1, 1)[1]\n"
         "B, F = qgs(6, 3)\n"
-        "rp = unif.reduced_pair(B, QuadraticFactor(F.spec, [], F.matrices[:4]), 0.01)\n"
+        "rp = unif.ReducedPair(B, QuadraticFactor(F.spec, [], F.matrices[:4]), 0.01)\n"
         "valid = det.Witness.revalidate\n"
         "for kind, call in (('OP', lambda: det.hodges_extract(tree, 1)), ('GOODCOPY', lambda: det.find_good_copy(rp, 'H', 3))):\n"
         "    det.Witness.revalidate = lambda self, kind=kind: self.kind != kind and valid(self)\n"
@@ -417,24 +417,24 @@ def _fingerprint_reduced_pairs():
     from qfa.constructions import qgs
 
     A, F = qgs(6, 3)
-    yield reduced_pair(A, QuadraticFactor(F.spec, [], F.matrices[:4]), 0.01), None
+    yield ReducedPair(A, QuadraticFactor(F.spec, [], F.matrices[:4]), 0.01), None
     _, F = qgs(4, 3)
-    yield reduced_pair(GroupSubset(F.spec), QuadraticFactor(F.spec, [], F.matrices[:2]), 0.01), None
+    yield ReducedPair(GroupSubset(F.spec), QuadraticFactor(F.spec, [], F.matrices[:2]), 0.01), None
     sp = GroupSpec(3, 6)
     B = QuadraticFactor(sp, [sp.basis_vector(1), sp.basis_vector(2)], [trace_sym_space(6, 3)[0]])
-    rp = reduced_pair(gs(6, 3), B, 0.05)
+    rp = ReducedPair(gs(6, 3), B, 0.05)
     yield rp, None
     yield rp, np.ones(rp.label_spec.order, dtype=bool)
     sp = GroupSpec(3, 4)
     B = QuadraticFactor(sp, [], [trace_sym_space(4, 3)[0]])
     rng = np.random.default_rng(9)
     for _ in range(4):
-        yield reduced_pair(GroupSubset(sp, rng.random(sp.order) < 0.5), B, 0.4), None
+        yield ReducedPair(GroupSubset(sp, rng.random(sp.order) < 0.5), B, 0.4), None
     sp = GroupSpec(3, 3)
     F = QuadraticFactor(sp, [sp.basis_vector(1)], [np.eye(3, dtype=np.int64)])
     rng = np.random.default_rng(11)
     for _ in range(4):
-        yield reduced_pair(GroupSubset(sp, rng.random(sp.order) < rng.uniform(0.15, 0.85)), F, 0.3), None
+        yield ReducedPair(GroupSubset(sp, rng.random(sp.order) < rng.uniform(0.15, 0.85)), F, 0.3), None
 
 
 def _good_copy_rows():
@@ -649,7 +649,7 @@ def test_good_copy_found_in_qgs_reduced_pair():
 
     A, F = qgs(6, 3)
     FD = QuadraticFactor(F.spec, [], F.matrices[:4])
-    rp = reduced_pair(A, FD, 0.01)
+    rp = ReducedPair(A, FD, 0.01)
     res = find_good_copy(rp, "H", 3)
     assert res.status == FOUND
     assert res.witness.revalidate()
@@ -667,7 +667,7 @@ def test_good_copy_reads_labels_both_dense_and_sparse_as_sparse():
     for eps in (0.5, 0.6):
         both, found = 0, set()
         for _ in range(20):
-            rp = reduced_pair(GroupSubset(sp, rng.random(sp.order) < 0.5), F, eps)
+            rp = ReducedPair(GroupSubset(sp, rng.random(sp.order) < 0.5), F, eps)
             if not (rp.A1 & rp.A0).any():
                 continue
             both += 1
@@ -689,7 +689,7 @@ def test_good_copy_T_check_reads_every_cell():
     rng = np.random.default_rng(5)
     off = []
     while not off:
-        rp = reduced_pair(GroupSubset(sp, rng.random(sp.order) < 0.5), F, 0.3)
+        rp = ReducedPair(GroupSubset(sp, rng.random(sp.order) < 0.5), F, 0.3)
         w = find_good_copy(rp, "T", 2, np.ones(rp.label_spec.order, dtype=bool)).witness
         if w is None:
             continue
@@ -713,7 +713,7 @@ def test_good_copy_none_when_no_dense_atoms():
 
     _, F = qgs(4, 3)
     FD = QuadraticFactor(F.spec, [], F.matrices[:2])
-    rp = reduced_pair(GroupSubset(F.spec), FD, 0.01)
+    rp = ReducedPair(GroupSubset(F.spec), FD, 0.01)
     assert find_good_copy(rp, "H", 1).status == NONE
 
 
@@ -721,7 +721,7 @@ def test_good_copy_count_positive_for_layered_set():
     sp = GroupSpec(3, 6)
     mats = trace_sym_space(6, 3)
     B = QuadraticFactor(sp, [sp.basis_vector(1), sp.basis_vector(2)], [mats[0]])
-    rp = reduced_pair(gs(6, 3), B, 0.05)
+    rp = ReducedPair(gs(6, 3), B, 0.05)
     full_side = np.ones(rp.label_spec.order, dtype=bool)
     assert count_good_copies_H(rp, 2, side=full_side) > 0
 
@@ -733,7 +733,7 @@ def test_good_copy_U_pattern_small():
     rng = np.random.default_rng(9)
     for _ in range(30):
         A = GroupSubset(sp, rng.random(sp.order) < 0.5)
-        rp = reduced_pair(A, B, 0.4)
+        rp = ReducedPair(A, B, 0.4)
         res = find_good_copy(rp, "U", 1)
         if res.status == FOUND:
             return

@@ -79,6 +79,77 @@ def test_atom_members_quadric_count():
     assert len(zero) == 9
 
 
+def test_atom_members_rejects_a_label_of_the_wrong_length():
+    spec = GroupSpec(3, 3)
+    B = QuadraticFactor(spec, [spec.basis_vector(1)], [np.eye(3, dtype=np.int64)])
+    for label in (AtomLabel([], [0]), AtomLabel([0], []), AtomLabel([0], [0, 0]), AtomLabel([0, 0], [0])):
+        with pytest.raises(ShapeError):
+            atom_members(B, label)
+    with pytest.raises(ShapeError):
+        atom_members(LinearFactor(spec, [spec.basis_vector(1)]), AtomLabel([0], [0]))
+
+
+def test_an_out_of_range_label_names_the_empty_set():
+    # read as a little-endian index, [3, 0] would alias ([], [0, 1]) at p = 3
+    spec = GroupSpec(3, 3)
+    B = QuadraticFactor(spec, [], trace_sym_space(3, 3)[:2])
+    assert len(atom_members(B, AtomLabel([], [0, 1]))) > 0
+    for label in (AtomLabel([], [3, 0]), AtomLabel([], [0, 3]), AtomLabel([], [-1, 1]), AtomLabel([], [4, 0])):
+        assert len(atom_members(B, label)) == 0
+    lin = LinearFactor(spec, [spec.basis_vector(1), spec.basis_vector(2)])
+    assert len(atom_members(lin, AtomLabel([0, 1], []))) == 3
+    assert len(atom_members(lin, AtomLabel([3, 0], []))) == 0
+
+
+def test_refines_rejects_other_groups_and_non_factors():
+    a, b = GroupSpec(3, 3), GroupSpec(3, 4)
+    with pytest.raises(ShapeError):
+        refines(LinearFactor(a, [a.basis_vector(1)]), LinearFactor(b, [b.basis_vector(1)]))
+    with pytest.raises(ShapeError):
+        refines(QuadraticFactor(a, [], []), LinearFactor(GroupSpec(5, 3), []))
+    with pytest.raises(TypeError):
+        refines(LinearFactor(a, []), GroupSubset.full(a))
+    with pytest.raises(TypeError):
+        refines(np.zeros(a.order, dtype=np.int64), LinearFactor(a, []))
+
+
+def test_general_factor_pairs_must_match_the_dimension():
+    spec = GroupSpec(3, 3)
+    for M, u in ((np.eye(2, dtype=np.int64), [1, 0, 0]), (np.eye(3, dtype=np.int64), [1, 0])):
+        with pytest.raises(ShapeError):
+            label_index_table(GeneralQuadraticFactor(spec, [], [(M, u)]))
+
+
+def test_a_factor_without_constraints_has_one_atom():
+    spec = GroupSpec(3, 3)
+    for B in (LinearFactor(spec, []), QuadraticFactor(spec, [], []), GeneralQuadraticFactor(spec, [], [])):
+        assert atom_sizes(B) == {AtomLabel([], []): spec.order}
+        assert atom_members(B, AtomLabel([], [])) == GroupSubset.full(spec)
+        assert label_index_table(B).tolist() == [0] * spec.order
+
+
+def test_pullback_partition_checks_the_label_dimension():
+    spec = GroupSpec(3, 3)
+    B = QuadraticFactor(spec, [spec.basis_vector(1)], [np.eye(3, dtype=np.int64)])
+    for m in (1, 3):
+        with pytest.raises(ShapeError):
+            pullback_partition(B, LinearFactor(GroupSpec(3, m), [[1] * m]))
+    # a factor without constraints has label space F_p^0, on which no R lives
+    with pytest.raises(ShapeError):
+        pullback_partition(LinearFactor(spec, []), LinearFactor(GroupSpec(3, 1), [[1]]))
+    lin = LinearFactor(spec, [spec.basis_vector(1), spec.basis_vector(2)])
+    R = LinearFactor(GroupSpec(3, 2), [[1, 1]])
+    want = (spec.digits[:, 0].astype(np.int64) + spec.digits[:, 1]) % 3
+    assert np.array_equal(pullback_partition(lin, R), want)
+
+
+def test_pullback_partition_rejects_a_label_space_over_another_prime():
+    spec = GroupSpec(3, 3)
+    B = QuadraticFactor(spec, [spec.basis_vector(1)], [np.eye(3, dtype=np.int64)])
+    with pytest.raises(ShapeError):
+        pullback_partition(B, LinearFactor(GroupSpec(5, 2), [[1, 2]]))
+
+
 def test_factor_rank_examples():
     spec = GroupSpec(3, 4)
     assert factor_rank(QuadraticFactor(spec, [], [np.eye(4, dtype=np.int64)])) == 4

@@ -10,7 +10,6 @@ from qfa.core import (
     dft,
     gauss_sum,
     idft,
-    linear_values,
     matrix_rank,
     quad_values,
 )
@@ -18,11 +17,13 @@ from qfa.constructions import gs, qgs, quadric, trace_sym_space
 from qfa.detectors import FOUND, NONE, cap2_check, find_hop2, find_op, vc2_dim
 from qfa.factors import (
     AtomLabel,
+    LinearFactor,
     QuadraticFactor,
     RankFunction,
     atom_sizes,
     factor_rank,
     label_index_table,
+    label_values,
     make_high_rank,
     refines,
 )
@@ -116,7 +117,7 @@ def test_wide_prime_digits_do_not_wrap():
     M = np.array([[3, 100], [100, 128]])
     want = [(3 * a * a + 200 * a * b + 128 * b * b) % 131 for a, b in vecs]
     assert quad_values(M, sp).tolist() == want
-    assert linear_values([7, 130], sp).tolist() == [(7 * a + 130 * b) % 131 for a, b in vecs]
+    assert label_values(LinearFactor(sp, [[7, 130]]))[0].tolist() == [(7 * a + 130 * b) % 131 for a, b in vecs]
     x = 125 + 131 * 130
     sums = [(a + 125) % 131 + 131 * ((b + 130) % 131) for a, b in vecs]
     assert sp.add_perm(x).tolist() == sums

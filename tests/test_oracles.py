@@ -36,8 +36,8 @@ from qfa.detectors import (
     vc2_to_fop2_witness,
     vc_dim,
 )
-from qfa.uniformity import reduced_pair
-from qfa.factors import GeneralQuadraticFactor, LinearFactor, QuadraticFactor, label_index_table
+from qfa.uniformity import ReducedPair
+from qfa.factors import GeneralQuadraticFactor, LinearFactor, QuadraticFactor, label_index_table, label_values
 from support import form_value, gowers_inner, plant_tree_encoding
 
 RNG = np.random.default_rng(0xF0F2)
@@ -345,7 +345,7 @@ def test_good_copy_search_matches_oracle():
     spec = GroupSpec(3, 3)
     F = QuadraticFactor(spec, [spec.basis_vector(1)], [np.eye(3, dtype=np.int64)])
     for A in random_subsets(spec, 15):
-        red = reduced_pair(A, F, 0.3)
+        red = ReducedPair(A, F, 0.3)
         got = find_good_copy(red, "H", 2).status
         want = FOUND if good_copy_H_oracle(red, 2) else NONE
         assert got == want, A.indices().tolist()
@@ -771,7 +771,7 @@ def searched_witnesses():
     F = QuadraticFactor(lab, [lab.basis_vector(1)], [np.eye(3, dtype=np.int64)])
     for eps, side in itertools.product((0.3, 0.6), (None, np.ones(lab.order, dtype=bool))):
         for _ in range(2):
-            red = reduced_pair(GroupSubset(lab, rng.random(lab.order) < 0.5), F, eps)
+            red = ReducedPair(GroupSubset(lab, rng.random(lab.order) < 0.5), F, eps)
             found = [find_good_copy(red, pattern, k, side).witness for pattern in "HUT" for k in (1, 2)]
             out += [w for w in found if w is not None]
     for spec, d, seed in ((GroupSpec(3, 6), 2, 4), (GroupSpec(3, 10), 4, 6)):
@@ -1034,7 +1034,7 @@ def test_oracles_read_no_fast_sum_path(monkeypatch):
     sets = [GroupSubset(sp, rng.random(sp.order) < q) for q in (0.3, 0.5, 0.7, 0.9)]
     lab = GroupSpec(3, 3)
     F = QuadraticFactor(lab, [lab.basis_vector(1)], [np.eye(3, dtype=np.int64)])
-    reds = [reduced_pair(GroupSubset(lab, rng.random(lab.order) < 0.5), F, 0.3) for _ in range(4)]
+    reds = [ReducedPair(GroupSubset(lab, rng.random(lab.order) < 0.5), F, 0.3) for _ in range(4)]
 
     def run():
         return (
@@ -1184,18 +1184,23 @@ def gauss_sum_oracle(M, b, spec):
     return complex(out[0]) if np.ndim(M) == 2 else out
 
 
-def label_index_table_oracle(F):
-    """The (N, ell + q) int64 label matrix from the oracle values, times the
-    powers of p."""
+def label_values_oracle(F):
+    """The (ell + q, N) int64 label coordinates from the oracle values, one
+    form at a time."""
     spec = F.spec
     lin = F if isinstance(F, LinearFactor) else F.linear
-    cols = [linear_values_oracle(v, spec) for v in lin.vectors]
+    rows = [linear_values_oracle(v, spec) for v in lin.vectors]
     if isinstance(F, GeneralQuadraticFactor):
-        cols += [(quad_values_oracle(M, spec) + linear_values_oracle(u, spec)) % spec.p for M, u in F.pairs]
+        rows += [(quad_values_oracle(M, spec) + linear_values_oracle(u, spec)) % spec.p for M, u in F.pairs]
     elif isinstance(F, QuadraticFactor):
-        cols += [quad_values_oracle(M, spec) for M in F.matrices]
-    labels = np.stack(cols, axis=1) if cols else np.zeros((spec.order, 0), dtype=np.int64)
-    return labels @ spec.p ** np.arange(labels.shape[1], dtype=np.int64)
+        rows += [quad_values_oracle(M, spec) for M in F.matrices]
+    return np.stack(rows) if rows else np.zeros((0, spec.order), dtype=np.int64)
+
+
+def label_index_table_oracle(F):
+    """The oracle label coordinates times the powers of p."""
+    labels = label_values_oracle(F)
+    return F.spec.p ** np.arange(len(labels), dtype=np.int64) @ labels
 
 
 # n = 1, an odd and an even n per prime, each group small enough for the
@@ -1206,9 +1211,11 @@ FORM_CASES = [(3, 1), (3, 5), (3, 6), (5, 1), (5, 3), (5, 4), (7, 1), (7, 3), (7
 
 @pytest.mark.parametrize("p,n", FORM_CASES)
 def test_form_kernels_match_the_einsum_oracle_bit_for_bit(p, n):
-    """quad_values, linear_values, gauss_sum and label_index_table equal the
+    """quad_values, gauss_sum, label_values and label_index_table equal the
     einsum/int64 path on one input and on stacks of 1 and 3, matrices not
-    necessarily symmetric and entries outside [0, p) included."""
+    necessarily symmetric and entries outside [0, p) included, and on
+    linear, quadratic and general factors with q = 0, ell = 0 and
+    ell + q = 0."""
     spec = GroupSpec(p, n)
     rng = np.random.default_rng(p * 100 + n)
     M = rng.integers(-p, 2 * p, size=(3, n, n))
@@ -1217,21 +1224,31 @@ def test_form_kernels_match_the_einsum_oracle_bit_for_bit(p, n):
         (core.quad_values(M[0], spec), quad_values_oracle(M[0], spec)),
         (core.quad_values(M, spec), quad_values_oracle(M, spec)),
         (core.quad_values(M[:1], spec), quad_values_oracle(M[:1], spec)),
-        (core.linear_values(v[0], spec), linear_values_oracle(v[0], spec)),
-        (core.linear_values(v, spec), linear_values_oracle(v, spec)),
+        (label_values(LinearFactor(spec, v[:1]))[0], linear_values_oracle(v[0], spec)),
+        (label_values(LinearFactor(spec, v)), linear_values_oracle(v, spec)),
     ):
         assert got.dtype == want.dtype == np.int64
         assert got.shape == want.shape and np.array_equal(got, want)
     S = (M + M.transpose(0, 2, 1)) % p
     assert core.gauss_sum(S[0], v[0], spec) == gauss_sum_oracle(S[0], v[0], spec)
     assert np.array_equal(core.gauss_sum(S, v, spec), gauss_sum_oracle(S, v, spec))
+    # at most four label coordinates, so that 4093^(ell + q) fits in int64
     factors = [
         LinearFactor(spec, []),
         LinearFactor(spec, list(v[:2])),
+        QuadraticFactor(spec, [], []),
+        QuadraticFactor(spec, list(v), []),
         QuadraticFactor(spec, list(v[:1]), list(S[:2])),
         QuadraticFactor(spec, [], list(S)),
+        GeneralQuadraticFactor(spec, [], []),
+        GeneralQuadraticFactor(spec, list(v), []),
+        GeneralQuadraticFactor(spec, [], list(zip(S, v))),
         GeneralQuadraticFactor(spec, list(v[1:]), list(zip(S[:2], v[:2]))),
     ]
     for F in factors:
-        got, want = label_index_table(F), label_index_table_oracle(F)
-        assert got.dtype == want.dtype == np.int64 and np.array_equal(got, want)
+        for got, want in (
+            (label_values(F), label_values_oracle(F)),
+            (label_index_table(F), label_index_table_oracle(F)),
+        ):
+            assert got.dtype == want.dtype == np.int64
+            assert got.shape == want.shape and np.array_equal(got, want)

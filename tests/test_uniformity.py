@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from qfa import core, uniformity
 from qfa.core import CapacityError, GroupSpec, GroupSubset, ShapeError, dft
 from qfa.constructions import gs, trace_sym_space
-from qfa.factors import AtomLabel, LinearFactor, QuadraticFactor, atom_members, label_index_table
+from qfa.factors import AtomLabel, LinearFactor, QuadraticFactor, atom_members, label_index_table, label_values
 from qfa.uniformity import (
+    ReducedPair,
     TriadDescriptor,
     beta_graph,
     density_transfer_check,
@@ -20,7 +21,6 @@ from qfa.uniformity import (
     oct_measure,
     oct_naive,
     oct_sum,
-    reduced_pair,
     sigma,
     triad_graphs,
     triad_membership_check,
@@ -241,14 +241,13 @@ def test_triad_membership_small():
 
 
 @pytest.mark.parametrize("part", ["quadratic", "linear"])
-def test_triad_membership_detects_a_corrupted_label(part):
+def test_triad_membership_detects_a_corrupted_label(part, monkeypatch):
     sp = GroupSpec(3, 3)
     F = QuadraticFactor(sp, [sp.basis_vector(1)], [trace_sym_space(3, 3)[0]])
-    owner = F if part == "quadratic" else F.linear
-    method = "quad_columns" if part == "quadratic" else "label_columns"
-    cols = getattr(owner, method)().copy()
-    cols[5, 0] = (cols[5, 0] + 1) % 3
-    setattr(owner, method, lambda: cols)
+    vals = label_values(F)
+    row = F.ell if part == "quadratic" else 0
+    vals[row, 5] = (vals[row, 5] + 1) % 3
+    monkeypatch.setattr(uniformity, "label_values", lambda factor: vals)
     assert not triad_membership_check(F)
 
 
@@ -427,7 +426,7 @@ def test_reduced_pair_union_of_atoms_has_no_errors():
     F = QuadraticFactor(sp, [sp.basis_vector(1)], [mats[0]])
     table = label_index_table(F)
     A = GroupSubset(sp, (table == 3) | (table == 5))
-    rp = reduced_pair(A, F, 1e-6)
+    rp = ReducedPair(A, F, 1e-6)
     assert rp.err.sum() == 0
 
 
@@ -437,14 +436,14 @@ def test_reduced_pair_qgs_structure():
     A, F = qgs(6, 3)
     for D in (2, 3):
         FD = QuadraticFactor(F.spec, [], F.matrices[:D])
-        rp = reduced_pair(A, FD, 1e-9)
+        rp = ReducedPair(A, FD, 1e-9)
         assert set(np.flatnonzero(rp.err).tolist()) == {0}
 
 
 def test_reduced_pair_gs_zero_atom_error():
     sp = GroupSpec(3, 6)
     F = QuadraticFactor(sp, [sp.basis_vector(1)], [])
-    rp = reduced_pair(gs(6, 3), F, 0.2)
+    rp = ReducedPair(gs(6, 3), F, 0.2)
     assert rp.err[0]
     assert rp.H_B.sum() == 1  # purely linear factor: only the zero label
 
@@ -487,7 +486,7 @@ def test_encoding_scarcity_bound_in_reduced_pairs():
     hits = 0
     for _ in range(600):
         A = GroupSubset(sp, rng.random(sp.order) < rng.uniform(0.05, 0.95))
-        rp = reduced_pair(A, F, 0.2)
+        rp = ReducedPair(A, F, 0.2)
         if find_good_copy(rp, "H", 1).status != NONE:
             continue
         n_err = int(rp.err.sum())
