@@ -14,7 +14,6 @@ from .core import (
 from .detectors import hodges_extract
 from .factors import (
     AtomLabel,
-    GeneralQuadraticFactor,
     LinearFactor,
     QuadraticFactor,
     RankFunction,
@@ -33,7 +32,6 @@ from .suites import SUITES, emit_report, run_suite
 __all__ = [
     "AtomLabel",
     "CapacityError",
-    "GeneralQuadraticFactor",
     "GroupSpec",
     "GroupSubset",
     "LinearFactor",

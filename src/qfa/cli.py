@@ -3,8 +3,9 @@
 Configuration is a flat key=value file (--config) plus flags; flags win.
 `verify` reads the key seed from it, and any other key is a usage error.
 Randomized checks take a 64-bit --seed (default 0xF0F2).  Exit code 0 means
-every check passed; 1 means a FAIL/ERROR or an unsuccessful search; usage
-errors exit with 2.
+every check passed; 1 means a FAIL/ERROR or a search whose budget ran out
+(bound-only); usage errors, and inputs of the wrong shape or beyond a capacity
+limit, exit with 2.
 """
 
 from __future__ import annotations
@@ -16,10 +17,12 @@ import sys
 import numpy as np
 
 from . import regularize as reg
+from .core import CapacityError, GroupSubset, ShapeError
 from .detectors import (
     BOUND_ONLY,
     FOUND,
     SearchBudget,
+    _search,
     cap2_check,
     count_tree_encodings,
     find_fop2,
@@ -85,15 +88,14 @@ def cmd_verify(args):
 def cmd_detect(args):
     A = parse_set_spec(args.set)
     kind = args.kind
-    if kind == "tree":
-        from .core import GroupSubset
-
-        full = GroupSubset.full(A.spec)
-        count = count_tree_encodings(A, args.k, full, full)
-        print(json.dumps({"kind": "tree", "d": args.k, "count": str(count)}))
-        return 0
     budget = SearchBudget(node_limit=args.budget_nodes, time_limit=args.budget_seconds)
-    if kind in ("op", "hop2", "fop2"):
+    if kind == "tree":
+        full = GroupSubset.full(A.spec)
+        status, count = _search(count_tree_encodings, A, args.k, full, full, budget)
+        w, out = None, {"kind": kind, "d": args.k, "status": "exact" if status == FOUND else status}
+        if count is not None:
+            out["count"] = str(count)
+    elif kind in ("op", "hop2", "fop2"):
         res = {"op": find_op, "hop2": find_hop2, "fop2": find_fop2}[kind](A, args.k, budget)
         w, status = res.witness, res.status
         out = {"kind": kind, "k": args.k, "status": status, "nodes": res.nodes}
@@ -191,7 +193,7 @@ def cmd_factor(args):
             write_factor(out, args.out)
         print(json.dumps({
             "complexity": list(out.complexity),
-            "purely_linear": out.is_purely_linear(),
+            "purely_linear": out.q == 0,
             "written": args.out or None,
         }))
         return 0
@@ -285,7 +287,7 @@ def main(argv=None) -> int:
     try:
         args.config_values = _load_config(args.config, args.command) if args.config else {}
         return args.fn(args)
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError, ShapeError, CapacityError) as exc:
         print(f"qfa: error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,6 +1,10 @@
-"""Linear, quadratic, and general quadratic factors: atoms and label
-arithmetic, factor rank, refinement, and the constructive rank-repair,
-padding, and pullback procedures.
+"""Linear and quadratic factors: atoms and label arithmetic, factor rank,
+refinement, and the constructive rank-repair, padding, and pullback
+procedures.
+
+A quadratic factor's quadratic values carry linear shifts, x^T M_i x + x.u_i,
+all zero unless given.  Pulling a linear factor back from the label space
+produces shifts, so every operation here takes them.
 
 A label (a-bar; b-bar) is addressed inside the label space F_p^(l+q) using the
 same little-endian convention as group elements, with the linear coordinates
@@ -176,18 +180,25 @@ class LinearFactor:
 
 
 class QuadraticFactor:
-    """A pair (L, Q): a linear factor plus symmetric matrices M_1..M_q."""
+    """A pair (L, Q): a linear factor plus symmetric matrices M_1..M_q, each
+    with a linear shift u_i, so that quadratic value i is x^T M_i x + x.u_i.
+    `shifts` holds one length-n vector per matrix; None means all zero."""
 
-    def __init__(self, spec: GroupSpec, linear, matrices=()):
+    def __init__(self, spec: GroupSpec, linear, matrices=(), shifts=None):
         self.spec = spec
         if isinstance(linear, LinearFactor):
             self.linear = linear
         else:
             self.linear = LinearFactor(spec, linear)
         self.matrices = [as_sym_matrix(M, spec.p) for M in matrices]
-        for M in self.matrices:
-            if M.shape != (spec.n, spec.n):
-                raise ShapeError(f"matrix shape {M.shape} does not match dimension {spec.n}")
+        if shifts is None:
+            shifts = np.zeros((len(self.matrices), spec.n), dtype=np.int64)
+        self.shifts = [np.asarray(u, dtype=np.int64) % spec.p for u in shifts]
+        if len(self.shifts) != len(self.matrices):
+            raise ShapeError(f"{len(self.shifts)} shifts for {len(self.matrices)} matrices")
+        for M, u in zip(self.matrices, self.shifts):
+            if M.shape != (spec.n, spec.n) or u.shape != (spec.n,):
+                raise ShapeError(f"matrix shape {M.shape} and shift shape {u.shape} do not match dimension {spec.n}")
 
     @property
     def ell(self) -> int:
@@ -202,64 +213,30 @@ class QuadraticFactor:
         return (self.linear.complexity, self.q)
 
 
-class GeneralQuadraticFactor:
-    """Like a quadratic factor, but quadratic constraints carry linear shifts:
-    x^T M_i x + x.u_i = s_i."""
-
-    def __init__(self, spec: GroupSpec, linear, pairs=()):
-        self.spec = spec
-        if isinstance(linear, LinearFactor):
-            self.linear = linear
-        else:
-            self.linear = LinearFactor(spec, linear)
-        self.pairs = [
-            (as_sym_matrix(M, spec.p), np.asarray(u, dtype=np.int64) % spec.p) for M, u in pairs
-        ]
-        for M, u in self.pairs:
-            if M.shape != (spec.n, spec.n) or u.shape != (spec.n,):
-                raise ShapeError(f"pair shapes {M.shape} and {u.shape} do not match dimension {spec.n}")
-
-    @property
-    def ell(self) -> int:
-        return self.linear.ell
-
-    @property
-    def q(self) -> int:
-        return len(self.pairs)
-
-    @property
-    def complexity(self) -> tuple:
-        return (self.linear.complexity, self.q)
-
-    def is_purely_linear(self) -> bool:
-        return self.q == 0
-
-
 def label_values(B) -> np.ndarray:
     """(ell + q, order) int64 label coordinates of every group element: the
-    linear values x.v_j, then the quadratic values x^T M_i x (plus x.u_i on a
-    general factor), from one `_form_values` pass on the stacked forms, with
-    zero matrices on the linear rows and no matrices when q = 0.  A factor
-    without constraints has no coordinates and needs no pass."""
+    linear values x.v_j, then the quadratic values x^T M_i x + x.u_i, from
+    one `_form_values` pass on the stacked forms, with zero matrices on the
+    linear rows and no matrices when q = 0.  A factor without constraints has
+    no coordinates and needs no pass."""
     if isinstance(B, LinearFactor):
         B = QuadraticFactor(B.spec, B)
-    if isinstance(B, QuadraticFactor):
-        mats, shifts = B.matrices, [np.zeros(B.spec.n, dtype=np.int64)] * B.q
-    elif isinstance(B, GeneralQuadraticFactor):
-        mats, shifts = [M for M, _ in B.pairs], [u for _, u in B.pairs]
-    else:
+    if not isinstance(B, QuadraticFactor):
         raise TypeError(f"not a factor: {type(B)!r}")
     if B.ell + B.q == 0:
         return np.zeros((0, B.spec.order), dtype=np.int64)
-    v = np.array([*B.linear.vectors, *shifts], dtype=np.int64)
-    M = np.concatenate([np.zeros((B.ell, B.spec.n, B.spec.n), dtype=np.int64), mats]) if mats else None
+    v = np.array([*B.linear.vectors, *B.shifts], dtype=np.int64)
+    M = np.concatenate([np.zeros((B.ell, B.spec.n, B.spec.n), dtype=np.int64), B.matrices]) if B.q else None
     return _form_values(B.spec, M, v).astype(np.int64)
 
 
 def label_index_table(B) -> np.ndarray:
     """Combined little-endian label index of every group element: the sum of
-    p^j times label coordinate j of `label_values`."""
+    p^j times label coordinate j of `label_values`.  Raises CapacityError
+    when the label space has more than 2^63 labels, which int64 cannot index."""
     vals = label_values(B)
+    if B.spec.p ** len(vals) > 2**63:
+        raise CapacityError(f"{B.spec.p}^{len(vals)} labels exceed the int64 label index")
     return B.spec.p ** np.arange(len(vals), dtype=np.int64) @ vals
 
 
@@ -344,15 +321,7 @@ def _least_rank_combo(mats, p: int, lams=None) -> tuple:
 def factor_rank(B) -> float:
     """Minimum F_p-rank over nontrivial combinations of the factor's matrices;
     infinity when there are none."""
-    if isinstance(B, LinearFactor):
-        return math.inf
-    if isinstance(B, GeneralQuadraticFactor):
-        mats = [M for M, _ in B.pairs]
-        spec = B.spec
-    else:
-        mats = B.matrices
-        spec = B.spec
-    return matrix_family_rank(mats, spec.p)
+    return math.inf if isinstance(B, LinearFactor) else matrix_family_rank(B.matrices, B.spec.p)
 
 
 def matrix_family_rank(mats, p: int) -> float:
@@ -391,11 +360,12 @@ def _row_space_basis(M: np.ndarray, p: int) -> list:
 def make_high_rank(B: QuadraticFactor, r: RankFunction, C: int) -> QuadraticFactor:
     """Repair a factor to rank at least r(final complexity).
 
-    Whenever a nontrivial combination of the current matrices has rank below
-    the target, the matrix with the largest index in that combination is
-    dropped, and a spanning set of the low-rank combination's row space is
-    added to the linear part; this keeps the new atoms a refinement of the old
-    ones (the dropped quadratic value becomes label-measurable).
+    Whenever a nontrivial combination sum_j lam_j M_j of the current matrices
+    has rank below the target, the matrix with the largest index in that
+    combination is dropped, and a spanning set of the low-rank combination's
+    row space is added to the linear part, together with the combined shift
+    sum_j lam_j u_j when it is nonzero; this keeps the new atoms a refinement
+    of the old ones (the dropped quadratic value becomes label-measurable).
     """
     spec = B.spec
     ell0, q0 = B.complexity
@@ -403,6 +373,7 @@ def make_high_rank(B: QuadraticFactor, r: RankFunction, C: int) -> QuadraticFact
         raise ValueError(f"complexity {ell0 + q0} exceeds the bound C={C}")
     lin = list(B.linear.vectors)
     mats = list(B.matrices)
+    shifts = list(B.shifts)
     while True:
         lf = LinearFactor(spec, lin)
         c = lf.complexity + len(mats)
@@ -412,16 +383,20 @@ def make_high_rank(B: QuadraticFactor, r: RankFunction, C: int) -> QuadraticFact
         if worst_rank >= r(c):
             break
         combo = np.tensordot(worst_lam, np.stack(mats), axes=1) % spec.p
+        shift = worst_lam @ np.stack(shifts) % spec.p
         drop = max(j for j in range(len(mats)) if worst_lam[j] != 0)
-        del mats[drop]
+        del mats[drop], shifts[drop]
         lin.extend(_row_space_basis(combo, spec.p))
-    return QuadraticFactor(spec, LinearFactor(spec, lin), mats)
+        if shift.any():
+            lin.append(shift)
+    return QuadraticFactor(spec, LinearFactor(spec, lin), mats, shifts)
 
 
 def pad_with_high_rank(Q: QuadraticFactor, S, q_extra: int):
     """Extend Q's quadratic part by q_extra matrices from the family S while
-    preserving factor rank; returns the extended factor, or None when the
-    exhaustive (greedy + backtracking) search finds no valid extension."""
+    preserving factor rank, keeping Q's shifts and giving each new matrix a
+    zero shift; returns the extended factor, or None when the exhaustive
+    (greedy + backtracking) search finds no valid extension."""
     spec = Q.spec
     mats_S = [as_sym_matrix(M, spec.p) for M in S]
     if matrix_family_rank(mats_S, spec.p) != spec.n:
@@ -450,7 +425,8 @@ def pad_with_high_rank(Q: QuadraticFactor, S, q_extra: int):
     picked = search(0, [])
     if picked is None:
         return None
-    return QuadraticFactor(spec, Q.linear, base + [mats_S[i] for i in picked])
+    zeros = np.zeros((len(picked), spec.n), dtype=np.int64)
+    return QuadraticFactor(spec, Q.linear, base + [mats_S[i] for i in picked], [*Q.shifts, *zeros])
 
 
 def pullback_partition(B, R: LinearFactor) -> np.ndarray:
@@ -462,37 +438,32 @@ def pullback_partition(B, R: LinearFactor) -> np.ndarray:
 
 
 def pullback_factor(B: QuadraticFactor, R: LinearFactor, verify: bool = True):
-    """Turn a linear factor R on B's label space into a general quadratic
-    factor B' on the group with At(B') = X_R.
+    """Turn a linear factor R on B's label space into a quadratic factor B'
+    with shifts on the group, with At(B') = X_R.
 
-    The construction assembles t_alpha / M_alpha from R's coefficients and
-    runs the iterative reduction: any low-rank combination of the assembled
+    Each vector r of R gives the label value x^T M_r x + x.t_r, with M_r =
+    sum_j r_(ell+j) M_j and t_r = sum_i r_i v_i + sum_j r_(ell+j) u_j.  The
+    iterative reduction follows: any low-rank combination of the assembled
     matrices must vanish identically (B's own rank forces all coefficients to
     zero), so the corresponding constraint is replaced by a linear one.
     """
     spec = B.spec
-    ell, q = B.ell, B.q
-    if R.spec.n != ell + q or R.spec.p != spec.p:
+    ell, q, n, p = B.ell, B.q, spec.n, spec.p
+    if R.spec.n != ell + q or R.spec.p != p:
         raise ShapeError("R must live on the label space F_p^(ell+q)")
     rho = factor_rank(B)
-    p = spec.p
 
-    pairs = []
-    for rv in R.vectors:
-        t = np.zeros(spec.n, dtype=np.int64)
-        for i in range(ell):
-            t = (t + int(rv[i]) * B.linear.vectors[i]) % p
-        M = np.zeros((spec.n, spec.n), dtype=np.int64)
-        for j in range(q):
-            M = (M + int(rv[ell + j]) * B.matrices[j]) % p
-        pairs.append((M, t))
+    coeffs = np.array(R.vectors, dtype=np.int64).reshape(R.ell, ell + q)
+    forms = np.array([*B.linear.vectors, *B.shifts], dtype=np.int64).reshape(ell + q, n)
+    quads = np.array(B.matrices, dtype=np.int64).reshape(q, n * n)
+    shifts = list(coeffs @ forms % p)
+    mats = list((coeffs[:, ell:] @ quads % p).reshape(R.ell, n, n))
 
     lin_extra = []
-    while pairs:
-        mats = [M for M, _ in pairs]
-        if all(not M.any() for M in mats):
-            lin_extra.extend(t for _, t in pairs)
-            pairs = []
+    while mats:
+        if not any(M.any() for M in mats):
+            lin_extra.extend(shifts)
+            mats, shifts = [], []
             break
         # rho is infinite only for q = 0, whose matrices all vanish above
         worst_rank, lam = _least_rank_combo(mats, p)
@@ -503,16 +474,11 @@ def pullback_factor(B: QuadraticFactor, R: LinearFactor, verify: bool = True):
             raise AssertionError(
                 "low-rank combination did not vanish; factor rank was misreported"
             )
-        i = min(j for j in range(len(pairs)) if lam[j])
-        inv = pow(int(lam[i]), p - 2, p)
-        w = pairs[i][1].copy()
-        for a in range(len(pairs)):
-            if a != i and lam[a]:
-                w = (w + inv * int(lam[a]) * pairs[a][1]) % p
-        lin_extra.append(w)
-        del pairs[i]
+        i = min(j for j in range(len(mats)) if lam[j])
+        lin_extra.append(pow(int(lam[i]), p - 2, p) * (lam @ np.stack(shifts) % p) % p)
+        del mats[i], shifts[i]
 
-    out = GeneralQuadraticFactor(spec, LinearFactor(spec, lin_extra), pairs)
+    out = QuadraticFactor(spec, LinearFactor(spec, lin_extra), mats, shifts)
     if verify:
         want = pullback_partition(B, R)
         got = label_index_table(out)
@@ -523,28 +489,21 @@ def pullback_factor(B: QuadraticFactor, R: LinearFactor, verify: bool = True):
 
 def write_factor(B, path: str) -> None:
     """Format: "p n ell q", then ell vector lines, then q matrices of n rows
-    each; general factors append q shift-vector lines.  Lines are written as
+    each, then q shift lines when some shift is nonzero.  Lines are written as
     write_subset writes members."""
-    spec = B.spec
-    is_general = isinstance(B, GeneralQuadraticFactor)
     if isinstance(B, LinearFactor):
-        B = QuadraticFactor(spec, B, [])
+        B = QuadraticFactor(B.spec, B)
+    rows = [*B.linear.vectors, *(row for M in B.matrices for row in M)]
+    if any(u.any() for u in B.shifts):
+        rows += B.shifts
     with open(path, "w") as fh:
-        fh.write(f"{spec.p} {spec.n} {B.ell} {B.q}\n")
-        for v in B.linear.vectors:
-            fh.write(_format_row(v) + "\n")
-        mats = [M for M, _ in B.pairs] if is_general else B.matrices
-        for M in mats:
-            for row in M:
-                fh.write(_format_row(row) + "\n")
-        if is_general:
-            for _, u in B.pairs:
-                fh.write(_format_row(u) + "\n")
+        fh.write(f"{B.spec.p} {B.spec.n} {B.ell} {B.q}\n")
+        fh.writelines(_format_row(row) + "\n" for row in rows)
 
 
 def read_factor(path: str):
-    """Read write_factor's format; a malformed or short file is a ValueError
-    naming the file and the line."""
+    """Read write_factor's format (shift lines are read when present); a
+    malformed or short file is a ValueError naming the file and the line."""
     with open(path) as fh:
         lines = [(no, ln.strip()) for no, ln in enumerate(fh, start=1) if ln.strip()]
     end = lines[-1][0] + 1 if lines else 1
@@ -567,7 +526,5 @@ def read_factor(path: str):
 
     vecs = [take_vector() for _ in range(ell)]
     mats = [np.stack([take_vector() for _ in range(n)]) for _ in range(q)]
-    if pos < len(lines):
-        shifts = [take_vector() for _ in range(q)]
-        return GeneralQuadraticFactor(spec, LinearFactor(spec, vecs), list(zip(mats, shifts)))
-    return QuadraticFactor(spec, LinearFactor(spec, vecs), mats)
+    shifts = [take_vector() for _ in range(q)] if pos < len(lines) else None
+    return QuadraticFactor(spec, LinearFactor(spec, vecs), mats, shifts)

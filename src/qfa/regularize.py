@@ -18,7 +18,7 @@ import numpy as np
 from .core import (
     CapacityError, GroupSpec, GroupSubset, _sum_index_grid, dft, nullspace_basis, rref,
 )
-from .detectors import SearchBudget, Witness, _Columns, _Grid, _tree_search, count_tree_encodings
+from .detectors import SearchBudget, Witness, _Columns, _Grid, _tree_search
 from .factors import (
     LinearFactor,
     QuadraticFactor,
@@ -224,9 +224,11 @@ def find_dense_subspace(A: GroupSubset, H: Subgroup, eps: float, d: int):
     """Either a (1-eps)-dense translated subspace of bounded codimension, or
     explicit tree-encoding evidence inside (H, A cap H); total by case split.
 
-    Returns ("dense", H', y, stats), or ("evidence", w, count): a revalidated
-    TREE witness w of depth d and the number of encodings in its coset.
+    Returns ("dense", H', y, stats), or ("evidence", w): a revalidated TREE
+    witness w of depth d, 1 <= d <= 3, found by one tree search per round.
     """
+    if not 1 <= d <= 3:
+        raise ValueError("tree depth supported for 1 <= d <= 3")
     spec = A.spec
     base = A.indicator[H.coset_indices(np.zeros(spec.n, dtype=np.int64))].mean()
     if base < eps:
@@ -240,12 +242,9 @@ def find_dense_subspace(A: GroupSubset, H: Subgroup, eps: float, d: int):
         # uniform with middling density: encodings are abundant; exhibit them
         lab, ind = cur.localized(A, y)
         if lab is not None:
-            loc = GroupSubset(lab, ind)
-            full = GroupSubset.full(lab)
             try:
-                cnt = count_tree_encodings(loc, d, full, full)
-                found = _find_tree_encoding(loc, d) if cnt > 0 else None
-            except (CapacityError, ValueError):
+                found = _find_tree_encoding(GroupSubset(lab, ind), d)
+            except CapacityError:
                 found = None
             if found is not None:
                 # lift the local encoding back to the ambient group
@@ -259,7 +258,7 @@ def find_dense_subspace(A: GroupSubset, H: Subgroup, eps: float, d: int):
                 }
                 w = Witness("TREE", A, {"leaves": leaves, "nodes": nodes, "d": d})
                 if w.revalidate():
-                    return "evidence", w, cnt
+                    return "evidence", w
         eps_unif /= 2
     raise RuntimeError("dense-subspace dichotomy did not resolve within budget")
 

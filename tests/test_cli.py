@@ -328,6 +328,52 @@ def test_cli_detect_tree_counts(capsys):
     assert rc == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["kind"] == "tree" and int(doc["count"]) >= 0
+    assert doc["status"] == "exact" and "note" not in doc
+    # the count takes the search budget, and exits 1 when it runs out
+    assert main(["detect", "tree", "--set", "gs:p=3,n=3", "--k", "3", "--budget-nodes", "10"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["status"] == "bound-only" and "count" not in doc
+    assert doc["note"] == "the search budget does not cover the space"
+
+
+def _pullback_on_the_wrong_label_space(tmp_path):
+    from qfa.factors import QuadraticFactor, write_factor
+
+    sp = GroupSpec(3, 3)
+    # B's labels live in F_3^1, and R lives in F_3^3
+    for name in ("b.txt", "r.txt"):
+        write_factor(QuadraticFactor(sp, [sp.basis_vector(1)], []), str(tmp_path / name))
+    return ["factor", "pullback", "--factor", str(tmp_path / "b.txt"), "--pullback", str(tmp_path / "r.txt")]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (lambda tmp_path: ["measure", "u2", "--set", "gs:p=3,n=40"], "exceeds the enumeration cap"),
+    (_pullback_on_the_wrong_label_space, "label space"),
+])
+def test_cli_shape_and_capacity_errors_exit_2(argv, message, tmp_path, capsys):
+    assert main(argv(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("qfa: error: ") and message in err and "Traceback" not in err
+
+
+def test_cli_factor_repair_and_pullback_keep_shifts(tmp_path, capsys):
+    import numpy as np
+    from qfa.factors import QuadraticFactor, read_factor, refines, write_factor
+
+    sp = GroupSpec(3, 3)
+    M = np.array([[1, 1, 0], [1, 0, 0], [0, 0, 0]])
+    B = QuadraticFactor(sp, [], [M, 2 * M], [sp.basis_vector(1), sp.basis_vector(3)])
+    bfile, out = tmp_path / "b.txt", tmp_path / "out.txt"
+    write_factor(B, str(bfile))
+    assert len(bfile.read_text().splitlines()) == 1 + 2 * 3 + 2
+    assert main(["factor", "repair", "--factor", str(bfile), "--out", str(out)]) == 0
+    assert refines(read_factor(str(out)), B)
+    lab = GroupSpec(3, 2)
+    write_factor(QuadraticFactor(lab, [[1, 1]]), str(tmp_path / "r.txt"))
+    argv = ["factor", "pullback", "--factor", str(bfile), "--pullback", str(tmp_path / "r.txt")]
+    assert main(argv) == 0
+    doc = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert doc["purely_linear"] is True
 
 
 def test_cli_factor_pullback(tmp_path, capsys):

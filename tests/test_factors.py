@@ -9,11 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qfa.core import GroupSpec, GroupSubset, ShapeError
+from qfa.core import CapacityError, GroupSpec, GroupSubset, ShapeError
 from qfa.constructions import trace_sym_space
 from qfa.factors import (
     AtomLabel,
-    GeneralQuadraticFactor,
     LinearFactor,
     QuadraticFactor,
     RankFunction,
@@ -31,6 +30,7 @@ from qfa.factors import (
     write_factor,
 )
 from qfa.factors import _least_rank_combo, _nontrivial_combos
+from qfa.uniformity import triad_membership_check
 
 RNG = np.random.default_rng(0xF0F2)
 
@@ -113,16 +113,23 @@ def test_refines_rejects_other_groups_and_non_factors():
         refines(np.zeros(a.order, dtype=np.int64), LinearFactor(a, []))
 
 
-def test_general_factor_pairs_must_match_the_dimension():
+def test_factor_shifts_must_match_the_matrices_and_the_dimension():
     spec = GroupSpec(3, 3)
-    for M, u in ((np.eye(2, dtype=np.int64), [1, 0, 0]), (np.eye(3, dtype=np.int64), [1, 0])):
+    eye = np.eye(3, dtype=np.int64)
+    for mats, shifts in (
+        ([np.eye(2, dtype=np.int64)], [[1, 0, 0]]),
+        ([eye], [[1, 0]]),
+        ([eye], []),
+        ([eye], [[1, 0, 0], [0, 1, 0]]),
+    ):
         with pytest.raises(ShapeError):
-            label_index_table(GeneralQuadraticFactor(spec, [], [(M, u)]))
+            QuadraticFactor(spec, [], mats, shifts)
+    assert [u.tolist() for u in QuadraticFactor(spec, [], [eye, eye]).shifts] == [[0, 0, 0]] * 2
 
 
 def test_a_factor_without_constraints_has_one_atom():
     spec = GroupSpec(3, 3)
-    for B in (LinearFactor(spec, []), QuadraticFactor(spec, [], []), GeneralQuadraticFactor(spec, [], [])):
+    for B in (LinearFactor(spec, []), QuadraticFactor(spec, [], []), QuadraticFactor(spec, [], [], [])):
         assert atom_sizes(B) == {AtomLabel([], []): spec.order}
         assert atom_members(B, AtomLabel([], [])) == GroupSubset.full(spec)
         assert label_index_table(B).tolist() == [0] * spec.order
@@ -341,6 +348,9 @@ def test_padding_examples():
     one = QuadraticFactor(spec, [], [mats[0]])
     out = pad_with_high_rank(one, mats, 1)
     assert out is not None and matrix_family_rank(out.matrices, 3) == 6
+    shifted = QuadraticFactor(spec, [], [mats[0]], [spec.basis_vector(2)])
+    out = pad_with_high_rank(shifted, mats, 1)
+    assert [u.tolist() for u in out.shifts] == [spec.basis_vector(2).tolist(), [0] * 6]
 
 
 def test_padding_family_validated():
@@ -367,7 +377,7 @@ def test_pullback_linear_only_coordinates():
     lab = GroupSpec(3, 2)
     R = LinearFactor(lab, [lab.basis_vector(1)])
     out = pullback_factor(B, R)
-    assert out.is_purely_linear()
+    assert out.q == 0
 
 
 def test_pullback_quadratic_coordinate_keeps_rank():
@@ -436,20 +446,22 @@ def test_factor_file_roundtrip(tmp_path):
     back = read_factor(str(path))
     assert isinstance(back, QuadraticFactor)
     assert refines(back, B) and refines(B, back)
-    G = GeneralQuadraticFactor(spec, [spec.basis_vector(1)], [(mats[0], spec.basis_vector(3))])
+    assert not any(u.any() for u in back.shifts)
+    G = QuadraticFactor(spec, [spec.basis_vector(1)], [mats[0]], [spec.basis_vector(3)])
     write_factor(G, str(path))
     back = read_factor(str(path))
-    assert isinstance(back, GeneralQuadraticFactor)
+    assert [u.tolist() for u in back.shifts] == [spec.basis_vector(3).tolist()]
     assert refines(back, G) and refines(G, back)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.sampled_from([3, 5, 7, 11, 13]), st.integers(1, 3), st.booleans(), st.data())
-def test_factor_file_round_trip_and_truncation(p, n, general, data):
+def test_factor_file_round_trip_and_truncation(p, n, shifted, data):
     """read_factor returns the linear vectors, matrices and shifts that
     write_factor wrote, and a file cut at any line raises the reader's
-    ValueError.  The one exception is a general factor cut exactly before its
-    shift lines, which is a well-formed quadratic factor file."""
+    ValueError.  Shift lines are written only when some shift is nonzero, and
+    the one exception is a file cut exactly before its shift lines, which is a
+    well-formed file of the same factor without shifts."""
     spec = GroupSpec(p, n)
     entries = st.integers(0, p - 1)
 
@@ -461,35 +473,85 @@ def test_factor_file_round_trip_and_truncation(p, n, general, data):
         return np.triu(X) + np.triu(X, 1).T
 
     vecs = [vector() for _ in range(data.draw(st.integers(0, 2)))]
-    mats = [matrix() for _ in range(data.draw(st.integers(int(general), 2)))]
-    if general:
-        shifts = [vector() for _ in mats]
-        B = GeneralQuadraticFactor(spec, vecs, list(zip(mats, shifts)))
-    else:
-        B = QuadraticFactor(spec, vecs, mats)
+    mats = [matrix() for _ in range(data.draw(st.integers(int(shifted), 2)))]
+    shifts = [vector() for _ in mats] if shifted else [np.zeros(n, dtype=np.int64) for _ in mats]
+    B = QuadraticFactor(spec, vecs, mats, shifts if shifted else None)
+    shift_lines = len(mats) if any(u.any() for u in shifts) else 0
 
-    def assert_holds(F):
+    def assert_holds(F, want_shifts):
         assert [v.tolist() for v in F.linear.vectors] == [v.tolist() for v in vecs]
-        got = [M for M, _ in F.pairs] if isinstance(F, GeneralQuadraticFactor) else F.matrices
-        assert [M.tolist() for M in got] == [M.tolist() for M in mats]
+        assert [M.tolist() for M in F.matrices] == [M.tolist() for M in mats]
+        assert [u.tolist() for u in F.shifts] == [u.tolist() for u in want_shifts]
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "f.txt")
+        write_factor(B, path)
+        assert_holds(read_factor(path), shifts)
+        with open(path) as fh:
+            lines = fh.readlines()
+        assert len(lines) == 1 + len(vecs) + n * len(mats) + shift_lines
+        for cut in range(len(lines)):
+            with open(path, "w") as fh:
+                fh.writelines(lines[:cut])
+            if shift_lines and cut == len(lines) - shift_lines:
+                assert_holds(read_factor(path), [np.zeros(n, dtype=np.int64) for _ in mats])
+                continue
+            with pytest.raises(ValueError, match="expected header" if cut == 0 else "file ends before"):
+                read_factor(path)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.sampled_from([(3, 4), (5, 3), (3, 5)]), st.data())
+def test_shifted_factors_keep_every_factor_operation(pn, data):
+    """On random factors whose quadratic values carry shifts x.u_i (matrices
+    of drawn rank, so that low-rank combinations occur): rank repair refines
+    its input and meets its target, pullback induces X_R (verify=True raises
+    otherwise), a file round trip keeps vectors, matrices and shifts, and at
+    F_3^4 the triad sum-label identity holds."""
+    p, n = pn
+    spec = GroupSpec(p, n)
+    entries = st.integers(0, p - 1)
+
+    def vector():
+        return data.draw(arrays(np.int64, n, elements=entries))
+
+    def matrix():
+        M = np.zeros((n, n), dtype=np.int64)
+        for _ in range(data.draw(st.integers(0, n))):
+            a = vector()
+            M += data.draw(st.integers(1, p - 1)) * np.outer(a, a)
+        return M % p
+
+    vecs = [vector() for _ in range(data.draw(st.integers(0, 2)))]
+    mats = [matrix() for _ in range(data.draw(st.integers(1, 3)))]
+    shifts = [vector() for _ in mats]
+    B = QuadraticFactor(spec, vecs, mats, shifts)
+
+    r = RankFunction("x")
+    out = make_high_rank(B, r, 10)
+    assert refines(out, B)
+    rank = factor_rank(out)
+    assert rank == math.inf or rank >= r(out.linear.complexity + out.q)
+
+    lab = GroupSpec(p, B.ell + B.q)
+    rows = data.draw(st.integers(1, 2))
+    R = LinearFactor(lab, [data.draw(arrays(np.int64, lab.n, elements=entries)) for _ in range(rows)])
+    pullback_factor(B, R, verify=True)
 
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "f.txt")
         write_factor(B, path)
         back = read_factor(path)
-        assert type(back) is type(B)
-        assert_holds(back)
-        if general:
-            assert [u.tolist() for _, u in back.pairs] == [u.tolist() for u in shifts]
-        with open(path) as fh:
-            lines = fh.readlines()
-        for cut in range(len(lines)):
-            with open(path, "w") as fh:
-                fh.writelines(lines[:cut])
-            if general and cut == len(lines) - len(mats):
-                cut_back = read_factor(path)
-                assert type(cut_back) is QuadraticFactor
-                assert_holds(cut_back)
-                continue
-            with pytest.raises(ValueError, match="expected header" if cut == 0 else "file ends before"):
-                read_factor(path)
+    for got, want in ((back.linear.vectors, vecs), (back.matrices, mats), (back.shifts, shifts)):
+        assert [x.tolist() for x in got] == [x.tolist() for x in want]
+
+    if (p, n) == (3, 4):
+        assert triad_membership_check(B)
+
+
+def test_label_index_table_refuses_label_spaces_int64_cannot_index():
+    spec = GroupSpec(5, 2)
+    # 5^27 < 2^63 < 5^28: the largest index p^(ell+q) - 1 must fit in int64
+    assert label_index_table(LinearFactor(spec, [[1, 0]] * 27)).min() >= 0
+    with pytest.raises(CapacityError, match="int64"):
+        label_index_table(LinearFactor(spec, [[1, 0]] * 28))

@@ -37,7 +37,7 @@ from qfa.detectors import (
     vc_dim,
 )
 from qfa.uniformity import ReducedPair
-from qfa.factors import GeneralQuadraticFactor, LinearFactor, QuadraticFactor, label_index_table, label_values
+from qfa.factors import LinearFactor, QuadraticFactor, label_index_table, label_values
 from support import form_value, gowers_inner, plant_tree_encoding
 
 RNG = np.random.default_rng(0xF0F2)
@@ -1190,10 +1190,11 @@ def label_values_oracle(F):
     spec = F.spec
     lin = F if isinstance(F, LinearFactor) else F.linear
     rows = [linear_values_oracle(v, spec) for v in lin.vectors]
-    if isinstance(F, GeneralQuadraticFactor):
-        rows += [(quad_values_oracle(M, spec) + linear_values_oracle(u, spec)) % spec.p for M, u in F.pairs]
-    elif isinstance(F, QuadraticFactor):
-        rows += [quad_values_oracle(M, spec) for M in F.matrices]
+    if isinstance(F, QuadraticFactor):
+        rows += [
+            (quad_values_oracle(M, spec) + linear_values_oracle(u, spec)) % spec.p
+            for M, u in zip(F.matrices, F.shifts)
+        ]
     return np.stack(rows) if rows else np.zeros((0, spec.order), dtype=np.int64)
 
 
@@ -1214,8 +1215,8 @@ def test_form_kernels_match_the_einsum_oracle_bit_for_bit(p, n):
     """quad_values, gauss_sum, label_values and label_index_table equal the
     einsum/int64 path on one input and on stacks of 1 and 3, matrices not
     necessarily symmetric and entries outside [0, p) included, and on
-    linear, quadratic and general factors with q = 0, ell = 0 and
-    ell + q = 0."""
+    linear factors and quadratic factors with and without shifts, with
+    q = 0, ell = 0 and ell + q = 0."""
     spec = GroupSpec(p, n)
     rng = np.random.default_rng(p * 100 + n)
     M = rng.integers(-p, 2 * p, size=(3, n, n))
@@ -1240,10 +1241,8 @@ def test_form_kernels_match_the_einsum_oracle_bit_for_bit(p, n):
         QuadraticFactor(spec, list(v), []),
         QuadraticFactor(spec, list(v[:1]), list(S[:2])),
         QuadraticFactor(spec, [], list(S)),
-        GeneralQuadraticFactor(spec, [], []),
-        GeneralQuadraticFactor(spec, list(v), []),
-        GeneralQuadraticFactor(spec, [], list(zip(S, v))),
-        GeneralQuadraticFactor(spec, list(v[1:]), list(zip(S[:2], v[:2]))),
+        QuadraticFactor(spec, [], list(S), list(v)),
+        QuadraticFactor(spec, list(v[1:]), list(S[:2]), list(v[:2])),
     ]
     for F in factors:
         for got, want in (

@@ -149,6 +149,9 @@ def test_dense_subspace_cases():
     assert find_dense_subspace(gs(6, 3), H, 0.1, 1)[0] == "dense"
     with pytest.raises(ValueError):
         find_dense_subspace(GroupSubset(sp), H, 0.2, 1)
+    for d in (0, 4):
+        with pytest.raises(ValueError, match="tree depth"):
+            find_dense_subspace(GroupSubset.full(sp), H, 0.2, d)
 
 
 def test_dense_subspace_evidence_branch():
@@ -157,7 +160,7 @@ def test_dense_subspace_evidence_branch():
     sp = GroupSpec(3, 6)
     A = GroupSubset(sp, RNG.random(sp.order) < 0.5)
     res = find_dense_subspace(A, Subgroup(sp, []), 0.1, 1)
-    assert res[0] == "evidence" and res[2] >= 1
+    assert res[0] == "evidence" and len(res) == 2
     assert res[1].kind == "TREE" and res[1].data["d"] == 1 and res[1].revalidate()
     # its staircase of length d = 1; longer ones run the guided search (test_detectors)
     assert hodges_extract(res[1], 1).revalidate()
@@ -170,11 +173,23 @@ def test_dense_subspace_lets_a_real_memory_error_through(monkeypatch):
     def out_of_memory(*args):
         raise MemoryError
 
-    monkeypatch.setattr(det, "_subtree_count", out_of_memory)
+    monkeypatch.setattr(det, "_dfs", out_of_memory)
     sp = GroupSpec(3, 6)
     A = GroupSubset(sp, np.random.default_rng(5).random(sp.order) < 0.5)
     with pytest.raises(MemoryError):
         find_dense_subspace(A, Subgroup(sp, []), 0.1, 1)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_dense_subspace_searches_once_per_round(d):
+    # each round runs one tree search and no encoding count, so every depth
+    # up to 3 answers within a fraction of the 5 s bound
+    sp = GroupSpec(3, 6)
+    A = GroupSubset(sp, np.random.default_rng(0).random(sp.order) < 0.5)
+    t0 = time.monotonic()
+    res = find_dense_subspace(A, Subgroup(sp, []), 0.1, d)
+    assert time.monotonic() - t0 < 5.0
+    assert res[0] == "evidence" and res[1].data["d"] == d and res[1].revalidate()
 
 
 def test_stable_decomposition_coset_input():
