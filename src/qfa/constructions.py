@@ -1,14 +1,18 @@
 """Canonical example sets and matrix families: GS(n,p), QGS(n,p), quadrics,
 unions of cosets, the rank-n symmetric matrix space built from the
-finite-field trace form, helper functions for the layered-coset metric, and
+finite-field trace form, the translate-intersection identities of GS, and
 the sparse unstable example.
+
+F_(p^n) is realized as F_p[C] for the companion matrix C of the least monic
+irreducible polynomial of degree n; irreducibility is decided by Rabin's test
+on powers of C and exact ranks, with no polynomial arithmetic.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import GroupSpec, GroupSubset, as_sym_matrix, quad_values
+from .core import GroupSpec, GroupSubset, as_sym_matrix, matrix_rank, quad_values
 from .factors import (
     LinearFactor,
     QuadraticFactor,
@@ -40,143 +44,78 @@ def gs(n: int, p: int) -> GroupSubset:
     """The layered-coset set A = union_i (H_i + e_i); membership is
     "the first nonzero coordinate equals 1"."""
     spec = GroupSpec(p, n)
-    digits = spec.digits
-    nonzero = digits != 0
-    any_nz = nonzero.any(axis=1)
-    first = np.argmax(nonzero, axis=1)
-    vals = digits[np.arange(spec.order), first]
-    return GroupSubset(spec, any_nz & (vals == 1))
+    return GroupSubset(spec, _leads_with_one(spec.digits))
 
 
-def _poly_mul_mod(a, b, f, p):
-    """Product of polynomials a*b mod f mod p (coefficient lists, low first)."""
-    n = len(f) - 1
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    for d in range(len(prod) - 1, n - 1, -1):
-        c = prod[d]
-        if c:
-            prod[d] = 0
-            for j in range(n + 1):
-                prod[d - n + j] = (prod[d - n + j] - c * f[j]) % p
-    return [v % p for v in prod[:n]] + [0] * max(0, n - len(prod))
+def _leads_with_one(rows: np.ndarray) -> np.ndarray:
+    """Mask of the rows whose first nonzero entry is 1; a zero row reads its
+    first entry, 0, and is out."""
+    return rows[np.arange(len(rows)), np.argmax(rows != 0, axis=1)] == 1
 
 
-def _poly_pow_x(e, f, p):
-    """x^e mod f mod p."""
-    n = len(f) - 1
-    result = [1] + [0] * (n - 1)
-    base = ([0, 1] + [0] * (n - 2))[:n] if n >= 2 else _poly_mul_mod([0, 1], [1], f, p)
+def _power(C: np.ndarray, e: int, p: int) -> np.ndarray:
+    """C^e mod p by repeated squaring in int64 (each entry of a product is at
+    most n (p-1)^2, far below 2^63 for any group under the cap)."""
+    out = np.eye(len(C), dtype=np.int64)
     while e:
         if e & 1:
-            result = _poly_mul_mod(result, base, f, p)
-        base = _poly_mul_mod(base, base, f, p)
+            out = out @ C % p
+        C = C @ C % p
         e >>= 1
-    return result
+    return out
 
 
-def _poly_gcd(a, b, p):
-    """Monic gcd of polynomials over F_p (coefficient lists, low first)."""
-    a = [v % p for v in a]
-    b = [v % p for v in b]
-
-    def trim(c):
-        while c and c[-1] == 0:
-            c.pop()
-        return c
-
-    a, b = trim(a), trim(b)
-    while b:
-        inv = pow(b[-1], p - 2, p)
-        r = a[:]
-        while len(r) >= len(b):
-            coef = r[-1] * inv % p
-            off = len(r) - len(b)
-            for i in range(len(b)):
-                r[off + i] = (r[off + i] - coef * b[i]) % p
-            trim(r)
-            if not r:
-                break
-        a, b = b, r
-    if a:
-        inv = pow(a[-1], p - 2, p)
-        a = [v * inv % p for v in a]
-    return a
-
-
-def _is_irreducible(f, p):
-    """Rabin test: x^(p^n) = x mod f, and gcd(x^(p^(n/r)) - x, f) = 1 for
-    every prime r dividing n."""
-    n = len(f) - 1
-    if n == 1:
-        return True
-    x = ([0, 1] + [0] * (n - 2))[:n]
-    top = _poly_pow_x(p**n, f, p)
-    if top != x:
-        return False
-    m = n
-    primes = set()
-    r = 2
-    while r * r <= m:
-        if m % r == 0:
-            primes.add(r)
-            while m % r == 0:
-                m //= r
-        r += 1
-    if m > 1:
-        primes.add(m)
-    for r in primes:
-        sub = _poly_pow_x(p ** (n // r), f, p)
-        diff = [(sub[i] - x[i]) % p for i in range(n)]
-        if _poly_gcd(diff, f, p) != [1]:
-            return False
-    return True
-
-
-def _least_irreducible(n, p):
-    """Lexicographically least monic irreducible of degree n over F_p
-    (coefficients ordered constant term first)."""
+def _companions(n: int, p: int):
+    """Companion matrices of the monic polynomials f = x^n + sum_i f_i x^i of
+    degree n over F_p, with f_0..f_(n-1) the base-p digits of 0, 1, 2, ...
+    (constant term least significant).  C e_i = e_(i+1) and C e_(n-1) =
+    -(f_0, ..., f_(n-1)), so g(C) is multiplication by g mod f."""
     for code in range(p**n):
-        coeffs = []
-        c = code
-        for _ in range(n):
-            coeffs.append(c % p)
-            c //= p
-        f = coeffs + [1]
-        if _is_irreducible(f, p):
-            return f
-    raise RuntimeError("no irreducible polynomial found")  # unreachable
+        C = np.eye(n, k=-1, dtype=np.int64)
+        C[:, -1] = [-(code // p**i) % p for i in range(n)]
+        yield C
+
+
+def _rabin_irreducible(C: np.ndarray, p: int) -> bool:
+    """Rabin's test on the companion matrix C of f: f is irreducible iff
+    C^(p^n) = C and C^(p^(n/r)) - C is invertible for every prime r | n
+    (g(C) is invertible iff gcd(g, f) = 1)."""
+    n = len(C)
+    frobenius = [C]
+    for _ in range(n):
+        frobenius.append(_power(frobenius[-1], p, p))
+    primes = [r for r in range(2, n + 1) if n % r == 0 and all(r % s for s in range(2, r))]
+    return np.array_equal(frobenius[n], C) and all(
+        matrix_rank((frobenius[n // r] - C) % p, p) == n for r in primes
+    )
+
+
+def _least_irreducible_companion(n: int, p: int) -> np.ndarray:
+    """Companion matrix of the first monic irreducible f of degree n over F_p
+    in `_companions` order."""
+    return next(C for C in _companions(n, p) if _rabin_irreducible(C, p))
 
 
 def trace_sym_space(n: int, p: int) -> list:
     """A basis M_1..M_n of a space of symmetric n x n matrices over F_p in
     which every nonzero combination has rank n.
 
-    Realizes F_(p^n) on F_p^n via the least irreducible polynomial and takes
-    M_k = matrix of the form (x, y) -> Tr(t^(k-1) * x * y); nondegeneracy of
-    the trace form makes every nonzero combination invertible.  Validated by
-    exhaustive rank checks for n <= 8 (sampled above).
+    Realizes F_(p^n) as F_p[C] for the companion matrix C of the least
+    irreducible polynomial, and takes M_k = matrix of the form (x, y) ->
+    Tr(t^(k-1) * x * y), whose entries are M_k[i, j] = tr(C^(k-1+i+j));
+    nondegeneracy of the trace form makes every nonzero combination
+    invertible.  Validated by exhaustive rank checks for n <= 8 (sampled
+    above).
     """
-    f = _least_irreducible(n, p)
-    companion = np.zeros((n, n), dtype=np.int64)
-    for i in range(n - 1):
-        companion[i + 1, i] = 1
-    companion[:, n - 1] = [(-f[i]) % p for i in range(n)]
+    C = _least_irreducible_companion(n, p)
     tr_pow = []
     power = np.eye(n, dtype=np.int64)
     for _ in range(3 * n):
         tr_pow.append(int(np.trace(power)) % p)
-        power = (power @ companion) % p
-    mats = []
-    for k in range(n):
-        M = np.zeros((n, n), dtype=np.int64)
-        for i in range(n):
-            for j in range(n):
-                M[i, j] = tr_pow[k + i + j]
-        mats.append(M)
+        power = (power @ C) % p
+    tr_pow = np.array(tr_pow, dtype=np.int64)
+    hankel = np.add.outer(np.arange(n), np.arange(n))
+    mats = [tr_pow[k + hankel] for k in range(n)]
     if n <= 8:
         rank = matrix_family_rank(mats, p)
     else:
@@ -193,12 +132,7 @@ def qgs(n: int, p: int) -> tuple:
     matrix family, together with the generating purely quadratic factor."""
     spec = GroupSpec(p, n)
     factor = QuadraticFactor(spec, [], trace_sym_space(n, p))
-    cols = label_values(factor).T
-    nonzero = cols != 0
-    any_nz = nonzero.any(axis=1)
-    first = np.argmax(nonzero, axis=1)
-    vals = cols[np.arange(spec.order), first]
-    return GroupSubset(spec, any_nz & (vals == 1)), factor
+    return GroupSubset(spec, _leads_with_one(label_values(factor).T)), factor
 
 
 def quadric(n: int, p: int, M=None, c: int = 0) -> GroupSubset:

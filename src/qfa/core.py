@@ -608,10 +608,19 @@ def _format_row(row) -> str:
     return (" " if any(len(v) > 1 for v in vals) else "").join(vals)
 
 
-def _row_tokens(line: str, n) -> list:
-    """Split on whitespace, else per character unless a header gives n == 1."""
-    tokens = line.split()
-    return list(line) if len(tokens) == 1 and n != 1 else tokens
+def _parse_row(text: str, n: int, p: int, where: str) -> np.ndarray:
+    """The n base-p digits of one file line, split on whitespace, else per
+    character unless n == 1; anything else is a ValueError naming `where`
+    (path:line)."""
+    tokens = text.split()
+    if len(tokens) == 1 and n != 1:
+        tokens = list(text)
+    if len(tokens) != n or not all(t.isascii() and t.isdigit() for t in tokens):
+        raise ValueError(f"{where}: expected {n} base-{p} digits")
+    digits = [int(t) for t in tokens]
+    if any(d >= p for d in digits):
+        raise ValueError(f"{where}: digit out of range for base {p}")
+    return np.array(digits, dtype=np.int64)
 
 
 def read_subset(path: str) -> GroupSubset:
@@ -621,16 +630,9 @@ def read_subset(path: str) -> GroupSubset:
             raise ValueError(f"{path}: expected header 'p n'")
         p, n = int(header[0]), int(header[1])
         spec = GroupSpec(p, n)
-        indices = []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            tokens = _row_tokens(line, n)
-            if len(tokens) != n or not all(t.isascii() and t.isdigit() for t in tokens):
-                raise ValueError(f"{path}:{lineno}: expected {n} base-{p} digits")
-            digits = [int(t) for t in tokens]
-            if any(d >= p for d in digits):
-                raise ValueError(f"{path}:{lineno}: digit out of range for base {p}")
-            indices.append(spec.index_of(np.array(digits)))
+        indices = [
+            spec.index_of(_parse_row(line.strip(), n, p, f"{path}:{lineno}"))
+            for lineno, line in enumerate(fh, start=2)
+            if line.strip()
+        ]
     return GroupSubset.from_indices(spec, indices)

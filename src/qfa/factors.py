@@ -32,7 +32,7 @@ from .core import (
     ShapeError,
     _form_values,
     _format_row,
-    _row_tokens,
+    _parse_row,
     as_sym_matrix,
     block_rows,
     matrix_rank,
@@ -157,9 +157,12 @@ class AtomLabel:
 
 
 class LinearFactor:
-    """An ordered list of vectors in F_p^n; atoms are the joint level sets."""
+    """An ordered list of vectors in F_p^n; atoms are the joint level sets.
+    As a factor it has an empty quadratic part and is its own linear part,
+    so every factor operation takes it."""
 
     q = 0
+    matrices = shifts = ()
 
     def __init__(self, spec: GroupSpec, vectors=()):
         self.spec = spec
@@ -177,6 +180,10 @@ class LinearFactor:
         if not self.vectors:
             return 0
         return matrix_rank(np.stack(self.vectors), self.spec.p)
+
+    @property
+    def linear(self) -> "LinearFactor":
+        return self
 
 
 class QuadraticFactor:
@@ -219,9 +226,7 @@ def label_values(B) -> np.ndarray:
     one `_form_values` pass on the stacked forms, with zero matrices on the
     linear rows and no matrices when q = 0.  A factor without constraints has
     no coordinates and needs no pass."""
-    if isinstance(B, LinearFactor):
-        B = QuadraticFactor(B.spec, B)
-    if not isinstance(B, QuadraticFactor):
+    if not isinstance(B, (LinearFactor, QuadraticFactor)):
         raise TypeError(f"not a factor: {type(B)!r}")
     if B.ell + B.q == 0:
         return np.zeros((0, B.spec.order), dtype=np.int64)
@@ -321,7 +326,7 @@ def _least_rank_combo(mats, p: int, lams=None) -> tuple:
 def factor_rank(B) -> float:
     """Minimum F_p-rank over nontrivial combinations of the factor's matrices;
     infinity when there are none."""
-    return math.inf if isinstance(B, LinearFactor) else matrix_family_rank(B.matrices, B.spec.p)
+    return matrix_family_rank(B.matrices, B.spec.p)
 
 
 def matrix_family_rank(mats, p: int) -> float:
@@ -368,7 +373,7 @@ def make_high_rank(B: QuadraticFactor, r: RankFunction, C: int) -> QuadraticFact
     of the old ones (the dropped quadratic value becomes label-measurable).
     """
     spec = B.spec
-    ell0, q0 = B.complexity
+    ell0, q0 = B.linear.complexity, B.q
     if ell0 + q0 > C:
         raise ValueError(f"complexity {ell0 + q0} exceeds the bound C={C}")
     lin = list(B.linear.vectors)
@@ -491,8 +496,6 @@ def write_factor(B, path: str) -> None:
     """Format: "p n ell q", then ell vector lines, then q matrices of n rows
     each, then q shift lines when some shift is nonzero.  Lines are written as
     write_subset writes members."""
-    if isinstance(B, LinearFactor):
-        B = QuadraticFactor(B.spec, B)
     rows = [*B.linear.vectors, *(row for M in B.matrices for row in M)]
     if any(u.any() for u in B.shifts):
         rows += B.shifts
@@ -503,13 +506,15 @@ def write_factor(B, path: str) -> None:
 
 def read_factor(path: str):
     """Read write_factor's format (shift lines are read when present); a
-    malformed or short file is a ValueError naming the file and the line."""
+    malformed or short file, or a line after the rows its header promises and
+    the optional shift lines, is a ValueError naming the file and the line."""
     with open(path) as fh:
         lines = [(no, ln.strip()) for no, ln in enumerate(fh, start=1) if ln.strip()]
     end = lines[-1][0] + 1 if lines else 1
-    if not lines or len(lines[0][1].split()) != 4:
+    header = lines[0][1].split() if lines else []
+    if len(header) != 4 or not all(t.isascii() and t.isdigit() for t in header):
         raise ValueError(f"{path}:{lines[0][0] if lines else 1}: expected header 'p n ell q'")
-    p, n, ell, q = (int(t) for t in lines[0][1].split())
+    p, n, ell, q = (int(t) for t in header)
     spec = GroupSpec(p, n)
     pos = 1
 
@@ -518,13 +523,12 @@ def read_factor(path: str):
         if pos == len(lines):
             raise ValueError(f"{path}:{end}: file ends before the rows its header 'p n ell q' promises")
         lineno, text = lines[pos]
-        row = [int(t) for t in _row_tokens(text, n)]
-        if len(row) != n:
-            raise ValueError(f"{path}:{lineno}: expected {n} digits")
         pos += 1
-        return np.array(row, dtype=np.int64)
+        return _parse_row(text, n, p, f"{path}:{lineno}")
 
     vecs = [take_vector() for _ in range(ell)]
     mats = [np.stack([take_vector() for _ in range(n)]) for _ in range(q)]
     shifts = [take_vector() for _ in range(q)] if pos < len(lines) else None
+    if pos < len(lines):
+        raise ValueError(f"{path}:{lines[pos][0]}: line after the rows its header 'p n ell q' promises")
     return QuadraticFactor(spec, LinearFactor(spec, vecs), mats, shifts)

@@ -280,3 +280,14 @@ def brute_quad_atomize(A: GroupSubset, eps: float, max_complexity: int = 5, max_
                     if verdict.error_count == 0:
                         return B
     return None
+
+
+# Factor files that read_factor must reject: (text, line named, message).
+MALFORMED_FACTOR_FILES = [
+    ("3 2 1 0\n10\n21\n22\nhello world\n", 3, "line after the rows"),
+    ("3 2 1 1\n10\n10\n00\n01\n11\n", 6, "line after the rows"),
+    ("3 2 1 0\n57\n", 2, "digit out of range for base 3"),
+    ("3 2 1 0\n-1 2\n", 2, "expected 2 base-3 digits"),
+    ("3 2 1 0\nab\n", 2, "expected 2 base-3 digits"),
+    ("3 2 x 0\n10\n", 1, "expected header"),
+]

@@ -165,7 +165,10 @@ def test_cli_bad_formula_exit_2(tmp_path, capsys):
 
 
 def test_cli_short_factor_file_exit_2(tmp_path, capsys):
-    for name, text in (("empty.txt", ""), ("header.txt", "3 2 1 0\n")):
+    from support import MALFORMED_FACTOR_FILES
+
+    bad = [(f"bad{i}.txt", text) for i, (text, _, _) in enumerate(MALFORMED_FACTOR_FILES)]
+    for name, text in [("empty.txt", ""), ("header.txt", "3 2 1 0\n"), *bad]:
         ffile = tmp_path / name
         ffile.write_text(text)
         assert main(["factor", "rank", "--factor", str(ffile)]) == 2

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import tempfile
 import time
 
@@ -31,6 +32,7 @@ from qfa.factors import (
 )
 from qfa.factors import _least_rank_combo, _nontrivial_combos
 from qfa.uniformity import triad_membership_check
+from support import MALFORMED_FACTOR_FILES
 
 RNG = np.random.default_rng(0xF0F2)
 
@@ -49,6 +51,32 @@ def test_trivial_factor_conventions():
     assert list(sizes.values()) == [81]
     with pytest.raises(ShapeError, match="not symmetric"):
         QuadraticFactor(spec, [], [np.triu(np.ones((4, 4), dtype=np.int64))])
+
+
+def test_linear_factor_goes_through_every_factor_operation(tmp_path):
+    """A LinearFactor is a factor with an empty quadratic part: rank repair,
+    padding, pullback (verified), rank and the file round trip all take it."""
+    spec = GroupSpec(3, 2)
+    L = LinearFactor(spec, [[1, 0]])
+    assert factor_rank(L) == math.inf and L.linear is L
+    out = pullback_factor(L, LinearFactor(GroupSpec(3, 1), [[1]]), verify=True)
+    assert out.q == 0 and refines(out, L) and refines(L, out)
+    repaired = make_high_rank(L, RankFunction("x"), 4)
+    assert repaired.linear.complexity == 1 and repaired.q == 0 and refines(repaired, L)
+    padded = pad_with_high_rank(L, trace_sym_space(2, 3), 1)
+    assert padded.q == 1 and refines(padded, L)
+    path = str(tmp_path / "l.txt")
+    write_factor(L, path)
+    back = read_factor(path)
+    assert [v.tolist() for v in back.linear.vectors] == [[1, 0]] and back.q == 0
+
+
+@pytest.mark.parametrize("text,line,message", MALFORMED_FACTOR_FILES)
+def test_read_factor_rejects_malformed_files_at_their_line(text, line, message, tmp_path):
+    path = tmp_path / "f.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{line}: {message}"):
+        read_factor(str(path))
 
 
 def test_atom_label_examples():
