@@ -66,9 +66,9 @@ def block_rows(row_bytes: int) -> int:
 
 def group_bits_cap() -> int:
     """Enumeration cap (log2 of max group order), overridable via QFA_MAX_GROUP_BITS."""
-    raw = os.environ.get("QFA_MAX_GROUP_BITS")
-    if raw is None:
-        return DEFAULT_GROUP_BITS
+    raw = os.environ.get("QFA_MAX_GROUP_BITS", str(DEFAULT_GROUP_BITS))
+    if not raw.strip().isdecimal():
+        raise ValueError(f"QFA_MAX_GROUP_BITS must be a non-negative integer, got {raw!r}")
     return int(raw)
 
 
@@ -85,6 +85,8 @@ class GroupSpec:
                 f"group order p^n = {p}^{n} exceeds the enumeration cap "
                 f"2^{group_bits_cap()}"
             )
+        if 2 * n * (p - 1) ** 2 >= 2**53:
+            raise CapacityError(f"F_{p}^{n}: the float64 form sums (_form_values) reach 2 n (p-1)^2 >= 2^53")
         self.p = p
         self.n = n
         self.order = p**n
@@ -624,10 +626,11 @@ def _parse_row(text: str, n: int, p: int, where: str) -> np.ndarray:
 
 
 def read_subset(path: str) -> GroupSubset:
+    """Read write_subset's format; a malformed line is a ValueError naming it."""
     with open(path) as fh:
         header = fh.readline().split()
-        if len(header) != 2:
-            raise ValueError(f"{path}: expected header 'p n'")
+        if len(header) != 2 or not all(t.isascii() and t.isdigit() for t in header):
+            raise ValueError(f"{path}:1: expected header 'p n'")
         p, n = int(header[0]), int(header[1])
         spec = GroupSpec(p, n)
         indices = [

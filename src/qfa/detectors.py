@@ -105,10 +105,26 @@ class SearchBudget:
         return self.tick(per * used)
 
 
+# The roles revalidate reads per kind and per (GOODCOPY, pattern): "k" is k vectors in a list or
+# tuple, list any number, dict vectors keyed by subset, selector or tree key, object no vectors.
+_TREE_ROLES = {"nodes": dict, "leaves": dict, "d": object}
+_ROLES = {
+    "OP": dict.fromkeys("ab", "k"), "HOP2": dict.fromkeys("xyz", "k"), "CUBE": dict.fromkeys("xyz", list),
+    "FOP2": {"x": "k", "y": dict, "z": "k"}, "VC": {"a": "k", "b": dict}, "VC2": {"a": dict, "b": "k", "c": "k"},
+    "TREE": _TREE_ROLES, ("GOODCOPY", "T"): _TREE_ROLES, ("GOODCOPY", "H"): dict.fromkeys(("left", "right"), "k"),
+    ("GOODCOPY", "U"): {"left": "k", "right": dict}, "GOODCOPY": dict.fromkeys(("red", "pattern", "side"), object),
+}
+
+
+class _Malformed(ValueError):
+    """A witness role whose vectors do not stack to an (m, n) integer array."""
+
+
 class Witness:
     """A typed certificate; revalidate() re-tests every membership constraint
     from scratch: one gather on _role_sums digit sums per witness, compared
-    with the kind's expected pattern, independent of the search code."""
+    with the kind's expected pattern, independent of the search code.  It is
+    False on a role absent, not of its _ROLES type, or not integer vectors."""
 
     def __init__(self, kind: str, subset: GroupSubset, data: dict, k: int = 0):
         self.kind = kind
@@ -133,14 +149,16 @@ class Witness:
         return {"kind": self.kind, "k": self.k, "roles": conv(roles)}
 
     def revalidate(self) -> bool:
+        try:
+            return self._holds()
+        except _Malformed:
+            return False
+
+    def _holds(self) -> bool:
         A, k, data = self.subset, self.k, self.data
-        reads = {"OP": "ab", "HOP2": "xyz", "FOP2": "xyz", "VC": "ab", "VC2": "abc", "CUBE": "xyz",
-                 "TREE": ("nodes", "leaves", "d"), "GOODCOPY": ("red", "pattern", "side")}
-        if not all(role in data for role in reads.get(self.kind, ())):
-            return False  # a role the kind reads is absent
-        role_lists = {"OP": "ab", "HOP2": "xyz", "FOP2": "xz", "VC": "a", "VC2": "bc"}.get(self.kind, "")
-        if any(len(data[role]) != k for role in role_lists):
-            return False  # a k-witness lists exactly k elements per role
+        roles = {**_ROLES.get(self.kind, {}), **_ROLES.get((self.kind, data.get("pattern")), {})}
+        if not all(role in data and _fits(data[role], want, k) for role, want in roles.items()):
+            return False  # a role the kind reads is absent, or not of the type _ROLES wants
         if self.kind == "OP":
             r = np.arange(1, k + 1)
             return np.array_equal(_members(A, data["a"], data["b"]), r[:, None] <= r)
@@ -153,7 +171,7 @@ class Witness:
             # k too large to enumerate costs nothing
             if len(yfam) != k ** (k * k) or set(yfam) != _selectors(k):
                 return False
-            if any(len(ys) != k for ys in yfam.values()):
+            if not all(_fits(ys, "k", k) for ys in yfam.values()):
                 return False
             # f[s, i, j] = f(i, j) of selector s; got[i, s, j, kk] is x_i + y^s_j + z_kk
             f = np.array(list(yfam), dtype=np.int64).reshape(len(yfam), k, k)
@@ -175,43 +193,37 @@ class Witness:
             return np.array_equal(_members(A, data["b"], data["c"], list(aS.values())), want)
         if self.kind == "TREE":
             nodes, leaves = data["nodes"], data["leaves"]
-            if not _keys_the_tree(nodes, leaves, data["d"]):
+            want = _tree_want(nodes, leaves, data["d"])
+            if want is None:
                 return False
-            pairs = [(s, e) for s in nodes for e in leaves]
-            branch = np.array([len(s) < len(e) and e[: len(s)] == s for s, e in pairs], dtype=bool)
-            up = np.array([len(s) < len(e) and e[len(s)] == 1 for s, e in pairs], dtype=bool)
-            got = _members(A, list(nodes.values()), list(leaves.values())).ravel()
-            return np.array_equal(got[branch], up[branch])
+            got = _members(A, list(nodes.values()), list(leaves.values()))
+            return bool(((want < 0) | (got == want)).all())
         if self.kind == "CUBE":
             want = np.ones((2, 2, 2), dtype=bool)
             want[1, 1, 1] = False  # seven corners in A, the eighth out
             return np.array_equal(_members(A, data["x"], data["y"], data["z"]), want)
         if self.kind == "GOODCOPY":
             # want[i, j]: the code of left_i + right_j (red.code: 0 sparse,
-            # 1 dense), or -1 where any code but an error will do
+            # 1 dense), or -1 where dense or sparse will do
             red, pattern = data["red"], data["pattern"]
             if pattern not in ("T", "H", "U"):
                 raise ValueError(f"unknown good-copy pattern {pattern!r}")
-            if not all(role in data for role in (("nodes", "leaves", "d") if pattern == "T" else ("left", "right"))):
-                return False
             if pattern == "T":
                 left, right = data["nodes"], data["leaves"]
-                if not _keys_the_tree(left, right, data["d"]):
+                want = _tree_want(left, right, data["d"])
+                if want is None:
                     return False
-                want = [[e[len(s)] if len(s) < len(e) and e[: len(s)] == s else -1 for e in right] for s in left]
             elif pattern == "H":
                 left, right = dict(enumerate(data["left"])), dict(enumerate(data["right"]))
-                if not len(left) == len(right) == k:
-                    return False
                 want = [[int(i <= j) for j in right] for i in left]
             else:  # U: right is keyed by the bits of S, one per S
                 left, right = dict(enumerate(data["left"])), data["right"]
-                if len(left) != k or set(right) != set(range(2**k)):
+                if set(right) != set(range(2**k)):
                     return False
                 want = [[int(S) >> i & 1 for S in right] for i in left]
             # row 0 adds the zero label, so it holds the right elements themselves
             lab = red.label_spec
-            idx = _role_sums(lab, [np.zeros(lab.n), *left.values()], list(right.values()))
+            idx = _role_sums(lab, [np.zeros(lab.n, dtype=np.int64), *left.values()], list(right.values()))
             got, want = red.code[idx[1:]], np.reshape(want, idx[1:].shape)
             return bool(data["side"][idx[0]].all() and np.where(want < 0, got < 2, got == want).all())
         raise ValueError(f"unknown witness kind {self.kind!r}")
@@ -231,10 +243,18 @@ def _selectors(k: int) -> frozenset:
     return frozenset(itertools.product(range(1, k + 1), repeat=k * k))
 
 
-def _keys_the_tree(nodes: dict, leaves: dict, d: int) -> bool:
-    """Whether a depth-d tree's roles key exactly every node and every leaf."""
+def _tree_want(nodes: dict, leaves: dict, d: int):
+    """want[s, e]: leaf e's bit below node s on its branch, -1 off it; None
+    unless the roles key exactly every node and leaf of the depth-d tree."""
     sigmas, etas = _tree_keys(d)
-    return set(nodes) == set(sigmas) and set(leaves) == set(etas)
+    if set(nodes) != set(sigmas) or set(leaves) != set(etas):
+        return None
+    return np.array([[e[len(s)] if len(s) < len(e) and e[: len(s)] == s else -1 for e in leaves] for s in nodes])
+
+
+def _fits(role, want, k: int) -> bool:
+    """Whether a role is of the type that _ROLES wants."""
+    return isinstance(role, (list, tuple) if want in ("k", list) else want) and (want != "k" or len(role) == k)
 
 
 def _role_sums(spec: GroupSpec, *roles) -> np.ndarray:
@@ -242,12 +262,19 @@ def _role_sums(spec: GroupSpec, *roles) -> np.ndarray:
     out[j_1, ..., j_r] is the index of role_1[j_1] + ... + role_r[j_r].
     Digit arithmetic only (one broadcast sum, spec.indices_of), never a sum
     table, so that witnesses are checked on a path the searches do not
-    share."""
+    share.  A role that does not stack to an (m_i, n) integer array is
+    _Malformed: that is checked once per role, as it is stacked."""
     total = np.zeros(spec.n, dtype=np.int64)
     for i, role in enumerate(roles):
+        try:
+            vs = np.asarray(role) if len(role) else np.zeros((0, spec.n), dtype=np.int64)
+        except ValueError:  # vectors of different lengths
+            raise _Malformed("a role's vectors differ in length") from None
+        if vs.shape != (len(role), spec.n) or vs.dtype.kind not in "iu":
+            raise _Malformed(f"a role of {vs.dtype} {vs.shape} is not {len(role)} integer vectors of length {spec.n}")
         shape = [1] * len(roles) + [spec.n]
         shape[i] = len(role)
-        total = total + np.asarray(role, dtype=np.int64).reshape(shape)
+        total = total + vs.astype(np.int64).reshape(shape)
     return spec.indices_of(total)
 
 
@@ -984,8 +1011,8 @@ def find_good_copy(red, pattern: str, k: int, side=None, budget: SearchBudget | 
 
     `side` is a boolean array over the label space; it defaults to the
     purely-quadratic-label subgroup.  All pattern sums must land in dense or
-    sparse atoms as the pattern dictates (never in error atoms); for T(k)
-    additionally every node+leaf sum must avoid error atoms.  NONE is
+    sparse atoms as the pattern dictates (never in error or empty atoms); for
+    T(k) additionally every node+leaf sum must be dense or sparse.  NONE is
     exhaustive over the label space.
     """
     spec = red.label_spec
@@ -1005,8 +1032,8 @@ def find_good_copy(red, pattern: str, k: int, side=None, budget: SearchBudget | 
         # found in the slot whose bits are S.
         status, hit = _search(_dfs, k, [_bitset(side)], _every(N), _shatter(cols), _take, budget)
     elif pattern == "T":
-        # good encoding: leaves in side, every node+leaf sum classified (no
-        # error atoms), with branch sums dense on the 1 side, sparse on 0.
+        # good encoding: leaves in side, every node+leaf sum dense or
+        # sparse, with branch sums dense on the 1 side, sparse on 0.
         status, hit = _search(_tree_search, cols, _bitset(side), k, budget)
     else:
         raise ValueError(f"unknown pattern {pattern!r}")

@@ -15,6 +15,10 @@ A factor has one labelling: `label_values`, the (l+q, N) label coordinates of
 every group element from one `_form_values` pass, and the `label_index_table`
 built from it.  Atoms, atom sizes, refinement and pullback partitions read the
 table, and every per-cell size and density is counted by `cell_counts`.
+
+One rule, `AtomicityVerdict`, classifies a cell against a set: sparse (code 0)
+at density <= eps, else dense (1) at >= 1 - eps, else error (2), and empty (3);
+`uniformity.ReducedPair` is that verdict on the label space.
 """
 
 from __future__ import annotations
@@ -252,6 +256,25 @@ def cell_counts(table: np.ndarray, indicator, cells: int) -> tuple:
     sizes = np.bincount(table, minlength=cells)
     hits = np.bincount(table, weights=indicator, minlength=cells)
     return sizes, hits / np.maximum(sizes, 1)
+
+
+class AtomicityVerdict:
+    """Each cell of a partition table (at least `cells` of them, counted once
+    by `cell_counts`) classified against A by the one cell rule as its `code`;
+    the attribute `cells` is the number of nonempty cells."""
+
+    def __init__(self, A: GroupSubset, table: np.ndarray, eps: float, cells: int = 1):
+        self.eps = eps
+        self.cell_sizes, self.cell_densities = sizes, dens = cell_counts(table, A.indicator, cells)
+        self.code = np.where(sizes == 0, 3, np.where(dens <= eps, 0, np.where(dens >= 1 - eps, 1, 2))).astype(np.int8)
+        self.error_count = int(np.count_nonzero(self.code == 2))
+        self.error_mass = int(sizes[self.code == 2].sum())
+        self.total = int(sizes.sum())
+        self.cells = int(np.count_nonzero(sizes))
+
+    @property
+    def error_fraction(self) -> float:
+        return self.error_mass / self.total if self.total else 0.0
 
 
 def atom_members(B, label: AtomLabel) -> GroupSubset:

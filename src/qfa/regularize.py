@@ -1,6 +1,8 @@
 """Constructive decomposition engines: uniform-dense-coset finding, dense
 subspaces under tree-encoding scarcity, the stable linear-regularization
-engine with factor chains, and atomicity checkers.
+engine with factor chains, and the linear-error atomicity check aqale_check.
+Cells are classified by the one cell rule of factors.AtomicityVerdict, which
+this module imports and reads as code == 0, 1 or 2.
 
 Subgroups are represented by their dual description: a LinearFactor whose
 zero atom is the subgroup, so cosets are atoms and refinement means adding
@@ -20,6 +22,7 @@ from .core import (
 )
 from .detectors import SearchBudget, Witness, _Columns, _Grid, _tree_search
 from .factors import (
+    AtomicityVerdict,
     LinearFactor,
     QuadraticFactor,
     _MonotoneFormula,
@@ -35,48 +38,12 @@ class GrowthFunction(_MonotoneFormula):
     _strict = False
 
 
-class AtomicityVerdict:
-    """Classification of a partition's cells against a set: near-1, near-0,
-    and error cells, with the error mass in both count and group measure."""
-
-    def __init__(self, A: GroupSubset, table: np.ndarray, eps: float, delta: float):
-        self.eps = eps
-        self.delta = delta
-        M = int(table.max()) + 1 if table.size else 1
-        sizes, dens = cell_counts(table, A.indicator, M)
-        occupied = sizes > 0
-        self.cell_sizes = sizes
-        self.cell_densities = dens
-        self.near_one = occupied & (dens > 1 - eps) if eps > 0 else occupied & (dens == 1.0)
-        self.near_zero = occupied & (dens < eps) if eps > 0 else occupied & (dens == 0.0)
-        self.error = occupied & ~(self.near_one | self.near_zero)
-        self.error_count = int(self.error.sum())
-        self.error_mass = int(sizes[self.error].sum())
-        self.total = int(sizes.sum())
-        self.cells = int(occupied.sum())
-
-    @property
-    def error_fraction(self) -> float:
-        return self.error_mass / self.total if self.total else 0.0
-
-    def __repr__(self):
-        return (
-            f"AtomicityVerdict(eps={self.eps}, delta={self.delta}, "
-            f"errors={self.error_count}/{self.cells}, mass={self.error_fraction:.4f})"
-        )
-
-
 def aqale_check(B: QuadraticFactor, A: GroupSubset, eps: float, delta: float):
     """Linear-error variant: PASS iff at most delta * p^ell linear atoms
     contain all non-eps-atomic intersections L cap Q."""
-    spec = B.spec
-    ell, q = B.ell, B.q
-    table = label_index_table(B)
-    verdict = AtomicityVerdict(A, table, eps, delta)
-    p = spec.p
-    bad_lin = {int(idx) % p**ell for idx in np.flatnonzero(verdict.error)}
-    passed = len(bad_lin) <= delta * p**ell
-    return passed, sorted(bad_lin), verdict
+    verdict = AtomicityVerdict(A, label_index_table(B), eps)
+    bad_lin = sorted(set((np.flatnonzero(verdict.code == 2) % B.spec.p**B.ell).tolist()))
+    return len(bad_lin) <= delta * B.spec.p**B.ell, bad_lin, verdict
 
 
 class Subgroup:
@@ -363,36 +330,27 @@ def stable_linear_decomposition(
         table = label_index_table(sub.factor())
         m = sub.codim - ell0
         strong_eps = eps * p ** (-float(psi(m)))
-        v_plain = AtomicityVerdict(A, table, eps, eps)
-        v_strong = AtomicityVerdict(A, table, strong_eps, strong_eps)
-        return table, m, v_plain, v_strong
+        return table, m, AtomicityVerdict(A, table, eps), AtomicityVerdict(A, table, strong_eps)
 
     cur = H
     while True:
         table, m, v_plain, v_strong = classify(cur)
-        occupied = np.nonzero(v_plain.cell_sizes > 0)[0]
-        err_frac_plain = v_plain.error_count / max(1, occupied.size)
-        err_frac_strong = v_strong.error_count / max(1, occupied.size)
         history.append(
             {
                 "codim": cur.codim,
                 "m": m,
-                "error_fraction": err_frac_plain,
-                "error_fraction_strong": err_frac_strong,
-                "cells": int(occupied.size),
+                "error_fraction": v_plain.error_count / max(1, v_plain.cells),
+                "error_fraction_strong": v_strong.error_count / max(1, v_plain.cells),
+                "cells": v_plain.cells,
             }
         )
         # try to commit a chain step (conditions checked by the validator)
-        gamma1 = [int(i) for i in np.nonzero(v_strong.near_one)[0]]
-        gamma0 = [int(i) for i in np.nonzero(v_strong.near_zero)[0]]
-        gamma_err = [int(i) for i in np.nonzero(v_strong.error)[0]]
+        gamma0, gamma1, gamma_err = (np.flatnonzero(v_strong.code == c).tolist() for c in range(3))
         if v_strong.error_count == 0 or m >= max_codim:
             chain.add_step(cur.factor(), gamma0, gamma1, gamma_err)
             break
         # refine the most balanced error coset
-        err_cells = np.nonzero(v_plain.error)[0]
-        if err_cells.size == 0:
-            err_cells = np.nonzero(v_strong.error)[0]
+        err_cells = np.flatnonzero((v_plain.code if v_plain.error_count else v_strong.code) == 2)
         dens = v_plain.cell_densities[err_cells]
         pick = err_cells[int(np.argmin(np.abs(dens - 0.5)))]
         rep_idx = int(np.nonzero(table == pick)[0][0])
@@ -410,17 +368,15 @@ def stable_linear_decomposition(
             table, m, v_plain, v_strong = classify(cur)
             break
 
-    omega_prime = [int(i) for i in np.nonzero(v_strong.error)[0]]
+    omega_prime = np.flatnonzero(v_strong.code == 2).tolist()
     mu = len(omega0) / max(1, p**ell0)
     bound = (mu + eps * p ** (-float(psi(m)))) * p ** (m + ell0)
-    verdict_strong = len(omega_prime) <= bound
-    result = {
+    return {
         "H": cur,
         "omega": omega_prime,
         "verdict": v_plain,
         "verdict_strong": v_strong,
-        "strong_conclusion_holds": bool(verdict_strong),
+        "strong_conclusion_holds": len(omega_prime) <= bound,
         "chain": chain,
         "history": history,
     }
-    return result

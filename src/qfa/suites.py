@@ -251,9 +251,7 @@ def _check_qgs_goodcopy(params):
     res = det.find_good_copy(rp, "H", 3)
     if res.status != det.FOUND:
         return _ok(False, note=res.status)
-    w, lab = res.witness, rp.label_spec
-    # revalidation reads an empty atom as sparse, so every a_i + b_j must also be occupied
-    return _ok(w.revalidate() and all(rp.sizes[lab.index_of(a + b)] for a in w.data["left"] for b in w.data["right"]))
+    return _ok(res.witness.revalidate())
 
 
 def _check_qgs_aqale(params):

@@ -16,7 +16,7 @@ import numpy as np
 from .core import (
     CapacityError, GroupSpec, GroupSubset, ShapeError, _sum_index_grid, block_rows, dft,
 )
-from .factors import AtomLabel, cell_counts, label_index_table, label_values
+from .factors import AtomLabel, AtomicityVerdict, label_index_table, label_values
 
 
 # The blocked kernels here (u2_norm, u3_norm, beta_graph, dev2_sum, oct_sum
@@ -516,23 +516,16 @@ def k222_count(d: TriadDescriptor, base: tuple) -> int:
 # --- reduced pairs ---
 
 
-class ReducedPair:
-    """Label-space structure recording dense, sparse, and error atoms of a
-    factor relative to a set, plus the purely-quadratic-label subgroup."""
+class ReducedPair(AtomicityVerdict):
+    """The atomicity verdict of a factor's label table on the whole label
+    space F_p^(l+q), one code per label, plus the factor, its label space and
+    the purely-quadratic-label subgroup H_B."""
 
     def __init__(self, A: GroupSubset, factor, eps: float):
+        p, ell, q = A.spec.p, factor.ell, factor.q
+        super().__init__(A, label_index_table(factor), eps, p ** (ell + q))
         self.A = A
         self.factor = factor
-        self.eps = eps
-        spec = A.spec
-        ell, q = factor.ell, factor.q
-        self.label_spec = GroupSpec(spec.p, ell + q) if ell + q > 0 else None
-        self.sizes, dens = cell_counts(label_index_table(factor), A.indicator, spec.p ** (ell + q))
-        self.A1 = dens >= 1 - eps
-        self.A0 = dens <= eps
-        self.err = ~(self.A1 | self.A0)
-        # the one dense/sparse rule: code 0 sparse, 1 dense, 2 error; a label
-        # that is both (possible for eps >= 1/2) is sparse
-        self.code = np.where(self.A0, 0, np.where(self.A1, 1, 2)).astype(np.int8)
+        self.label_spec = GroupSpec(p, ell + q) if ell + q > 0 else None
         # labels with a zero linear part: the linear coordinates are the low digits
-        self.H_B = np.arange(len(dens)) % spec.p**ell == 0
+        self.H_B = np.arange(len(self.code)) % p**ell == 0

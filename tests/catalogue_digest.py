@@ -1,6 +1,6 @@
 """One digest of the whole verification catalogue over a range of seeds.
 
-    python3 tests/catalogue_digest.py [START STOP]
+    python3 tests/catalogue_digest.py [START STOP] [--expect SHA]
 
 Runs every suite of `qfa.suites.SUITES` at each seed in START..STOP-1
 (default 0..9), in process and single-threaded, and prints the number of
@@ -11,6 +11,9 @@ sha256 per suite over that suite's rows, so that a mismatch names its suite;
 the total digest covers every row in the order run.  Two checkouts that print
 the same digest gave the same report rows.  The library is imported from the
 `src/` directory next to this file.
+
+The exit status is 1 when a row did not PASS, or when --expect is given and
+the total digest differs from SHA; it is 0 otherwise.
 """
 
 import argparse
@@ -30,6 +33,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("start", type=int, nargs="?", default=0)
     parser.add_argument("stop", type=int, nargs="?", default=10)
+    parser.add_argument("--expect", metavar="SHA", help="the total sha256 the run must print")
     args = parser.parse_args(argv)
     digest, rows, failed = hashlib.sha256(), 0, []
     per_suite = {suite: hashlib.sha256() for suite in SUITES}
@@ -50,7 +54,10 @@ def main(argv=None) -> int:
     for suite, suite_digest in per_suite.items():
         print(f"  {suite} sha256 {suite_digest.hexdigest()}")
     print(f"sha256 {digest.hexdigest()}")
-    return 0
+    mismatch = args.expect is not None and digest.hexdigest() != args.expect
+    if mismatch:
+        print(f"expected sha256 {args.expect}")
+    return int(bool(failed) or mismatch)
 
 
 if __name__ == "__main__":

@@ -11,8 +11,7 @@ import numpy as np
 
 from qfa.core import CapacityError, GroupSpec, GroupSubset, _canonical_lines, dft, matrix_rank
 from qfa.detectors import Witness, _bitset, _check_witness, _good_copy_columns, _tree_keys
-from qfa.factors import LinearFactor, QuadraticFactor, _refines, label_index_table
-from qfa.regularize import AtomicityVerdict
+from qfa.factors import AtomicityVerdict, LinearFactor, QuadraticFactor, _refines, label_index_table
 from qfa.uniformity import (
     MeasureReport,
     TriadDescriptor,
@@ -176,10 +175,10 @@ def count_good_copies_H(red, k: int, side=None) -> int:
     return total
 
 
-def atomicity_check(partition, A: GroupSubset, eps: float, delta: float) -> AtomicityVerdict:
+def atomicity_check(partition, A: GroupSubset, eps: float) -> AtomicityVerdict:
     """Exact per-cell densities for a factor or a precomputed label table."""
     table = partition if isinstance(partition, np.ndarray) else label_index_table(partition)
-    return AtomicityVerdict(A, table, eps, delta)
+    return AtomicityVerdict(A, table, eps)
 
 
 def refinement_stability_check(coarse, fine, A: GroupSubset, eps: float, mu: float) -> bool:
@@ -195,9 +194,9 @@ def refinement_stability_check(coarse, fine, A: GroupSubset, eps: float, mu: flo
         sizes = sizes[sizes > 0]
         if sizes.size and (sizes.max() - sizes.min()) > mu * table.size / sizes.size:
             raise ValueError("parts are not near-equal within the mu condition")
-    v_coarse = AtomicityVerdict(A, t_coarse, eps, eps)
+    v_coarse = AtomicityVerdict(A, t_coarse, eps)
     target = 2 * math.sqrt(eps)
-    v_fine = AtomicityVerdict(A, t_fine, target, target)
+    v_fine = AtomicityVerdict(A, t_fine, target)
     # delta-almost eps-atomic: the error cells have measure at most delta |G|
     return v_coarse.error_mass > eps * v_coarse.total or v_fine.error_mass <= target * v_fine.total
 
@@ -276,7 +275,7 @@ def brute_quad_atomize(A: GroupSubset, eps: float, max_complexity: int = 5, max_
             for mats_choice in quad_parts(q):
                 for vecs in linear_parts(ell):
                     B = QuadraticFactor(spec, LinearFactor(spec, list(vecs)), mats_choice)
-                    verdict = atomicity_check(B, A, eps, 0.0)
+                    verdict = atomicity_check(B, A, eps)
                     if verdict.error_count == 0:
                         return B
     return None

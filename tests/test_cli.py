@@ -176,6 +176,14 @@ def test_cli_short_factor_file_exit_2(tmp_path, capsys):
         assert err.startswith(f"qfa: error: {ffile}:") and "Traceback" not in err
 
 
+def test_cli_bad_subset_header_exit_2(tmp_path, capsys):
+    sfile = tmp_path / "s.txt"
+    sfile.write_text("3 x\n00\n")
+    assert main(["measure", "u2", "--set", f"file:{sfile}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"qfa: error: {sfile}:1: expected header") and "Traceback" not in err
+
+
 def test_cli_concurrent_jobs_match_serial():
     r1 = run_suite("quadric", jobs=1)
     r2 = run_suite("quadric", jobs=4)

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -282,6 +283,14 @@ def test_subset_io_rejects_bad_digits(tmp_path):
         read_subset(str(path))
 
 
+def test_subset_header_is_two_digit_tokens(tmp_path):
+    path = tmp_path / "bad.txt"
+    for header in ("3 x", "3", "3 2 1", "-3 2", "3 2.0", "p n"):
+        path.write_text(f"{header}\n00\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:1: expected header 'p n'$"):
+            read_subset(str(path))
+
+
 IO_PRIMES = [3, 5, 7, 11, 13]
 
 
@@ -433,3 +442,19 @@ def test_group_bits_env_override(monkeypatch):
         GroupSpec(3, 6)
     monkeypatch.setenv("QFA_MAX_GROUP_BITS", "24")
     GroupSpec(3, 6)
+    for raw in ("2x", "26.5", "", "-1", "2²"):
+        monkeypatch.setenv("QFA_MAX_GROUP_BITS", raw)
+        with pytest.raises(ValueError, match="QFA_MAX_GROUP_BITS must be a non-negative integer"):
+            GroupSpec(3, 6)
+
+
+def test_group_spec_refuses_groups_beyond_exact_float64(monkeypatch):
+    # the form kernels sum up to 2 n (p-1)^2 in float64: 67,108,859 is the
+    # largest prime under a cap of 26 and passes; the next prime, and the
+    # prime below 2^27, are refused under a cap of 27.  No digits are built.
+    monkeypatch.setenv("QFA_MAX_GROUP_BITS", "27")
+    spec = GroupSpec(67_108_859, 1)
+    assert 2 * (spec.p - 1) ** 2 < 2**53 and spec._digits is None
+    for p in (67_108_879, 134_217_689):
+        with pytest.raises(CapacityError, match="2\\^53"):
+            GroupSpec(p, 1)

@@ -34,7 +34,7 @@ from qfa.detectors import (
     vc_dim,
     _good_copy_columns,
 )
-from qfa.factors import LinearFactor, QuadraticFactor
+from qfa.factors import LinearFactor, QuadraticFactor, label_index_table
 from qfa.uniformity import ReducedPair
 from support import count_good_copies_H, plant_tree_encoding
 
@@ -659,8 +659,9 @@ def test_good_copy_found_in_qgs_reduced_pair():
 
 
 def test_good_copy_reads_labels_both_dense_and_sparse_as_sparse():
-    # At eps >= 1/2 a label can be both dense and sparse.  The search, the
-    # revalidation of its witnesses and rp.code must all read it as sparse.
+    # At eps >= 1/2 a nonempty label can be both dense and sparse.  The
+    # search, the revalidation of its witnesses and rp.code must all read it
+    # as sparse, and an empty label as neither.
     sp = GroupSpec(3, 4)
     F = QuadraticFactor(sp, [sp.basis_vector(1)], [trace_sym_space(4, 3)[0]])
     rng = np.random.default_rng(0xB07)
@@ -668,12 +669,13 @@ def test_good_copy_reads_labels_both_dense_and_sparse_as_sparse():
         both, found = 0, set()
         for _ in range(20):
             rp = ReducedPair(GroupSubset(sp, rng.random(sp.order) < 0.5), F, eps)
-            if not (rp.A1 & rp.A0).any():
+            dens = rp.cell_densities
+            if not ((dens <= eps) & (dens >= 1 - eps) & (rp.cell_sizes > 0)).any():
                 continue
             both += 1
             neg, pos, _ = _good_copy_columns(rp)[0]  # bit s: the search's verdict on label s
             for s in range(rp.label_spec.order):
-                assert rp.code[s] == (0 if neg >> s & 1 else 1 if pos >> s & 1 else 2)
+                assert rp.code[s] == (0 if neg >> s & 1 else 1 if pos >> s & 1 else 2 if rp.cell_sizes[s] else 3)
             for pattern, k in itertools.product("HUT", (1, 2)):
                 res = find_good_copy(rp, pattern, k)
                 assert res.status == NONE or (res.status == FOUND and res.witness.revalidate())
@@ -681,9 +683,26 @@ def test_good_copy_reads_labels_both_dense_and_sparse_as_sparse():
         assert both >= 10 and found == set("HUT")
 
 
+def test_good_copy_on_an_empty_label_is_refused():
+    # F_3^2 labelled twice by x_1 takes only the labels 0, 4 and 8, and A is
+    # label 4.  A U(1) copy whose sparse sum lands on the empty label 3 has
+    # no atom there, so it is no good copy, and the search finds another.
+    sp = GroupSpec(3, 2)
+    F = QuadraticFactor(sp, [sp.basis_vector(1)] * 2)
+    rp = ReducedPair(GroupSubset(sp, label_index_table(F) == 4), F, 0.1)
+    lab, side = rp.label_spec, np.ones(9, dtype=bool)
+    roles = {"left": [np.array([0, 0])], "right": {0: np.array([0, 1]), 1: np.array([1, 1])}}
+    assert [lab.index_of(b) for b in roles["right"].values()] == [3, 4] and rp.code[3] == 3
+    assert not Witness("GOODCOPY", rp.A, {**roles, "pattern": "U", "red": rp, "side": side}, k=1).revalidate()
+    res = find_good_copy(rp, "U", 1, side)
+    assert res.status == FOUND and res.witness.revalidate()
+    left, right = res.witness.data["left"], res.witness.data["right"]
+    assert all(rp.cell_sizes[lab.index_of((a + b) % 3)] for a in left for b in right.values())
+
+
 def test_good_copy_T_check_reads_every_cell():
     # One label code changed at a time: a branch sum keeps its side, and an
-    # off-branch sum may be dense or sparse but never an error.
+    # off-branch sum may be dense or sparse but never an error or empty.
     sp = GroupSpec(3, 3)
     F = QuadraticFactor(sp, [sp.basis_vector(1)], [np.eye(3, dtype=np.int64)])
     rng = np.random.default_rng(5)
@@ -700,7 +719,7 @@ def test_good_copy_T_check_reads_every_cell():
                 cells.setdefault(rp.label_spec.index_of((h + g) % 3), set()).add(want)
         off = [s for s, wants in cells.items() if wants == {None}]
     for s, wants in cells.items():
-        for code in (0, 1, 2):
+        for code in (0, 1, 2, 3):
             red = copy.copy(rp)
             red.code = rp.code.copy()
             red.code[s] = code

@@ -313,9 +313,13 @@ def test_cap2_matches_oracle():
 
 
 def label_kind(red, s):
-    """The dense/sparse/error rule from the densities, not from red.code: a
-    label that is both dense and sparse (eps >= 1/2) is sparse."""
-    return "sparse" if red.A0[s] else "dense" if red.A1[s] else "error"
+    """The cell rule from the sizes and densities, not from red.code: an
+    empty label is "empty", and a label that is both dense and sparse
+    (eps >= 1/2) is sparse."""
+    if red.cell_sizes[s] == 0:
+        return "empty"
+    dens = red.cell_densities[s]
+    return "sparse" if dens <= red.eps else "dense" if dens >= 1 - red.eps else "error"
 
 
 def good_copy_H_oracle(red, k):
@@ -738,7 +742,7 @@ def revalidate_oracle(w):
                 return False
             for sigma, h in data["nodes"].items():
                 got = kind_of(h, g)
-                if got == "error":
+                if got in ("error", "empty"):
                     return False
                 if len(sigma) < len(eta) and eta[: len(sigma)] == sigma:
                     if got != ("dense" if eta[len(sigma)] == 1 else "sparse"):
@@ -995,6 +999,41 @@ def test_tree_and_good_copy_witnesses_must_key_the_whole_pattern(searched):
     for w in damaged:
         assert not w.revalidate(), (w.kind, w.k, w.to_jsonable())
         assert not revalidate_oracle(w), (w.kind, w.k)
+
+
+def malformed(w):
+    """Copies of w with one defect each in every role that holds vectors: its
+    first vector with a coordinate 0.5 or with one coordinate too many, and
+    the role itself an int (a list role) or the list of its values (a keyed
+    role).  An FOP2 selector's y-list has its first vector changed."""
+    out = []
+
+    def copy(role, val):
+        return Witness(w.kind, w.subset, dict(w.data, **{role: val}), k=w.k)
+
+    for role, val in w.data.items():
+        if not isinstance(val, (list, tuple, dict)) or not val:
+            continue
+        key, first = next(iter(val.items())) if isinstance(val, dict) else (0, val[0])
+        nested = isinstance(first, list)
+        v = np.asarray(first[0] if nested else first).tolist()
+        for bad in ([0.5, *v[1:]], [*v, 0]):
+            bad = [bad, *first[1:]] if nested else bad
+            out.append(copy(role, {**val, key: bad} if isinstance(val, dict) else [bad, *val[1:]]))
+        out.append(copy(role, list(val.values()) if isinstance(val, dict) else 5))
+    return out
+
+
+def test_malformed_witnesses_give_false(searched):
+    # a float or a wrong-length vector, an int for a list role and a list
+    # for a keyed role: revalidate says False and never raises
+    kinds = set()
+    for w in searched:
+        assert w.revalidate(), (w.kind, w.k)
+        for damaged in malformed(w):
+            assert damaged.revalidate() is False, (w.kind, w.k, damaged.to_jsonable())
+            kinds.add(w.kind)
+    assert kinds == {"OP", "HOP2", "FOP2", "VC", "VC2", "CUBE", "TREE", "GOODCOPY"}
 
 
 def test_revalidation_reads_no_sum_table(witness_cases, monkeypatch):

@@ -32,7 +32,7 @@ def test_atomicity_union_of_atoms_is_atomic():
     mats = trace_sym_space(4, 3)
     F = QuadraticFactor(sp, [], [mats[0]])
     A = GroupSubset(sp, label_index_table(F) == AtomLabel([], [1]).index(3))
-    v = atomicity_check(F, A, 1e-9, 0)
+    v = atomicity_check(F, A, 1e-9)
     assert v.error_count == 0 and v.error_mass == 0
 
 
@@ -41,7 +41,7 @@ def test_atomicity_gs_zero_coset_interval():
     A = gs(6, 3)
     for vecs in ([sp.basis_vector(2)], [sp.basis_vector(1), sp.basis_vector(4)]):
         L = LinearFactor(sp, vecs)
-        v = atomicity_check(L, A, 1 / 3, 0)
+        v = atomicity_check(L, A, 1 / 3)
         assert v.cell_densities[0] >= 1 / 3 and v.cell_densities[0] <= 2 / 3
         assert v.error_count > 0
 
@@ -260,7 +260,7 @@ def test_brute_atomizer_examples():
     Q = quadric(3, 3)
     B = brute_quad_atomize(Q, 1e-9)
     assert B is not None and B.complexity == (0, 1)
-    assert atomicity_check(B, Q, 1e-9, 0).error_count == 0
+    assert atomicity_check(B, Q, 1e-9).error_count == 0
     B = brute_quad_atomize(GroupSubset(GroupSpec(3, 3)), 1e-9)
     assert B is not None and B.complexity == (0, 0)
     # layered set: record whatever minimal complexity comes out (no claim)

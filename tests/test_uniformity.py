@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from qfa import core, uniformity
 from qfa.core import CapacityError, GroupSpec, GroupSubset, ShapeError, dft
 from qfa.constructions import gs, trace_sym_space
-from qfa.factors import AtomLabel, LinearFactor, QuadraticFactor, atom_members, label_index_table, label_values
+from qfa.factors import (
+    AtomicityVerdict, AtomLabel, LinearFactor, QuadraticFactor, atom_members, label_index_table, label_values,
+)
 from qfa.uniformity import (
     ReducedPair,
     TriadDescriptor,
@@ -420,6 +422,31 @@ def test_triangle_count_prediction_trace_factor():
     assert rep.status == "PASS"
 
 
+def test_one_cell_rule_at_its_boundaries():
+    # F_5^2 in five cells of five by x_1, at densities 0, 1/5, 2/5, 4/5 and 1:
+    # a density of eps is sparse and one of 1 - eps dense, in both classes,
+    # and at eps = 0 only densities 0 and 1 are classified
+    sp = GroupSpec(5, 2)
+    L = LinearFactor(sp, [sp.basis_vector(1)])
+    table = label_index_table(L)
+    A = GroupSubset(sp, sp.digits[:, 1] < np.array([0, 1, 2, 4, 5])[table])
+    for eps, codes in ((0.2, [0, 0, 2, 1, 1]), (0.0, [0, 2, 2, 2, 1])):
+        assert AtomicityVerdict(A, table, eps).code.tolist() == codes
+        assert ReducedPair(A, L, eps).code.tolist() == codes
+    v = AtomicityVerdict(A, table, 0.2)
+    assert (v.error_count, v.error_mass, v.total, v.cells, v.error_fraction) == (1, 5, 25, 5, 0.2)
+    # F_3 by x^2: the cell {0} outside A, {1, 2} half in it, and the value 2
+    # never taken.  At eps = 0.6 the half cell is sparse only, and the empty
+    # cell is none of the three.
+    sp = GroupSpec(3, 1)
+    Q = QuadraticFactor(sp, [], [np.eye(1, dtype=np.int64)])
+    A = GroupSubset.from_indices(sp, [1])
+    for eps, codes in ((0.6, [0, 0, 3]), (0.0, [0, 2, 3])):
+        assert AtomicityVerdict(A, label_index_table(Q), eps, 3).code.tolist() == codes
+        assert ReducedPair(A, Q, eps).code.tolist() == codes
+    assert isinstance(ReducedPair(A, Q, 0.6), AtomicityVerdict)
+
+
 def test_reduced_pair_union_of_atoms_has_no_errors():
     sp = GroupSpec(3, 4)
     mats = trace_sym_space(4, 3)
@@ -427,7 +454,7 @@ def test_reduced_pair_union_of_atoms_has_no_errors():
     table = label_index_table(F)
     A = GroupSubset(sp, (table == 3) | (table == 5))
     rp = ReducedPair(A, F, 1e-6)
-    assert rp.err.sum() == 0
+    assert rp.error_count == 0
 
 
 def test_reduced_pair_qgs_structure():
@@ -437,14 +464,14 @@ def test_reduced_pair_qgs_structure():
     for D in (2, 3):
         FD = QuadraticFactor(F.spec, [], F.matrices[:D])
         rp = ReducedPair(A, FD, 1e-9)
-        assert set(np.flatnonzero(rp.err).tolist()) == {0}
+        assert np.flatnonzero(rp.code == 2).tolist() == [0]
 
 
 def test_reduced_pair_gs_zero_atom_error():
     sp = GroupSpec(3, 6)
     F = QuadraticFactor(sp, [sp.basis_vector(1)], [])
     rp = ReducedPair(gs(6, 3), F, 0.2)
-    assert rp.err[0]
+    assert rp.code[0] == 2
     assert rp.H_B.sum() == 1  # purely linear factor: only the zero label
 
 
@@ -489,10 +516,10 @@ def test_encoding_scarcity_bound_in_reduced_pairs():
         rp = ReducedPair(A, F, 0.2)
         if find_good_copy(rp, "H", 1).status != NONE:
             continue
-        n_err = int(rp.err.sum())
+        n_err = rp.error_count
         if n_err == 0:
             continue
-        dense = GroupSubset(lab, rp.A1)
+        dense = GroupSubset(lab, rp.code == 1)
         side = GroupSubset(lab, rp.H_B)
         full = GroupSubset.full(lab)
         count = count_tree_encodings(dense, 1, side, full)
