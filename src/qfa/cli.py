@@ -1,8 +1,7 @@
 """Command-line harness: `qfa verify|detect|measure|factor|regularize`.
 
-Configuration is a flat key=value file (--config) plus flags; flags win.
-`verify` reads the key seed from it, and any other key is a usage error.
-Randomized checks take a 64-bit --seed (default 0xF0F2).  Exit code 0 means
+Randomized checks take a 64-bit --seed (default 0xF0F2); a report records
+it, so `verify --seed` with a report's seed replays it.  Exit code 0 means
 every check passed; 1 means a FAIL/ERROR or a search whose budget ran out
 (bound-only); usage errors, and inputs of the wrong shape or beyond a capacity
 limit, exit with 2.
@@ -33,7 +32,7 @@ from .detectors import (
 )
 from .factors import RankFunction, make_high_rank, pullback_factor, read_factor, factor_rank, write_factor
 from .setspec import parse_set_spec
-from .suites import DEFAULT_SEED, SUITES, emit_report, run_suite
+from .suites import DEFAULT_SEED, SUITES, _json_default, emit_report, run_suite
 from .uniformity import (
     TriadDescriptor,
     density_transfer_check,
@@ -47,29 +46,8 @@ from .uniformity import (
 )
 
 
-_CONFIG_KEYS = {"verify": ("seed",)}  # the --config keys each command reads
-
-
-def _load_config(path, command):
-    keys = _CONFIG_KEYS.get(command, ())
-    out = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}: expected key=value, got {line!r}")
-            k, v = (t.strip() for t in line.split("=", 1))
-            if k not in keys:
-                raise ValueError(f"{path}: unknown key {k!r}; {command} reads {list(keys)}")
-            out[k] = v
-    return out
-
-
 def cmd_verify(args):
-    seed = args.seed if args.seed is not None else int(args.config_values.get("seed", DEFAULT_SEED))
-    params = {"seed": seed}
+    params = {"seed": args.seed}
     names = [args.suite] if args.suite != "all" else sorted(SUITES)
     overall_ok = True
     reports = []
@@ -81,7 +59,7 @@ def cmd_verify(args):
     if args.json:
         payload = [r.to_jsonable() for r in reports]
         with open(args.json, "w") as fh:
-            json.dump(payload[0] if len(payload) == 1 else payload, fh, indent=2, default=str)
+            json.dump(payload[0] if len(payload) == 1 else payload, fh, indent=2, default=_json_default)
     return 0 if overall_ok else 1
 
 
@@ -235,12 +213,11 @@ def cmd_regularize(args):
 
 def build_parser():
     ap = argparse.ArgumentParser(prog="qfa", description=__doc__)
-    ap.add_argument("--config", help="flat key=value configuration file")
     sub = ap.add_subparsers(dest="command", required=True)
 
     v = sub.add_parser("verify", help="run a named check suite")
     v.add_argument("--suite", required=True, choices=sorted(SUITES) + ["all"])
-    v.add_argument("--seed", type=int)
+    v.add_argument("--seed", type=int, default=DEFAULT_SEED)
     v.add_argument("--json", help="also write the report as JSON to this path")
     v.add_argument("--jobs", type=int, default=1)
     v.set_defaults(fn=cmd_verify)
@@ -285,7 +262,6 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        args.config_values = _load_config(args.config, args.command) if args.config else {}
         return args.fn(args)
     except (ValueError, KeyError, OSError, ShapeError, CapacityError) as exc:
         print(f"qfa: error: {exc}", file=sys.stderr)

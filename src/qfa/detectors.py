@@ -53,7 +53,8 @@ import time
 
 import numpy as np
 
-from .core import CapacityError, GroupSpec, GroupSubset, _sum_index_grid, block_rows, matrix_rank
+from .core import CapacityError, GroupSpec, GroupSubset, ShapeError, _sum_index_grid, block_rows, matrix_rank
+from .uniformity import ReducedPair
 
 NONE = "none"
 FOUND = "witness"
@@ -106,13 +107,14 @@ class SearchBudget:
 
 
 # The roles revalidate reads per kind and per (GOODCOPY, pattern): "k" is k vectors in a list or
-# tuple, list any number, dict vectors keyed by subset, selector or tree key, object no vectors.
-_TREE_ROLES = {"nodes": dict, "leaves": dict, "d": object}
+# tuple, list any number, dict vectors keyed by subset, selector or tree key; a type holds no vectors.
+_TREE_ROLES = {"nodes": dict, "leaves": dict, "d": (int, np.integer)}
 _ROLES = {
     "OP": dict.fromkeys("ab", "k"), "HOP2": dict.fromkeys("xyz", "k"), "CUBE": dict.fromkeys("xyz", list),
     "FOP2": {"x": "k", "y": dict, "z": "k"}, "VC": {"a": "k", "b": dict}, "VC2": {"a": dict, "b": "k", "c": "k"},
     "TREE": _TREE_ROLES, ("GOODCOPY", "T"): _TREE_ROLES, ("GOODCOPY", "H"): dict.fromkeys(("left", "right"), "k"),
-    ("GOODCOPY", "U"): {"left": "k", "right": dict}, "GOODCOPY": dict.fromkeys(("red", "pattern", "side"), object),
+    ("GOODCOPY", "U"): {"left": "k", "right": dict},
+    "GOODCOPY": {"red": ReducedPair, "pattern": str, "side": np.ndarray},
 }
 
 
@@ -156,7 +158,8 @@ class Witness:
 
     def _holds(self) -> bool:
         A, k, data = self.subset, self.k, self.data
-        roles = {**_ROLES.get(self.kind, {}), **_ROLES.get((self.kind, data.get("pattern")), {})}
+        pattern = data.get("pattern") if isinstance(data.get("pattern"), str) else None  # hashable
+        roles = {**_ROLES.get(self.kind, {}), **_ROLES.get((self.kind, pattern), {})}
         if not all(role in data and _fits(data[role], want, k) for role, want in roles.items()):
             return False  # a role the kind reads is absent, or not of the type _ROLES wants
         if self.kind == "OP":
@@ -167,9 +170,8 @@ class Witness:
             return np.array_equal(_members(A, data["x"], data["y"], data["z"]), r[:, None, None] < r[:, None] + r)
         if self.kind == "FOP2":
             yfam = data["y"]
-            # one y list per selector in [k]^(k^2); the count first, so that a
-            # k too large to enumerate costs nothing
-            if len(yfam) != k ** (k * k) or set(yfam) != _selectors(k):
+            # one y list per selector in [k]^(k^2), counted before they are listed
+            if not _count_is(len(yfam), k, k * k) or set(yfam) != _selectors(k):
                 return False
             if not all(_fits(ys, "k", k) for ys in yfam.values()):
                 return False
@@ -180,15 +182,15 @@ class Witness:
             return np.array_equal(got.reshape(want.shape), want)
         if self.kind == "VC":
             bS = data["b"]
-            if set(bS) != _subsets(tuple(range(1, k + 1))):
+            if not _count_is(len(bS), 2, k) or set(bS) != _subsets(tuple(range(1, k + 1))):
                 return False  # one b per subset of [k]
             want = np.array([[i in S for S in bS] for i in range(1, k + 1)], dtype=bool).reshape(k, len(bS))
             return np.array_equal(_members(A, data["a"], list(bS.values())), want)
         if self.kind == "VC2":
             aS = data["a"]
-            if set(aS) != _subsets(tuple(itertools.product(range(1, k + 1), repeat=2))):
+            cells = tuple(itertools.product(range(1, k + 1), repeat=2))
+            if not _count_is(len(aS), 2, k * k) or set(aS) != _subsets(cells):
                 return False  # one a per subset of [k]^2
-            cells = itertools.product(range(1, k + 1), repeat=2)
             want = np.array([[ij in S for S in aS] for ij in cells], dtype=bool).reshape(k, k, len(aS))
             return np.array_equal(_members(A, data["b"], data["c"], list(aS.values())), want)
         if self.kind == "TREE":
@@ -205,9 +207,11 @@ class Witness:
         if self.kind == "GOODCOPY":
             # want[i, j]: the code of left_i + right_j (red.code: 0 sparse,
             # 1 dense), or -1 where dense or sparse will do
-            red, pattern = data["red"], data["pattern"]
+            red, side, lab = data["red"], data["side"], data["red"].label_spec
             if pattern not in ("T", "H", "U"):
                 raise ValueError(f"unknown good-copy pattern {pattern!r}")
+            if lab is None or side.dtype != bool or side.shape != (lab.order,):
+                return False  # side is one bool per label
             if pattern == "T":
                 left, right = data["nodes"], data["leaves"]
                 want = _tree_want(left, right, data["d"])
@@ -218,14 +222,13 @@ class Witness:
                 want = [[int(i <= j) for j in right] for i in left]
             else:  # U: right is keyed by the bits of S, one per S
                 left, right = dict(enumerate(data["left"])), data["right"]
-                if set(right) != set(range(2**k)):
+                if not _count_is(len(right), 2, k) or set(right) != set(range(2**k)):
                     return False
                 want = [[int(S) >> i & 1 for S in right] for i in left]
             # row 0 adds the zero label, so it holds the right elements themselves
-            lab = red.label_spec
             idx = _role_sums(lab, [np.zeros(lab.n, dtype=np.int64), *left.values()], list(right.values()))
             got, want = red.code[idx[1:]], np.reshape(want, idx[1:].shape)
-            return bool(data["side"][idx[0]].all() and np.where(want < 0, got < 2, got == want).all())
+            return bool(side[idx[0]].all() and np.where(want < 0, got < 2, got == want).all())
         raise ValueError(f"unknown witness kind {self.kind!r}")
 
 
@@ -243,9 +246,20 @@ def _selectors(k: int) -> frozenset:
     return frozenset(itertools.product(range(1, k + 1), repeat=k * k))
 
 
+def _count_is(count: int, base: int, exp: int) -> bool:
+    """Whether count == base**exp, building base**exp only when it has fewer
+    bits than count: key sets are counted before they are listed."""
+    base, exp = int(base), int(exp)
+    return exp * (base.bit_length() - 1) < count.bit_length() and count == base**exp
+
+
 def _tree_want(nodes: dict, leaves: dict, d: int):
     """want[s, e]: leaf e's bit below node s on its branch, -1 off it; None
-    unless the roles key exactly every node and leaf of the depth-d tree."""
+    unless the roles key exactly every node and leaf of the depth-d tree, of
+    which there are 2^d - 1 and 2^d, counted before the keys are listed."""
+    d = int(d)
+    if d < 0 or not _count_is(len(leaves), 2, d) or len(nodes) != len(leaves) - 1:
+        return None
     sigmas, etas = _tree_keys(d)
     if set(nodes) != set(sigmas) or set(leaves) != set(etas):
         return None
@@ -1009,11 +1023,11 @@ def find_good_copy(red, pattern: str, k: int, side=None, budget: SearchBudget | 
     """Search a reduced pair for a good copy of H(k) or U(k), or a good
     encoding of T(k), with the right side (leaves) inside `side`.
 
-    `side` is a boolean array over the label space; it defaults to the
-    purely-quadratic-label subgroup.  All pattern sums must land in dense or
-    sparse atoms as the pattern dictates (never in error or empty atoms); for
-    T(k) additionally every node+leaf sum must be dense or sparse.  NONE is
-    exhaustive over the label space.
+    `side` is a boolean array over the label space (else ShapeError); it
+    defaults to the purely-quadratic-label subgroup.  All pattern sums must
+    land in dense or sparse atoms as the pattern dictates (never in error or
+    empty atoms); for T(k) additionally every node+leaf sum must be dense or
+    sparse.  NONE is exhaustive over the label space.
     """
     spec = red.label_spec
     if spec is None:
@@ -1021,6 +1035,8 @@ def find_good_copy(red, pattern: str, k: int, side=None, budget: SearchBudget | 
     budget = (budget or SearchBudget()).start()
     side = red.H_B if side is None else np.asarray(side, dtype=bool)
     N, vec = spec.order, spec.vector_of
+    if side.shape != (N,):
+        raise ShapeError(f"side has shape {side.shape}, not one entry per label ({N},)")
     cols = _good_copy_columns(red)
     if pattern == "H":
         # staircase: left a_1..a_k free, right b_1..b_k in side;

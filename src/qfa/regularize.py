@@ -48,13 +48,13 @@ def aqale_check(B: QuadraticFactor, A: GroupSubset, eps: float, delta: float):
 
 class Subgroup:
     """A subgroup of F_p^n given by dual generators (the zero atom of the
-    linear factor they define) and basis rows spanning it, which fix the
-    order of coset enumeration (default: the nullspace basis of the duals)."""
+    linear factor they define); the nullspace basis of the duals spans it
+    and fixes the order of coset enumeration."""
 
-    def __init__(self, spec: GroupSpec, duals=(), basis=None):
+    def __init__(self, spec: GroupSpec, duals=()):
         self.spec = spec
         self.duals = [np.asarray(v, dtype=np.int64) % spec.p for v in duals]
-        self.basis = nullspace_basis(self.duals, spec.p, spec.n) if basis is None else basis
+        self.basis = nullspace_basis(self.duals, spec.p, spec.n)
 
     @property
     def codim(self) -> int:
@@ -88,6 +88,18 @@ class Subgroup:
         lab = GroupSpec(self.spec.p, m) if m else None
         return lab, A.indicator[idx]
 
+    def refined(self, t) -> Subgroup:
+        """The kernel in H of the character t, given by its digits in basis
+        coordinates: H with one more dual, any v in F_p^n with basis @ v = t.
+        The basis rows are independent, so the system is consistent and no
+        pivot falls on t."""
+        n = self.spec.n
+        t = np.asarray(t, dtype=np.int64).reshape(self.dim, 1)
+        R, pivots = rref(np.concatenate([self.basis, t], axis=1), self.spec.p)
+        v = np.zeros(n, dtype=np.int64)
+        v[pivots] = R[: len(pivots), n]
+        return Subgroup(self.spec, self.duals + [v])
+
 
 # Magnitudes within this of the largest count as tied for the top character.
 _TIE = 1e-12
@@ -95,8 +107,8 @@ _TIE = 1e-12
 
 def _top_character(A: GroupSubset, H: Subgroup, y):
     """The largest nontrivial Fourier coefficient of the balanced indicator
-    of A localized to the coset y + H, as (local spec, character index t,
-    its magnitude), or None when H is trivial.
+    of A localized to the coset y + H, as (the digits of its character t in
+    basis coordinates, its magnitude), or None when H is trivial.
 
     t is the first index whose magnitude is within _TIE of the largest.  For
     a real table |hat f(t)| and |hat f(-t)| agree only up to rounding, so a
@@ -107,14 +119,15 @@ def _top_character(A: GroupSubset, H: Subgroup, y):
     mags = np.abs(dft(ind.astype(np.float64) - ind.mean(), lab))
     mags[0] = 0.0
     top = mags.max()
-    return lab, int(np.argmax(mags >= top - _TIE)), float(top)
+    t = int(np.argmax(mags >= top - _TIE))
+    return t // lab.p ** np.arange(lab.n) % lab.p, float(top)  # its digits, with no digits table
 
 
 def local_uniformity(A: GroupSubset, H: Subgroup, y) -> float:
     """Largest nontrivial Fourier coefficient of the balanced indicator of A
     localized to the coset y + H."""
     top = _top_character(A, H, y)
-    return 0.0 if top is None else top[2]
+    return 0.0 if top is None else top[1]
 
 
 def find_uniform_dense_coset(A: GroupSubset, H: Subgroup, eps: float):
@@ -136,19 +149,16 @@ def find_uniform_dense_coset(A: GroupSubset, H: Subgroup, eps: float):
     max_steps = int(2 / eps)
     for step in range(max_steps + 1):
         top = _top_character(A, cur, y)
-        if top is None or top[2] <= eps:
-            unif = 0.0 if top is None else top[2]
+        if top is None or top[1] <= eps:
+            unif = 0.0 if top is None else top[1]
             break
-        lab, t_star, _ = top
-        # refine by the character's kernel, keep the densest coset
-        t_vec = t_star // spec.p ** np.arange(lab.n) % spec.p  # its digits, with no digits table
-        sub_coords = nullspace_basis([t_vec], spec.p, cur.dim)
-        new_basis = (sub_coords @ cur.basis) % spec.p
+        # refine by the character's kernel, keep the densest coset; w is the
         # direction with t.w = 1 inside the current coordinates: the first
         # such w in index order is t_i^-1 e_i at t's first nonzero entry i
-        i = int(np.flatnonzero(t_vec)[0])
-        w_dir = pow(int(t_vec[i]), spec.p - 2, spec.p) * cur.basis[i] % spec.p
-        cur = Subgroup(spec, cur.duals + [_lift_character(cur, t_vec)], new_basis)
+        t = top[0]
+        i = int(np.flatnonzero(t)[0])
+        w_dir = pow(int(t[i]), spec.p - 2, spec.p) * cur.basis[i] % spec.p
+        cur = cur.refined(t)
         # the p cosets y + j w + H', densest first (argmax keeps the first max)
         ys = (y + np.outer(np.arange(spec.p), w_dir)) % spec.p
         y = ys[int(np.argmax(A.indicator[cur.coset_indices(ys)].mean(axis=1)))]
@@ -163,18 +173,6 @@ def find_uniform_dense_coset(A: GroupSubset, H: Subgroup, eps: float):
     if final_density < base_density - 1e-12:
         raise AssertionError("density did not increase")
     return cur, y, {"codim": codim_in_H, "density": float(final_density), "uniformity": unif}
-
-
-def _lift_character(H: Subgroup, t_vec) -> np.ndarray:
-    """A vector v in F_p^n whose restriction to H (in basis coordinates)
-    is the character t: any solution of H.basis @ v = t.  The basis rows are
-    independent, so the system is consistent and no pivot falls on t."""
-    n = H.spec.n
-    t = np.asarray(t_vec, dtype=np.int64).reshape(H.dim, 1)
-    R, pivots = rref(np.concatenate([H.basis, t], axis=1), H.spec.p)
-    v = np.zeros(n, dtype=np.int64)
-    v[pivots] = R[: len(pivots), n]
-    return v
 
 
 def _find_tree_encoding(A_loc: GroupSubset, d: int, budget: SearchBudget | None = None) -> dict | None:
@@ -295,49 +293,39 @@ def factor_chain_check(chain: FactorChain, A: GroupSubset) -> dict:
 
 
 def stable_linear_decomposition(
-    A: GroupSubset,
-    H0: Subgroup | None = None,
-    omega0=None,
-    eps: float = 0.1,
-    psi: GrowthFunction | None = None,
-    max_codim: int = 8,
-    g: GrowthFunction | None = None,
-    f: GrowthFunction | None = None,
+    A: GroupSubset, eps: float = 0.1, psi: GrowthFunction | None = None, max_codim: int = 8
 ):
-    """Greedy refinement engine: while some coset of the current subgroup is
-    not atomic, refine by the largest local Fourier character of the worst
-    coset.  Returns (H', omega', verdict, chain, history).
+    """Greedy refinement engine from the whole group: while some coset of
+    the current subgroup is not atomic, refine by the largest local Fourier
+    character of the worst coset.  Returns (H', omega', verdict, chain,
+    history); eps < 0 is a ValueError.
 
     history records, per round, the codimension and the error fractions at
     the plain eps level and at the strong eps*p^-psi(m) level; the target
     conclusion shape (all cosets outside omega' strongly atomic, |omega'|
     small) is checked on the final state and reported honestly in
-    verdict_strong.
+    verdict_strong.  The chain starts at codimension ell0 = 0 with zero
+    growth functions g and f.
     """
+    if not eps >= 0:
+        raise ValueError(f"eps must be non-negative, got {eps}")
     spec = A.spec
     psi = psi or GrowthFunction("2*x")
-    g = g or GrowthFunction("0")
-    f = f or GrowthFunction("0")
-    H = H0 or Subgroup(spec, [])
-    ell0 = H.codim
-    omega0 = set() if omega0 is None else set(omega0)
-    chain = FactorChain(eps, max_codim, ell0, g, f)
-    chain.add_base(H.factor())
+    cur = Subgroup(spec)
+    chain = FactorChain(eps, max_codim, 0, GrowthFunction("0"), GrowthFunction("0"))
+    chain.add_base(cur.factor())
     history = []
     p = spec.p
-
-    def classify(sub: Subgroup):
-        table = label_index_table(sub.factor())
-        m = sub.codim - ell0
-        strong_eps = eps * p ** (-float(psi(m)))
-        return table, m, AtomicityVerdict(A, table, eps), AtomicityVerdict(A, table, strong_eps)
-
-    cur = H
     while True:
-        table, m, v_plain, v_strong = classify(cur)
+        # on the trivial subgroup the cells are points, never errors, so the
+        # loop stops there at the latest
+        table = label_index_table(cur.factor())
+        m = cur.codim
+        strong_eps = eps * p ** (-float(psi(m)))
+        v_plain, v_strong = AtomicityVerdict(A, table, eps), AtomicityVerdict(A, table, strong_eps)
         history.append(
             {
-                "codim": cur.codim,
+                "codim": m,
                 "m": m,
                 "error_fraction": v_plain.error_count / max(1, v_plain.cells),
                 "error_fraction_strong": v_strong.error_count / max(1, v_plain.cells),
@@ -353,30 +341,20 @@ def stable_linear_decomposition(
         err_cells = np.flatnonzero((v_plain.code if v_plain.error_count else v_strong.code) == 2)
         dens = v_plain.cell_densities[err_cells]
         pick = err_cells[int(np.argmin(np.abs(dens - 0.5)))]
-        rep_idx = int(np.nonzero(table == pick)[0][0])
-        rep = spec.vector_of(rep_idx)
-        top = _top_character(A, cur, rep)
-        if top is None:
-            break
-        lab, t_star, mag = top
+        rep = spec.vector_of(int(np.nonzero(table == pick)[0][0]))
+        t, mag = _top_character(A, cur, rep)
         if mag <= 1e-12:
             chain.add_step(cur.factor(), gamma0, gamma1, gamma_err)
             break
-        new_dual = _lift_character(cur, t_star // p ** np.arange(lab.n) % p)
-        cur = Subgroup(spec, cur.duals + [new_dual])
-        if cur.codim - ell0 > max_codim:
-            table, m, v_plain, v_strong = classify(cur)
-            break
+        cur = cur.refined(t)
 
     omega_prime = np.flatnonzero(v_strong.code == 2).tolist()
-    mu = len(omega0) / max(1, p**ell0)
-    bound = (mu + eps * p ** (-float(psi(m)))) * p ** (m + ell0)
     return {
         "H": cur,
         "omega": omega_prime,
         "verdict": v_plain,
         "verdict_strong": v_strong,
-        "strong_conclusion_holds": len(omega_prime) <= bound,
+        "strong_conclusion_holds": len(omega_prime) <= strong_eps * p**m,
         "chain": chain,
         "history": history,
     }

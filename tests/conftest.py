@@ -7,6 +7,23 @@ from pathlib import Path
 import pytest
 
 import qfa
+from support import bundled_openblas
+
+# One BLAS thread for the whole session: numpy's OpenBLAS otherwise starts one
+# per CPU, and under load those threads slow the BLAS-heavy tests several
+# times over.  numpy is already loaded when pytest reads this file, so
+# OPENBLAS_NUM_THREADS would come too late; the count is set in the loaded
+# library instead.  Without the bundled library this is a no-op, and the
+# report header says so.
+BLAS = bundled_openblas()
+if BLAS is not None:
+    BLAS.scipy_openblas_set_num_threads64_(1)
+
+
+def pytest_report_header(config):
+    if BLAS is None:
+        return "BLAS threads: not pinned (numpy bundles no scipy_openblas library)"
+    return f"BLAS threads: {BLAS.scipy_openblas_get_num_threads64_()} (bundled scipy_openblas)"
 
 
 @pytest.fixture

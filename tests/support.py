@@ -4,8 +4,10 @@ pytest does not collect this module (its name does not start with test_);
 the test modules import it by name.
 """
 
+import ctypes
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -20,6 +22,18 @@ from qfa.uniformity import (
     triad_graphs,
     triangle_tensor,
 )
+
+
+def bundled_openblas():
+    """The OpenBLAS library that numpy wheels bundle in numpy.libs, through
+    ctypes, when it exports scipy_openblas_set_num_threads64_; else None
+    (numpy built against another BLAS).  Loading it again returns the
+    instance numpy already holds, so a thread count set here is numpy's."""
+    for path in sorted((Path(np.__file__).resolve().parents[1] / "numpy.libs").glob("libscipy_openblas64_-*.so")):
+        lib = ctypes.CDLL(str(path))
+        if hasattr(lib, "scipy_openblas_set_num_threads64_"):
+            return lib
+    return None
 
 
 def form_value(M, x, y, p: int) -> int:

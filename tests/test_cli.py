@@ -191,25 +191,6 @@ def test_cli_concurrent_jobs_match_serial():
     assert [c["status"] for c in r1.checks] == [c["status"] for c in r2.checks]
 
 
-def test_cli_config_file(tmp_path, capsys):
-    cfg = tmp_path / "qfa.cfg"
-    out = tmp_path / "report.json"
-    cfg.write_text("seed=12\n")
-    rc = main(["--config", str(cfg), "verify", "--suite", "quadric", "--json", str(out)])
-    assert rc == 0
-    assert json.loads(out.read_text())["config"] == {"seed": 12}
-    # a key verify does not read, a line without "=", a missing file and a
-    # directory are usage errors (exit 2), not an ignored setting or a traceback
-    for text, msg in (("seed=3\np=7\neps=0.9\n", "unknown key 'p'"), ("seed 3\n", "expected key=value")):
-        cfg.write_text(text)
-        capsys.readouterr()
-        assert main(["--config", str(cfg), "verify", "--suite", "quadric"]) == 2
-        assert msg in capsys.readouterr().err
-    assert main(["--config", str(tmp_path / "missing.cfg"), "verify", "--suite", "quadric"]) == 2
-    assert "missing.cfg" in capsys.readouterr().err
-    assert main(["--config", str(tmp_path), "verify", "--suite", "quadric"]) == 2
-
-
 def test_cli_regularize_and_chain(tmp_path, capsys):
     chain = tmp_path / "chain.json"
     rc = main([
@@ -219,6 +200,10 @@ def test_cli_regularize_and_chain(tmp_path, capsys):
     assert rc == 0
     doc = json.loads(chain.read_text())
     assert doc["eps"] == 0.1 and len(doc["factors"]) >= 1
+    # a negative eps is a usage error, not a run whose cells are all errors
+    capsys.readouterr()
+    assert main(["regularize", "--set", "gs:p=3,n=4", "--eps", "-0.1"]) == 2
+    assert "eps must be non-negative" in capsys.readouterr().err
 
 
 def test_cli_measure_u2(capsys):
@@ -425,7 +410,7 @@ def test_cli_measure_triad_quantities(tmp_path, capsys):
     write_factor(F, str(ffile))
     tfile = tmp_path / "t.json"
     tfile.write_text(json.dumps([0, 1, 2, 0, 1, 2]))
-    for quantity in ("dev23", "oct", "k222"):
+    for quantity in ("dev2", "dev23", "oct", "k222"):
         rc = main([
             "measure", quantity, "--set", "gs:p=3,n=4",
             "--factor", str(ffile), "--triad", str(tfile),
@@ -433,6 +418,15 @@ def test_cli_measure_triad_quantities(tmp_path, capsys):
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["name"] == quantity
+        if quantity == "dev2":
+            assert {"measured", "density"} <= set(doc)
+    argv = ["measure", "density-transfer", "--set", "gs:p=3,n=4", "--factor", str(ffile), "--triad", str(tfile)]
+    assert main([*argv, "--bound", "0.07"]) == 0
+    assert json.loads(capsys.readouterr().out)["bound"] == 0.07
+    # a triad measure without --triad is a usage error that names both flags
+    assert main(["measure", "oct", "--set", "gs:p=3,n=4", "--factor", str(ffile)]) == 2
+    err = capsys.readouterr().err
+    assert "--factor" in err and "--triad" in err and "Traceback" not in err
 
 
 def test_parse_quadric_custom_matrix():

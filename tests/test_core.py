@@ -27,7 +27,7 @@ from qfa.core import (
     rref,
     write_subset,
 )
-from support import form_value
+from support import bundled_openblas, form_value
 
 
 def test_index_examples():
@@ -403,7 +403,7 @@ def test_rref_dispatch_one_matrix_never_reaches_the_stacked_loop(monkeypatch):
     the list path up to _RANKS_LIST_ENTRIES entries, and ranks on one more
     matrix raises, which shows that the patch takes effect."""
     from qfa.factors import _row_space_basis
-    from qfa.regularize import Subgroup, _lift_character
+    from qfa.regularize import Subgroup
 
     def broken(a, p):
         raise AssertionError("stacked loop reached")
@@ -420,7 +420,7 @@ def test_rref_dispatch_one_matrix_never_reaches_the_stacked_loop(monkeypatch):
     assert [r.tolist() for r in _row_space_basis(A, 5)] == want[:3]
     H = Subgroup(GroupSpec(5, 3), [np.array([1, 2, 3])])
     assert H.basis.tolist() == [[3, 1, 0], [2, 0, 1]]
-    assert _lift_character(H, [3, 1]).tolist() == [3, 4, 0]
+    assert H.refined([3, 1]).duals[-1].tolist() == [3, 4, 0]
     with pytest.raises(AssertionError, match="stacked loop reached"):
         ranks(np.stack([A] * (fit + 1)), 5)
 
@@ -458,3 +458,10 @@ def test_group_spec_refuses_groups_beyond_exact_float64(monkeypatch):
     for p in (67_108_879, 134_217_689):
         with pytest.raises(CapacityError, match="2\\^53"):
             GroupSpec(p, 1)
+
+
+def test_the_test_session_runs_blas_on_one_thread():
+    blas = bundled_openblas()
+    if blas is None:
+        pytest.skip("numpy bundles no scipy_openblas library")
+    assert blas.scipy_openblas_get_num_threads64_() == 1

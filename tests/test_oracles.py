@@ -43,9 +43,9 @@ from support import form_value, gowers_inner, plant_tree_encoding
 RNG = np.random.default_rng(0xF0F2)
 
 
-def random_subsets(spec, count, lo=0.15, hi=0.85):
+def random_subsets(spec, count, lo=0.15, hi=0.85, rng=RNG):
     for _ in range(count):
-        yield GroupSubset(spec, RNG.random(spec.order) < RNG.uniform(lo, hi))
+        yield GroupSubset(spec, rng.random(spec.order) < rng.uniform(lo, hi))
 
 
 def op_oracle(A, k):
@@ -273,11 +273,25 @@ def test_hop2_search_matches_oracle_depth3():
 
 
 def test_fop2_search_matches_oracle():
-    spec = GroupSpec(3, 1)
-    for A in random_subsets(spec, 25):
+    # F_5 draws from its own generator, so that the sets later tests draw
+    # from RNG stay the same
+    f5 = random_subsets(GroupSpec(5, 1), 25, rng=np.random.default_rng(0xF5))
+    for A in [*random_subsets(GroupSpec(3, 1), 25), *f5]:
+        got = find_fop2(A, 2).status
+        want = FOUND if fop2_oracle(A, 2) else NONE
+        assert got == want, (A.spec.p, A.indices().tolist())
+
+
+@pytest.mark.slow
+def test_fop2_search_matches_oracle_on_f3_squared():
+    # about 2 s per set for the oracle; both verdicts occur
+    seen = set()
+    for A in random_subsets(GroupSpec(3, 2), 4, rng=np.random.default_rng(0x32)):
         got = find_fop2(A, 2).status
         want = FOUND if fop2_oracle(A, 2) else NONE
         assert got == want, A.indices().tolist()
+        seen.add(got)
+    assert seen == {FOUND, NONE}
 
 
 def test_vc2_search_matches_oracle():
@@ -773,9 +787,10 @@ def searched_witnesses():
         out += [w for w in found + [cube] if w is not None]
     lab = GroupSpec(3, 3)
     F = QuadraticFactor(lab, [lab.basis_vector(1)], [np.eye(3, dtype=np.int64)])
-    for eps, side in itertools.product((0.3, 0.6), (None, np.ones(lab.order, dtype=bool))):
+    for eps, anywhere in itertools.product((0.3, 0.6), (False, True)):
         for _ in range(2):
             red = ReducedPair(GroupSubset(lab, rng.random(lab.order) < 0.5), F, eps)
+            side = np.ones(red.label_spec.order, dtype=bool) if anywhere else None
             found = [find_good_copy(red, pattern, k, side).witness for pattern in "HUT" for k in (1, 2)]
             out += [w for w in found if w is not None]
     for spec, d, seed in ((GroupSpec(3, 6), 2, 4), (GroupSpec(3, 10), 4, 6)):
@@ -1005,7 +1020,10 @@ def malformed(w):
     """Copies of w with one defect each in every role that holds vectors: its
     first vector with a coordinate 0.5 or with one coordinate too many, and
     the role itself an int (a list role) or the list of its values (a keyed
-    role).  An FOP2 selector's y-list has its first vector changed."""
+    role).  An FOP2 selector's y-list has its first vector changed.  In the
+    roles that hold no vectors: a tree depth d of "x", None, 2.5 or -1, and a
+    good copy's side one label short, a list or None, its pattern unhashable
+    and its reduced pair None."""
     out = []
 
     def copy(role, val):
@@ -1021,6 +1039,12 @@ def malformed(w):
             bad = [bad, *first[1:]] if nested else bad
             out.append(copy(role, {**val, key: bad} if isinstance(val, dict) else [bad, *val[1:]]))
         out.append(copy(role, list(val.values()) if isinstance(val, dict) else 5))
+    if "d" in w.data:
+        out += [copy("d", bad) for bad in ("x", None, 2.5, -1)]
+    if w.kind == "GOODCOPY":
+        side = w.data["side"]
+        out += [copy("side", bad) for bad in (side[:-1], side.tolist(), None)]
+        out += [copy("pattern", [w.data["pattern"]]), copy("red", None)]
     return out
 
 
@@ -1034,6 +1058,44 @@ def test_malformed_witnesses_give_false(searched):
             assert damaged.revalidate() is False, (w.kind, w.k, damaged.to_jsonable())
             kinds.add(w.kind)
     assert kinds == {"OP", "HOP2", "FOP2", "VC", "VC2", "CUBE", "TREE", "GOODCOPY"}
+
+
+def test_oversized_key_sets_are_counted_before_they_are_listed(run_optimized):
+    # A witness whose k or d names a key set far larger than the keys it
+    # holds is False at once: a TREE of depth 99 (2^99 leaves), VC at k = 20,
+    # VC2 at k = 5 (2^25 keys) and a U(40) good copy.  Listing the keys first
+    # exhausts memory, so the cases run in a child (under python -O, where
+    # revalidate holds too) with an address-space limit 512 MB above what it
+    # holds after import, and a timeout.
+    out = run_optimized("""
+import resource, time
+import numpy as np
+from qfa.core import GroupSpec, GroupSubset
+from qfa.detectors import Witness
+from qfa.factors import QuadraticFactor
+from qfa.uniformity import ReducedPair
+pages = int(open("/proc/self/statm").read().split()[0])
+limit = pages * resource.getpagesize() + (512 << 20)
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+sp = GroupSpec(3, 2)
+A, z = GroupSubset.full(sp), np.zeros(2, dtype=np.int64)
+red = ReducedPair(A, QuadraticFactor(sp, [sp.basis_vector(1)], [np.eye(2, dtype=np.int64)]), 0.1)
+cases = {
+    "TREE": Witness("TREE", A, {"nodes": {(): z}, "leaves": {(0,): z, (1,): z}, "d": 99}),
+    "VC": Witness("VC", A, {"a": [z] * 20, "b": {frozenset(): z}}, k=20),
+    "VC2": Witness("VC2", A, {"a": {frozenset(): z}, "b": [z] * 5, "c": [z] * 5}, k=5),
+    "U": Witness("GOODCOPY", A, {"left": [z] * 40, "right": {0: z}, "pattern": "U", "red": red,
+                                 "side": np.ones(9, dtype=bool)}, k=40),
+}
+for name, w in cases.items():
+    t0 = time.monotonic()
+    ok = w.revalidate()
+    print(name, ok, round(time.monotonic() - t0, 3), flush=True)
+""")
+    assert out.returncode == 0, out.stderr[-2000:]
+    rows = [line.split() for line in out.stdout.splitlines()]
+    assert [row[:2] for row in rows] == [[name, "False"] for name in ("TREE", "VC", "VC2", "U")], out.stdout
+    assert all(float(row[2]) < 1.0 for row in rows), out.stdout
 
 
 def test_revalidation_reads_no_sum_table(witness_cases, monkeypatch):

@@ -14,7 +14,6 @@ from qfa.regularize import (
     FactorChain,
     GrowthFunction,
     Subgroup,
-    _lift_character,
     aqale_check,
     factor_chain_check,
     find_dense_subspace,
@@ -111,11 +110,12 @@ def test_uniform_coset_postconditions_survive_optimize(run_optimized):
     # coefficient reads 1.0, and three steps (floor(2 / 0.9) + 1) use up
     # F_3^3.  Its uniformity is checked first, then its codimension.
     walk = (
+        "import numpy as np\n"
         "from qfa import regularize as reg\n"
         "from qfa.core import GroupSpec, GroupSubset\n"
         "assert False, 'asserts are live'\n"
         "top = reg._top_character\n"
-        "reg._top_character = lambda A, H, y: top(A, H, y) and (top(A, H, y)[0], 1, 1.0)\n"
+        "reg._top_character = lambda A, H, y: top(A, H, y) and (np.eye(H.dim, dtype=np.int64)[0], 1.0)\n"
         "{}"
         "sp = GroupSpec(3, 3)\n"
         "reg.find_uniform_dense_coset(GroupSubset.full(sp), reg.Subgroup(sp, []), 0.9)\n"
@@ -216,6 +216,18 @@ def test_stable_decomposition_empty_input():
     sp = GroupSpec(3, 6)
     res = stable_linear_decomposition(GroupSubset(sp), eps=0.1, max_codim=4)
     assert res["H"].codim == 0 and res["verdict"].error_count == 0
+
+
+def test_stable_decomposition_eps_zero_and_negative():
+    # at eps = 0 the walk may refine down to points, which are never errors;
+    # a negative eps makes every cell an error and is refused
+    sp = GroupSpec(3, 3)
+    A = GroupSubset(sp, np.random.default_rng(3).random(sp.order) < 0.5)
+    res = stable_linear_decomposition(A, eps=0.0, max_codim=3)
+    assert res["verdict_strong"].error_count == 0 and all(factor_chain_check(res["chain"], A).values())
+    for eps in (-0.1, float("nan")):
+        with pytest.raises(ValueError, match="non-negative"):
+            stable_linear_decomposition(A, eps=eps)
 
 
 def test_stable_decomposition_layered_set_error_decay():
@@ -323,9 +335,9 @@ def test_coset_indices_along_uniform_coset_walk(monkeypatch):
 
 @settings(max_examples=200, deadline=None)
 @given(st.data(), st.sampled_from([3, 5]), st.integers(1, 8), st.integers(0, 8))
-def test_lift_character_restricts_to_t(data, p, n, m):
+def test_refined_adds_a_dual_that_restricts_to_t(data, p, n, m):
     entries = st.integers(0, p - 1)
     H = Subgroup(GroupSpec(p, n), list(data.draw(arrays(np.int64, (m, n), elements=entries))))
     t = data.draw(arrays(np.int64, H.dim, elements=entries))
-    v = _lift_character(H, t)
+    v = H.refined(t).duals[-1]
     assert np.array_equal((H.basis @ v) % p, t)
